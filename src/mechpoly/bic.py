@@ -64,6 +64,13 @@ class BicPolytope:
             return np.zeros(0)
         return self.ic @ self.flatten(mech)
 
+    def lp_system(self):
+        """(a, relations, b) for LP assembly: eq rows '= 1', then ic rows '>= 0'."""
+        a = np.vstack([self.eq, self.ic]) if self.ic.shape[0] else self.eq
+        rel = ["="] * self.eq.shape[0] + [">="] * self.ic.shape[0]
+        b = np.concatenate([np.ones(self.eq.shape[0]), np.zeros(self.ic.shape[0])])
+        return a, rel, b
+
 
 def build_bic_polytope(g: FiniteGame, principal: int) -> BicPolytope:
     """Assemble the simplex and truth-telling rows for one principal.
@@ -270,16 +277,13 @@ def enumerate_vertices(g: FiniteGame, principal: int,
                 z = (vu * w - vw * u) / (vu - vw)
                 if _is_vertex(poly, rows_after, z):
                     new_pts.append(z)
+        # keep is pairwise separated already, and a crossing point joins only
+        # when it is separated from everything kept, so one pass dedupes all
         merged = list(keep)
         for z in new_pts:
             if not any(np.max(np.abs(z - m)) <= 10 * SNAP_TOL for m in merged):
                 merged.append(z)
-        # dedupe survivors as well (snapped crossings may collide)
-        uniq = []
-        for z in merged:
-            if not any(np.max(np.abs(z - m)) <= 10 * SNAP_TOL for m in uniq):
-                uniq.append(z)
-        verts = np.array(uniq) if uniq else np.zeros((0, n))
+        verts = np.array(merged) if merged else np.zeros((0, n))
         inserted = rows_after
         if verts.shape[0] == 0:
             break
@@ -306,22 +310,12 @@ def sample_bic(g: FiniteGame, principal: int, seed: int,
     Deterministic in (game, principal, seed).  The result is a vertex of the
     polytope (an LP optimum), cleaned to exact row sums.
     """
-    from .solver import LPProblem, solve_lp  # local import to avoid a cycle
+    from .solver import _optimize_over  # local import to avoid a cycle
 
     if poly is None:
         poly = build_bic_polytope(g, principal)
-    rng = np.random.default_rng(seed)
-    c = rng.standard_normal(poly.n_vars)
-    rel = ["="] * poly.eq.shape[0] + [">="] * poly.ic.shape[0]
-    a = np.vstack([poly.eq, poly.ic]) if poly.ic.shape[0] else poly.eq
-    b = np.concatenate([np.ones(poly.eq.shape[0]), np.zeros(poly.ic.shape[0])])
-    res = solve_lp(LPProblem(c=c, a=a, relations=rel, b=b,
-                             bounds=[(0.0, None)] * poly.n_vars, sense="max"))
-    if res.status != "optimal":
-        raise RuntimeError(f"sampling LP unexpectedly {res.status}")
-    z = _clean_point(poly, res.x)
-    return DirectMechanism(owner=poly.owner,
-                           p=z.reshape(poly.n_profiles, poly.n_actions))
+    c = np.random.default_rng(seed).standard_normal(poly.n_vars)
+    return _optimize_over(poly, "max", "sampling", c=c)[1]
 
 
 def export_h_representation(poly: BicPolytope) -> str:

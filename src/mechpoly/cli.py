@@ -253,6 +253,11 @@ def _cmd_bic_check(args, cfg):
     return EXIT_OK if res.ok else EXIT_FALSE
 
 
+def _minmax(g, j, cfg):
+    return minmax(g, j, mode=cfg.mode, step=cfg.step, grid_dim_cap=cfg.grid_dim_cap,
+                  dim_cap=cfg.dim_cap, restarts=cfg.restarts, seed=cfg.seed)
+
+
 def _cmd_vertices(args, cfg):
     g = load_game(args.game)
     j = _resolve_principal(g, args.principal)
@@ -291,8 +296,7 @@ def _cmd_minmax(args, cfg):
     g = load_game(args.game)
     j = _resolve_principal(g, args.principal)
     watch = Stopwatch()
-    cert = minmax(g, j, mode=cfg.mode, step=cfg.step, grid_dim_cap=cfg.grid_dim_cap,
-                  dim_cap=cfg.dim_cap, restarts=cfg.restarts, seed=cfg.seed)
+    cert = _minmax(g, j, cfg)
     payload = solve_report(g, j, cert, cfg.seed, watch.ms())
     payload["info"] = _jsonable(cert.info)
     path = _write_report(cfg, payload)
@@ -318,8 +322,7 @@ def _cmd_punish(args, cfg):
     g = load_game(args.game)
     j = _resolve_principal(g, args.principal)
     watch = Stopwatch()
-    cert = minmax(g, j, mode=cfg.mode, step=cfg.step, grid_dim_cap=cfg.grid_dim_cap,
-                  dim_cap=cfg.dim_cap, restarts=cfg.restarts, seed=cfg.seed)
+    cert = _minmax(g, j, cfg)
     if cert.witness is None:
         raise NumericalFailure("minmax run produced no feasible witness; try a finer step")
     value, _ = best_response(g, j, cert.witness)
@@ -337,11 +340,7 @@ def _cmd_membership(args, cfg):
     g = load_game(args.game)
     mechs = _load_profile(g, args.profile)
     watch = Stopwatch()
-    certs = [
-        minmax(g, j, mode=cfg.mode, step=cfg.step, grid_dim_cap=cfg.grid_dim_cap,
-               dim_cap=cfg.dim_cap, restarts=cfg.restarts, seed=cfg.seed)
-        for j in range(g.num_principals)
-    ]
+    certs = [_minmax(g, j, cfg) for j in range(g.num_principals)]
     verdict = robust_pbe_membership(g, mechs, certs, tol=cfg.value_tol)
     payload = {
         "game_hash": game_hash(g),
@@ -378,9 +377,7 @@ def _cmd_build_drm(args, cfg):
     for jj in range(g.num_principals):
         if jj == k or jj in punishments:
             continue
-        cert = minmax(g, jj, mode=cfg.mode, step=cfg.step,
-                      grid_dim_cap=cfg.grid_dim_cap, dim_cap=cfg.dim_cap,
-                      restarts=cfg.restarts, seed=cfg.seed)
+        cert = _minmax(g, jj, cfg)
         if cert.witness is None:
             raise NumericalFailure(f"no punishment witness for {g.principal_ids[jj]}")
         punishments[jj] = cert.witness[k]

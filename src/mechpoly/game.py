@@ -319,6 +319,21 @@ def principal_value_at_profile(g: FiniteGame, principal: int, dists, x: int) -> 
     return float(t)
 
 
+def _contract_except(g: FiniteGame, valued: int, free: int, mechanisms) -> np.ndarray:
+    """Prior-weighted coefficients, shape (n_profiles, |A_free|), of principal
+    ``free``'s table in E[v_valued] with everyone else fixed at ``mechanisms``."""
+    t = g.principal_utils[valued] * g.prior.reshape((-1,) + (1,) * g.num_principals)
+    # contract the other action axes, later axes first so positions stay valid
+    for k in range(g.num_principals - 1, -1, -1):
+        if k == free:
+            continue
+        mech = mechanisms[k]
+        p = mech.p if isinstance(mech, DirectMechanism) else np.asarray(mech, dtype=float)
+        # t axes: (x, a_1, ..., a_m); contract axis for principal k
+        t = np.einsum(t, [0, *range(1, t.ndim)], p, [0, 1 + k], [0, *(ax for ax in range(1, t.ndim) if ax != 1 + k)])
+    return t
+
+
 def contract_opponents(g: FiniteGame, principal: int, mechanisms) -> np.ndarray:
     """Prior-weighted coefficients of v_j against everyone else's mechanisms.
 
@@ -327,17 +342,7 @@ def contract_opponents(g: FiniteGame, principal: int, mechanisms) -> np.ndarray:
     (n_profiles, |A_j|): the expected payoff of playing a_j at profile x,
     already weighted by the prior.
     """
-    j = principal
-    t = g.principal_utils[j] * g.prior.reshape((-1,) + (1,) * g.num_principals)
-    # contract opponent action axes, later axes first so positions stay valid
-    for k in range(g.num_principals - 1, -1, -1):
-        if k == j:
-            continue
-        mech = mechanisms[k]
-        p = mech.p if isinstance(mech, DirectMechanism) else np.asarray(mech, dtype=float)
-        # t axes: (x, a_1, ..., a_m); contract axis for principal k
-        t = np.einsum(t, [0, *range(1, t.ndim)], p, [0, 1 + k], [0, *(ax for ax in range(1, t.ndim) if ax != 1 + k)])
-    return t
+    return _contract_except(g, principal, principal, mechanisms)
 
 
 def expected_principal_payoff(g: FiniteGame, principal: int, mechanisms) -> float:

@@ -496,9 +496,9 @@ def check_continuation_equilibrium(g: FiniteGame, mechanisms,
                     )
     induced = induce_profile(g, mechanisms, strategies)
     for j, mech in enumerate(mechanisms):
-        base = expected_principal_payoff(g, j, induced)
         if mech.standard:
             continue
+        base = expected_principal_payoff(g, j, induced)
         for m0 in range(len(mech.principal_messages)):
             alt = np.zeros(len(mech.principal_messages))
             alt[m0] = 1.0
@@ -559,12 +559,17 @@ def _block_candidates(g: FiniteGame, mech: GeneralMechanism, tol: float):
                 if not ok:
                     break
             if ok:
-                rows = np.zeros((g.num_profiles, mech.n_actions))
-                for x in range(g.num_profiles):
-                    sel = tuple(maps[i][g.profiles[x, i]] for i in range(n_i))
-                    rows[x] = mech.outcome[(m0,) + sel]
-                out.append((m0, maps, rows))
+                out.append((m0, maps, _block_table(g, mech, m0, maps)))
     return out
+
+
+def _block_table(g: FiniteGame, mech: GeneralMechanism, m0: int, maps) -> np.ndarray:
+    """Direct table induced by principal message m0 and pure agent maps."""
+    rows = np.zeros((g.num_profiles, mech.n_actions))
+    for x in range(g.num_profiles):
+        sel = tuple(maps[i][g.profiles[x, i]] for i in range(g.num_agents))
+        rows[x] = mech.outcome[(m0,) + sel]
+    return rows
 
 
 def _principal_ok(g: FiniteGame, mechanisms, combo, blocks, tol: float) -> bool:
@@ -577,12 +582,8 @@ def _principal_ok(g: FiniteGame, mechanisms, combo, blocks, tol: float) -> bool:
         for alt in range(len(mech.principal_messages)):
             if alt == m0:
                 continue
-            rows = np.zeros_like(tables[j])
-            for x in range(g.num_profiles):
-                sel = tuple(maps[i][g.profiles[x, i]] for i in range(g.num_agents))
-                rows[x] = mech.outcome[(alt,) + sel]
             trial = list(tables)
-            trial[j] = rows
+            trial[j] = _block_table(g, mech, alt, maps)
             if expected_principal_payoff(g, j, trial) - base > tol:
                 return False
     return True
@@ -602,19 +603,24 @@ def _profile_from_blocks(g: FiniteGame, mechanisms, combo, blocks) -> StrategyPr
     return pure_strategies(g, mechanisms, pc, ac)
 
 
-def enumerate_pure_continuation_equilibria(g: FiniteGame, mechanisms,
-                                           tol: float = EQ_TOL):
-    """Every pure strategy profile passing the continuation check.
+def _continuation_combos(g: FiniteGame, mechanisms, tol: float):
+    """(blocks, combos): per-mechanism agent-optimal candidates, and the
+    index tuples into them that also pass the principal-message conditions.
 
     Agent optimality factors by principal, so candidates are assembled per
     mechanism first and only the cross products are run through the
     principal-message conditions."""
     blocks = [_block_candidates(g, mech, tol) for mech in mechanisms]
-    results = []
-    for combo in itertools.product(*[range(len(b)) for b in blocks]):
-        if _principal_ok(g, mechanisms, combo, blocks, tol):
-            results.append(_profile_from_blocks(g, mechanisms, combo, blocks))
-    return results
+    combos = [combo for combo in itertools.product(*[range(len(b)) for b in blocks])
+              if _principal_ok(g, mechanisms, combo, blocks, tol)]
+    return blocks, combos
+
+
+def enumerate_pure_continuation_equilibria(g: FiniteGame, mechanisms,
+                                           tol: float = EQ_TOL):
+    """Every pure strategy profile passing the continuation check."""
+    blocks, combos = _continuation_combos(g, mechanisms, tol)
+    return [_profile_from_blocks(g, mechanisms, combo, blocks) for combo in combos]
 
 
 # -- equilibrium notions ---------------------------------------------------------
@@ -676,12 +682,7 @@ def check_equilibrium_notion(g: FiniteGame, mechanisms,
                 continue
             subgame = list(mechanisms)
             subgame[j] = dev
-            blocks = [_block_candidates(g, m, tol) for m in subgame]
-            combos = [
-                combo
-                for combo in itertools.product(*[range(len(b)) for b in blocks])
-                if _principal_ok(g, subgame, combo, blocks, tol)
-            ]
+            blocks, combos = _continuation_combos(g, subgame, tol)
             if not combos:
                 infeasible.append((g.principal_ids[j], d_idx))
                 continue
@@ -724,10 +725,11 @@ def check_equilibrium_notion(g: FiniteGame, mechanisms,
 
 
 def _sample_rows(rng: np.random.Generator, rows: np.ndarray) -> np.ndarray:
-    """One categorical draw per row, via inverse transform."""
+    """One categorical draw per row, via inverse transform; validated rows may
+    sum to 1 - 1e-9, so a draw past the last cumulative total is clamped."""
     u = rng.random(rows.shape[0])
     cdf = np.cumsum(rows, axis=1)
-    return (u[:, None] > cdf).sum(axis=1)
+    return np.minimum((u[:, None] > cdf).sum(axis=1), rows.shape[1] - 1)
 
 
 def simulate(g: FiniteGame, mechanisms, strategies: StrategyProfile,

@@ -25,6 +25,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.optimize import linprog
 
 from .bic import (
@@ -34,11 +35,14 @@ from .bic import (
     DimensionTooLarge,
     _clean_point,
     build_bic_polytope,
+    enumerate_vertices,
     is_profile_bic,
+    sample_bic,
 )
 from .game import (
     DirectMechanism,
     FiniteGame,
+    _contract_except,
     expected_principal_payoff,
     game_hash,
     mechanism_to_dict,
@@ -52,7 +56,8 @@ DEFAULT_GRID_DIM_CAP = 4
 DEFAULT_RESTARTS = 32
 GRID_POINT_CAP = 2_000_000
 
-EXACT_KINDS = ("exact-lp", "vertex-product-exact", "grid-certified-lower-bound")
+EXACT_KINDS = ("exact-lp", "vertex-product-exact")
+GRID_KIND = "grid-certified-lower-bound"
 
 
 class NumericalFailure(RuntimeError):
@@ -180,33 +185,32 @@ class ValueCertificate:
     info: dict = field(default_factory=dict)
 
 
-def _polytope_rows(poly: BicPolytope):
-    """(a, relations, b) of the feasibility system for LP assembly."""
-    if poly.ic.shape[0]:
-        a = np.vstack([poly.eq, poly.ic])
-    else:
-        a = poly.eq
-    rel = ["="] * poly.eq.shape[0] + [">="] * poly.ic.shape[0]
-    b = np.concatenate([np.ones(poly.eq.shape[0]), np.zeros(poly.ic.shape[0])])
-    return a, rel, b
+def _optimize_over(poly: BicPolytope, sense: str, what: str, c=None, cuts=None):
+    """Optimize over one principal's polytope; returns (value, DirectMechanism).
 
-
-def _linear_coefficients(g: FiniteGame, value_principal: int, free_principal: int,
-                         mechanisms) -> np.ndarray:
-    """Coefficients of free_principal's table in E_x[v_{value_principal}].
-
-    All principals other than free_principal are fixed at ``mechanisms``;
-    returns shape (n_profiles, |A_free|) already weighted by the prior.
+    With ``c`` the objective is c . p.  With ``cuts`` (one coefficient row per
+    linear piece) it is the epigraph variable t over [p, t]: rows
+    cuts . p - t >= 0 for 'max' (t is the worst piece), <= 0 for 'min' (the
+    best).  The witness is cleaned to exact row sums.
     """
-    t = g.principal_utils[value_principal] * g.prior.reshape((-1,) + (1,) * g.num_principals)
-    for k in range(g.num_principals - 1, -1, -1):
-        if k == free_principal:
-            continue
-        mech = mechanisms[k]
-        p = mech.p if isinstance(mech, DirectMechanism) else np.asarray(mech, dtype=float)
-        t = np.einsum(t, [0, *range(1, t.ndim)], p, [0, 1 + k],
-                      [0, *(ax for ax in range(1, t.ndim) if ax != 1 + k)])
-    return t
+    a, rel, b = poly.lp_system()
+    n = poly.n_vars
+    bounds = [(0.0, None)] * n
+    if cuts is not None:
+        cuts = np.array(cuts)
+        a = np.vstack([np.hstack([a, np.zeros((a.shape[0], 1))]),
+                       np.hstack([cuts, np.full((cuts.shape[0], 1), -1.0)])])
+        rel = rel + [">=" if sense == "max" else "<="] * cuts.shape[0]
+        b = np.concatenate([b, np.zeros(cuts.shape[0])])
+        c = np.zeros(n + 1)
+        c[-1] = 1.0
+        bounds = bounds + [(None, None)]
+    res = solve_lp(LPProblem(c=c, a=a, relations=rel, b=b, bounds=bounds, sense=sense))
+    if res.status != "optimal":
+        raise NumericalFailure(f"{what} LP {res.status}")
+    z = _clean_point(poly, res.x[:n])
+    return float(res.value), DirectMechanism(
+        owner=poly.owner, p=z.reshape(poly.n_profiles, poly.n_actions))
 
 
 def best_response(g: FiniteGame, principal: int, mechanisms,
@@ -217,18 +221,10 @@ def best_response(g: FiniteGame, principal: int, mechanisms,
     (dict or list; the entry for ``principal`` is ignored).  Returns
     (value, DirectMechanism witness); the witness is feasible at 1e-9.
     """
-    j = principal
     if poly is None:
-        poly = build_bic_polytope(g, j)
-    coeff = _linear_coefficients(g, j, j, mechanisms).reshape(-1)
-    a, rel, b = _polytope_rows(poly)
-    res = solve_lp(LPProblem(c=coeff, a=a, relations=rel, b=b,
-                             bounds=[(0.0, None)] * poly.n_vars, sense="max"))
-    if res.status != "optimal":
-        raise NumericalFailure(f"best-response LP {res.status}")
-    z = _clean_point(poly, res.x)
-    mech = DirectMechanism(owner=j, p=z.reshape(poly.n_profiles, poly.n_actions))
-    return float(res.value), mech
+        poly = build_bic_polytope(g, principal)
+    coeff = _contract_except(g, principal, principal, mechanisms).reshape(-1)
+    return _optimize_over(poly, "max", "best-response", c=coeff)
 
 
 # -- maxmin ------------------------------------------------------------------
@@ -236,8 +232,6 @@ def best_response(g: FiniteGame, principal: int, mechanisms,
 
 def _vertex_products(g: FiniteGame, principal: int, dim_cap: int, product_cap: int = 50000):
     """Vertices of each opponent polytope and the iterator of their products."""
-    from .bic import enumerate_vertices
-
     opponents = [k for k in range(g.num_principals) if k != principal]
     vertex_sets = {}
     count = 1
@@ -273,29 +267,13 @@ def maxmin(g: FiniteGame, principal: int, mode: str = "auto",
             if mode == "exact":
                 raise
             return _maxmin_alternating(g, j, poly, restarts, seed)
-        coeffs = []
-        for combo in itertools.product(*[vertex_sets[k] for k in opponents]):
-            mechs = dict(zip(opponents, combo))
-            coeffs.append(_linear_coefficients(g, j, j, mechs).reshape(-1))
-        n = poly.n_vars
-        a_p, rel_p, b_p = _polytope_rows(poly)
-        # variables: [p (n), t (1)]; maximize t subject to t <= c_w . p
-        rows = [np.concatenate([c, [-1.0]]) for c in coeffs]
-        a = np.vstack([np.hstack([a_p, np.zeros((a_p.shape[0], 1))]), np.array(rows)])
-        rel = rel_p + [">="] * len(rows)
-        b = np.concatenate([b_p, np.zeros(len(rows))])
-        obj = np.zeros(n + 1)
-        obj[-1] = 1.0
-        res = solve_lp(LPProblem(c=obj, a=a, relations=rel, b=b,
-                                 bounds=[(0.0, None)] * n + [(None, None)],
-                                 sense="max"))
-        if res.status != "optimal":
-            raise NumericalFailure(f"maxmin LP {res.status}")
-        z = _clean_point(poly, res.x[:n])
-        witness = DirectMechanism(owner=j, p=z.reshape(poly.n_profiles, poly.n_actions))
+        # maximize t subject to t <= c_w . p for every vertex product w
+        cuts = [_contract_except(g, j, j, dict(zip(opponents, combo))).reshape(-1)
+                for combo in itertools.product(*[vertex_sets[k] for k in opponents])]
+        value, witness = _optimize_over(poly, "max", "maxmin", cuts=cuts)
         return ValueCertificate(
             kind="vertex-product-exact",
-            value=float(res.value),
+            value=value,
             witness=witness,
             gap_bound=0.0,
             info={"n_vertex_products": count},
@@ -307,8 +285,6 @@ def maxmin(g: FiniteGame, principal: int, mode: str = "auto",
 
 def _sample_bic_rng(g: FiniteGame, principal: int, rng: np.random.Generator,
                     poly: BicPolytope = None) -> DirectMechanism:
-    from .bic import sample_bic  # reuse the same LP path
-
     return sample_bic(g, principal, int(rng.integers(0, 2**31 - 1)), poly=poly)
 
 
@@ -328,18 +304,10 @@ def _inner_min(g: FiniteGame, principal: int, pj: DirectMechanism,
     for _ in range(sweeps):
         improved = False
         for k in opponents:
-            c = _linear_coefficients(g, j, k, profile).reshape(-1)
-            a, rel, b = _polytope_rows(polys[k])
-            res = solve_lp(LPProblem(c=c, a=a, relations=rel, b=b,
-                                     bounds=[(0.0, None)] * polys[k].n_vars,
-                                     sense="min"))
-            if res.status != "optimal":
-                raise NumericalFailure(f"inner-min LP {res.status}")
-            z = _clean_point(polys[k], res.x)
-            profile[k] = DirectMechanism(
-                owner=k, p=z.reshape(polys[k].n_profiles, polys[k].n_actions))
-            if best is None or res.value < best - 1e-12:
-                best = float(res.value)
+            c = _contract_except(g, j, k, profile).reshape(-1)
+            value, profile[k] = _optimize_over(polys[k], "min", "inner-min", c=c)
+            if best is None or value < best - 1e-12:
+                best = value
                 improved = True
         if not improved or len(opponents) == 1:
             break
@@ -350,35 +318,18 @@ def _maxmin_alternating(g: FiniteGame, principal: int, poly: BicPolytope,
                         restarts: int, seed: int) -> ValueCertificate:
     j = principal
     polys = {k: build_bic_polytope(g, k) for k in range(g.num_principals) if k != j}
-    a_p, rel_p, b_p = _polytope_rows(poly)
     best_val, best_witness = -np.inf, None
     for r in range(restarts):
         rng = np.random.default_rng(seed + r)
         pj = _sample_bic_rng(g, j, rng, poly=poly)
-        cuts = []
-        val = None
+        cuts = []  # own-table coefficients against each opponent profile seen
         for _ in range(25):
             val, opp = _inner_min(g, j, pj, polys, rng)
-            cuts.append(opp)
+            cuts.append(_contract_except(g, j, j, opp).reshape(-1))
             if val > best_val + 1e-12:
                 best_val, best_witness = val, pj
             # ascend: maximize the worst case over the opponent profiles seen
-            rows = []
-            for opp_profile in cuts:
-                c = _linear_coefficients(g, j, j, {**opp_profile, j: pj}).reshape(-1)
-                rows.append(np.concatenate([c, [-1.0]]))
-            a = np.vstack([np.hstack([a_p, np.zeros((a_p.shape[0], 1))]), np.array(rows)])
-            rel = rel_p + [">="] * len(rows)
-            b = np.concatenate([b_p, np.zeros(len(rows))])
-            obj = np.zeros(poly.n_vars + 1)
-            obj[-1] = 1.0
-            res = solve_lp(LPProblem(c=obj, a=a, relations=rel, b=b,
-                                     bounds=[(0.0, None)] * poly.n_vars + [(None, None)],
-                                     sense="max"))
-            if res.status != "optimal":
-                raise NumericalFailure(f"maxmin ascent LP {res.status}")
-            z = _clean_point(poly, res.x[:poly.n_vars])
-            new_pj = DirectMechanism(owner=j, p=z.reshape(poly.n_profiles, poly.n_actions))
+            _, new_pj = _optimize_over(poly, "max", "maxmin ascent", cuts=cuts)
             if np.max(np.abs(new_pj.p - pj.p)) <= 1e-10:
                 break
             pj = new_pj
@@ -432,37 +383,20 @@ def _minmax_exact2(g: FiniteGame, principal: int) -> ValueCertificate:
     k = 1 - j
     poly_j = build_bic_polytope(g, j)
     poly_k = build_bic_polytope(g, k)
-    n_j, n_k = poly_j.n_vars, poly_k.n_vars
-    n_x = g.num_profiles
-    m_j = poly_j.ic.shape[0]
+    n_k, n_x, m_j = poly_k.n_vars, g.num_profiles, poly_j.ic.shape[0]
     # bilinear form: E[v_j] = p_j^T Q q with Q[(x,a_j),(x,a_k)] = F(x) v_j(x,a)
     v = g.principal_utils[j]  # (x, A_1, A_2)
-    q_full = np.zeros((n_j, n_k))
-    n_aj, n_ak = poly_j.n_actions, poly_k.n_actions
-    for x in range(n_x):
-        block = v[x] if j == 0 else v[x].T  # (A_j, A_k)
-        q_full[x * n_aj:(x + 1) * n_aj, x * n_ak:(x + 1) * n_ak] = g.prior[x] * block
-    # variables: [q (n_k), y (n_x), z (m_j)]
-    n_vars = n_k + n_x + m_j
-    rows, rel, rhs = [], [], []
-    # dual feasibility of the inner max: E_j^T y - G_j^T z - Q q >= 0
-    ejt = poly_j.eq.T           # (n_j, n_x)
-    gjt = poly_j.ic.T if m_j else np.zeros((n_j, 0))
-    for r in range(n_j):
-        row = np.concatenate([-q_full[r], ejt[r], -gjt[r]])
-        rows.append(row)
-        rel.append(">=")
-        rhs.append(0.0)
-    # q lies in the opponent's polytope
-    a_k, rel_k, b_k = _polytope_rows(poly_k)
-    for row, rl, bb in zip(a_k, rel_k, b_k):
-        rows.append(np.concatenate([row, np.zeros(n_x + m_j)]))
-        rel.append(rl)
-        rhs.append(bb)
+    q_full = block_diag(*[g.prior[x] * (v[x] if j == 0 else v[x].T) for x in range(n_x)])
+    # variables: [q (n_k), y (n_x), z (m_j)]; rows: dual feasibility of the
+    # inner max, E_j^T y - G_j^T z - Q q >= 0, then q in the opponent's polytope
+    a_k, rel_k, b_k = poly_k.lp_system()
+    a = np.vstack([np.hstack([-q_full, poly_j.eq.T, -poly_j.ic.T]),
+                   np.hstack([a_k, np.zeros((a_k.shape[0], n_x + m_j))])])
+    rel = [">="] * poly_j.n_vars + rel_k
+    b = np.concatenate([np.zeros(poly_j.n_vars), b_k])
     obj = np.concatenate([np.zeros(n_k), np.ones(n_x), np.zeros(m_j)])
     bounds = [(0.0, None)] * n_k + [(None, None)] * n_x + [(0.0, None)] * m_j
-    res = solve_lp(LPProblem(c=obj, a=np.array(rows), relations=rel,
-                             b=np.array(rhs), bounds=bounds, sense="min"))
+    res = solve_lp(LPProblem(c=obj, a=a, relations=rel, b=b, bounds=bounds, sense="min"))
     if res.status != "optimal":
         raise NumericalFailure(f"saddle LP {res.status}")
     z = _clean_point(poly_k, res.x[:n_k])
@@ -529,8 +463,6 @@ def _minmax_grid(g: FiniteGame, principal: int, step: float,
 
     use_vertices = poly_j.n_vars <= dim_cap
     if use_vertices:
-        from .bic import enumerate_vertices
-
         verts = enumerate_vertices(g, j, dim_cap=dim_cap, poly=poly_j)
         vmat = np.array([m.p for m in verts])  # (n_vert, n_x, A_j)
         # W[m, x, c]: payoff of vertex m at profile x against opponent cell c
@@ -543,8 +475,6 @@ def _minmax_grid(g: FiniteGame, principal: int, step: float,
             t = np.moveaxis(t, j, 0)  # (A_j, opp cells...) in opponent index order
             t = t.reshape(t.shape[0], -1)
             w[:, x, :] = vmat[:, x, :] @ t
-    else:
-        a_p, rel_p, b_p = _polytope_rows(poly_j)
 
     best_overall = np.inf
     best_feasible = np.inf
@@ -570,16 +500,9 @@ def _minmax_grid(g: FiniteGame, principal: int, step: float,
                 vals += q @ w[:, x, :].T
             gvals = vals.max(axis=1)
         else:
-            gvals = np.empty(bsz)
-            for bi in range(bsz):
-                mechs = {k: tables[k][bi] for k in opp}
-                coeff = _linear_coefficients(g, j, j, mechs).reshape(-1)
-                res = solve_lp(LPProblem(c=coeff, a=a_p, relations=rel_p, b=b_p,
-                                         bounds=[(0.0, None)] * poly_j.n_vars,
-                                         sense="max"))
-                if res.status != "optimal":
-                    raise NumericalFailure(f"grid best-response LP {res.status}")
-                gvals[bi] = res.value
+            gvals = np.array([
+                best_response(g, j, {k: tables[k][bi] for k in opp}, poly=poly_j)[0]
+                for bi in range(bsz)])
         best_overall = min(best_overall, float(gvals.min()))
         # feasibility of the opponents' tables (their own IC rows)
         feas = np.ones(bsz, dtype=bool)
@@ -596,7 +519,7 @@ def _minmax_grid(g: FiniteGame, principal: int, step: float,
                     k: DirectMechanism(owner=k, p=tables[k][bi].copy()) for k in opp
                 }
     return ValueCertificate(
-        kind="grid-certified-lower-bound",
+        kind=GRID_KIND,
         value=best_overall - slack,
         witness=best_feasible_profile,
         gap_bound=slack,
@@ -632,29 +555,10 @@ def _minmax_alternating(g: FiniteGame, principal: int, restarts: int,
                 cuts.append(br)
             previous = {k: profile[k].p for k in opponents}
             for k in opponents:
-                # min t s.t. t >= payoff(cut, block k free); vars [p_k, t]
-                rows_a, rel, rhs = [], [], []
-                a_k, rel_k, b_k = _polytope_rows(polys[k])
-                for row, rl, bb in zip(a_k, rel_k, b_k):
-                    rows_a.append(np.concatenate([row, [0.0]]))
-                    rel.append(rl)
-                    rhs.append(bb)
-                for s in cuts:
-                    c = _linear_coefficients(g, j, k, {**profile, j: s}).reshape(-1)
-                    rows_a.append(np.concatenate([c, [-1.0]]))
-                    rel.append("<=")
-                    rhs.append(0.0)
-                obj = np.zeros(polys[k].n_vars + 1)
-                obj[-1] = 1.0
-                res = solve_lp(LPProblem(c=obj, a=np.array(rows_a), relations=rel,
-                                         b=np.array(rhs),
-                                         bounds=[(0.0, None)] * polys[k].n_vars + [(None, None)],
-                                         sense="min"))
-                if res.status != "optimal":
-                    raise NumericalFailure(f"descent LP {res.status}")
-                z = _clean_point(polys[k], res.x[:polys[k].n_vars])
-                profile[k] = DirectMechanism(
-                    owner=k, p=z.reshape(polys[k].n_profiles, polys[k].n_actions))
+                # min t s.t. t >= payoff(cut, block k free)
+                cut_rows = [_contract_except(g, j, k, {**profile, j: s}).reshape(-1)
+                            for s in cuts]
+                _, profile[k] = _optimize_over(polys[k], "min", "descent", cuts=cut_rows)
             moved = max(float(np.max(np.abs(profile[k].p - previous[k])))
                         for k in opponents)
             if moved <= 1e-12:
@@ -710,42 +614,44 @@ def robust_pbe_membership(g: FiniteGame, mechanisms, certs,
     """Test a direct-mechanism profile against each principal's payoff floor.
 
     ``certs`` holds one ValueCertificate per principal (their minmax values).
-    A principal passes when their expected payoff is at least
-    cert.value - max(gap_bound, 0) - tol.  Upper-bound certificates
-    (alternating kinds) can never establish membership, so all-pass with such
-    a certificate reports 'consistent-with-membership' and a failure against
-    one reports 'not-established'.
+    A principal's test reports ``ok`` when their expected payoff is at least
+    cert.value - tol.  Exact kinds decide both ways.  A grid certificate's
+    value is a lower bound on the floor, so failing it is definitive, while a
+    pass is definitive only at or above info["witness_value"] - tol (a
+    feasible upper bound); in between nothing is established.  Upper-bound
+    certificates (alternating kinds) can never establish membership, so
+    all-pass with such a certificate reports 'consistent-with-membership' and
+    a failure against one reports 'not-established'.
     """
     bic = is_profile_bic(g, mechanisms)
     per = []
-    any_fail_definitive = False
-    any_fail = False
-    all_definitive = True
+    outcomes = set()   # 'pass' | 'fail' (definitive), 'hedged', 'open'
     for j in range(g.num_principals):
         cert = certs[j]
         payoff = expected_principal_payoff(g, j, mechanisms)
-        bound = cert.value - max(cert.gap_bound, 0.0)
-        slack = payoff - bound
+        slack = payoff - cert.value
         ok = slack >= -tol
-        definitive = cert.kind in EXACT_KINDS
-        all_definitive &= definitive
-        if not ok:
-            any_fail = True
-            any_fail_definitive |= definitive
+        if cert.kind in EXACT_KINDS or (cert.kind == GRID_KIND and not ok):
+            outcomes.add("pass" if ok else "fail")
+        elif cert.kind == GRID_KIND:
+            upper = cert.info.get("witness_value")
+            outcomes.add("pass" if upper is not None and payoff >= upper - tol else "open")
+        else:
+            outcomes.add("hedged" if ok else "open")
         per.append({
             "principal": g.principal_ids[j],
             "payoff": float(payoff),
-            "bound": float(bound),
+            "bound": float(cert.value),
             "slack": float(slack),
             "ok": bool(ok),
             "kind": cert.kind,
         })
-    if not bic.ok:
+    if not bic.ok or "fail" in outcomes:
         verdict = "non-member"
-    elif any_fail:
-        verdict = "non-member" if any_fail_definitive else "not-established"
+    elif "open" in outcomes:
+        verdict = "not-established"
     else:
-        verdict = "member" if all_definitive else "consistent-with-membership"
+        verdict = "consistent-with-membership" if "hedged" in outcomes else "member"
     return MembershipVerdict(verdict=verdict, per_principal=per,
                              bic_ok=bool(bic.ok), bic_worst=bic.worst_label)
 

@@ -585,6 +585,18 @@ def test_simulate_single_round(mp2):
     assert out["action_profile_freq"] == {"H,H": 1.0}
 
 
+def test_sample_rows_clamps_draws_past_a_short_row():
+    from mechpoly.mechanisms import _sample_rows
+
+    class StubRng:
+        def random(self, n):
+            return np.full(n, 1.0 - 1e-10)
+
+    # validation accepts rows summing to 1 - 5e-10; the draw lies above that
+    rows = np.array([[0.5, 0.5 - 5e-10], [0.25, 0.75]])
+    assert _sample_rows(StubRng(), rows).tolist() == [1, 1]
+
+
 # -- files ---------------------------------------------------------------------------
 
 

@@ -352,9 +352,30 @@ def test_membership_grid_certificates_are_definitive(mp2):
     certs = _mp2_certs(mp2, mode="grid")
     uniform = [DirectMechanism(owner=j, p=np.array([[0.5, 0.5]])) for j in range(2)]
     verdict = robust_pbe_membership(mp2, uniform, certs)
+    # both payoffs reach the witness value 0.5, a feasible upper bound
     assert verdict.verdict == "member"
-    # bound subtracts the certified slack: 0.48 - 0.02
-    assert verdict.per_principal[0]["bound"] == pytest.approx(0.46, abs=1e-9)
+    # the bound is the certified value 0.5 - 0.02; the slack is not taken twice
+    assert verdict.per_principal[0]["bound"] == pytest.approx(0.48, abs=1e-9)
+
+
+def test_membership_grid_fail_below_lower_bound(mp2):
+    # P1 is paid 0.47 < 0.48, the certified lower bound on its floor of 0.5
+    prof = [DirectMechanism(owner=0, p=np.array([[1.0, 0.0]])),
+            DirectMechanism(owner=1, p=np.array([[0.47, 0.53]]))]
+    assert robust_pbe_membership(mp2, prof, _mp2_certs(mp2, mode="grid")).verdict \
+        == "non-member"
+    assert robust_pbe_membership(mp2, prof, _mp2_certs(mp2, mode="exact2")).verdict \
+        == "non-member"
+
+
+def test_membership_grid_band_is_not_established(mp2):
+    # P1 is paid 0.49: above the lower bound 0.48, below the witness value 0.5
+    prof = [DirectMechanism(owner=0, p=np.array([[1.0, 0.0]])),
+            DirectMechanism(owner=1, p=np.array([[0.49, 0.51]]))]
+    verdict = robust_pbe_membership(mp2, prof, _mp2_certs(mp2, mode="grid"))
+    assert verdict.verdict == "not-established"
+    assert not verdict.ok
+    assert [row["ok"] for row in verdict.per_principal] == [True, True]
 
 
 def test_membership_upper_bound_certificates_hedge(mp2):
