@@ -17,7 +17,7 @@ from .game import DirectMechanism, FiniteGame, conditional_weights
 
 MEMBERSHIP_TOL = 1e-9
 SNAP_TOL = 1e-9         # vertex coordinates this close to a grid value are snapped
-RANK_TOL = 1e-7         # singular values below this do not count toward rank
+BLOCK = 1 << 14         # elements per temporary in vertex enumeration
 
 DEFAULT_DIM_CAP = 12
 
@@ -214,22 +214,62 @@ def _clean_point(poly: BicPolytope, z: np.ndarray) -> np.ndarray:
     return z.reshape(-1)
 
 
-def _is_vertex(poly: BicPolytope, rows_so_far: np.ndarray, z: np.ndarray) -> bool:
-    """A point is a vertex iff its active constraints have full column rank."""
-    active = [poly.eq]
-    nonneg = np.nonzero(z <= SNAP_TOL)[0]
-    if nonneg.size:
-        eye = np.zeros((nonneg.size, z.size))
-        eye[np.arange(nonneg.size), nonneg] = 1.0
-        active.append(eye)
-    if rows_so_far.shape[0]:
-        vals = rows_so_far @ z
-        tight = rows_so_far[np.abs(vals) <= SNAP_TOL]
-        if tight.shape[0]:
-            active.append(tight)
-    m = np.vstack(active)
-    sv = np.linalg.svd(m, compute_uv=False)
-    return int(np.sum(sv > RANK_TOL)) == z.size
+def _close_pairs(a: np.ndarray, b: np.ndarray):
+    """Index pairs (i, j) with max|a[i] - b[j]| <= 10*SNAP_TOL, by tiles of at
+    most BLOCK elements."""
+    n = a.shape[1]
+    rb = max(1, min(b.shape[0], BLOCK // n))
+    ra = max(1, BLOCK // (rb * n))
+    ii, jj = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for s in range(0, a.shape[0], ra):
+        for t in range(0, b.shape[0], rb):
+            d = np.abs(a[s:s + ra, None, :] - b[None, t:t + rb, :]).max(axis=2)
+            i, j = np.nonzero(d <= 10 * SNAP_TOL)
+            ii.append(i + s)
+            jj.append(j + t)
+    return np.concatenate(ii), np.concatenate(jj)
+
+
+def _dedupe(new: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Mask over new: a point joins iff it is more than 10*SNAP_TOL in max-norm
+    from every kept point and from every earlier point that joined."""
+    join = np.ones(new.shape[0], dtype=bool)
+    join[_close_pairs(new, keep)[0]] = False
+    i, j = _close_pairs(new, new)
+    i, j = i[j < i], j[j < i]
+    # j < i, so join[j] is final by the time the pairs of i come up
+    for k in np.argsort(i, kind="stable"):
+        if join[j[k]]:
+            join[i[k]] = False
+    return join
+
+
+def _edges(tight: np.ndarray, pos: np.ndarray, neg: np.ndarray, min_common: int):
+    """The (pos, neg) vertex pairs, pos-major, that span an edge.
+
+    A pair is adjacent iff no third vertex's tight set contains the pair's
+    common tight set (Fukuda & Prodon 1996).  Row k of common @ loose counts
+    the common constraints each vertex leaves slack, so it has exactly two
+    zeros (the pair itself) on an edge.  Pairs with fewer than min_common
+    common constraints cannot span an edge and are dropped first.
+    """
+    loose = (~tight).T.astype(np.float32)
+    n_neg = neg.size
+    n_pairs = pos.size * n_neg
+    step = max(1, BLOCK // max(tight.shape))
+    out_p, out_q = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for s in range(0, n_pairs, step):
+        k = np.arange(s, min(s + step, n_pairs))
+        p, q = pos[k // n_neg], neg[k % n_neg]
+        common = tight[p] & tight[q]
+        big = np.count_nonzero(common, axis=1) >= min_common
+        p, q, common = p[big], q[big], common[big]
+        if p.size:
+            contained = (common.astype(np.float32) @ loose) == 0
+            edge = np.count_nonzero(contained, axis=1) == 2
+            out_p.append(p[edge])
+            out_q.append(q[edge])
+    return np.concatenate(out_p), np.concatenate(out_q)
 
 
 def enumerate_vertices(g: FiniteGame, principal: int,
@@ -237,14 +277,22 @@ def enumerate_vertices(g: FiniteGame, principal: int,
                        poly: BicPolytope = None):
     """All extreme points of the incentive-compatibility polytope.
 
-    Starts from the vertex set of the product of per-profile simplices (the
-    deterministic mechanisms) and inserts each IC halfspace in turn: points on
-    the good side survive, and crossing points of segments between a strictly
-    feasible and a strictly infeasible point are kept when their active
-    constraints reach full rank.  Floating point with 1e-9 snapping; adequate
-    at the dimensions the cap allows.
+    Double description: start from the vertex set of the product of
+    per-profile simplices (the deterministic mechanisms) and insert each IC
+    halfspace in turn.  Vertices with row value >= -1e-9 survive.  Each
+    vertex carries its tight set over nonnegativity and the IC rows inserted
+    so far (value within 1e-9 of zero; the simplex rows are always tight and
+    left out).  A strictly feasible vertex u and a strictly infeasible w
+    (row values vu > 1e-9 > -1e-9 > vw) add their crossing point
+    (vu*w - vw*u)/(vu - vw) when they are adjacent, which is decided
+    combinatorially: no third vertex's tight set contains their common one.
+    No rank or SVD test is made.  A crossing point joins iff it is more than
+    1e-8 in max-norm from every surviving vertex and from every earlier
+    crossing point that joined, taken in (u, w) order.  Every temporary is
+    bounded by BLOCK elements.
 
-    Returns a list of DirectMechanism sorted lexicographically by table.
+    Returns a list of DirectMechanism sorted lexicographically by table,
+    after snapping coordinates within 1e-9 of 0 or 1.
     Raises DimensionTooLarge when the variable count exceeds dim_cap.
     """
     if poly is None:
@@ -261,30 +309,25 @@ def enumerate_vertices(g: FiniteGame, principal: int,
         z[np.arange(poly.n_profiles), choice] = 1.0
         verts.append(z.reshape(-1))
     verts = np.array(verts)
+    tight = verts <= SNAP_TOL
+    # an edge lies on at least dim - 1 constraints besides the simplex rows
+    min_common = n - poly.n_profiles - 1
     inserted = np.zeros((0, n))
     for r_i in range(poly.ic.shape[0]):
         row = poly.ic[r_i]
         vals = verts @ row
-        keep = verts[vals >= -SNAP_TOL]
-        pos = verts[vals > SNAP_TOL]
-        neg = verts[vals < -SNAP_TOL]
-        pos_vals = vals[vals > SNAP_TOL]
-        neg_vals = vals[vals < -SNAP_TOL]
-        rows_after = np.vstack([inserted, row[None, :]])
-        new_pts = []
-        for (u, vu) in zip(pos, pos_vals):
-            for (w, vw) in zip(neg, neg_vals):
-                z = (vu * w - vw * u) / (vu - vw)
-                if _is_vertex(poly, rows_after, z):
-                    new_pts.append(z)
-        # keep is pairwise separated already, and a crossing point joins only
-        # when it is separated from everything kept, so one pass dedupes all
-        merged = list(keep)
-        for z in new_pts:
-            if not any(np.max(np.abs(z - m)) <= 10 * SNAP_TOL for m in merged):
-                merged.append(z)
-        verts = np.array(merged) if merged else np.zeros((0, n))
-        inserted = rows_after
+        keep = vals >= -SNAP_TOL
+        p, q = _edges(tight, np.flatnonzero(vals > SNAP_TOL),
+                      np.flatnonzero(vals < -SNAP_TOL), min_common)
+        vu, vw = vals[p, None], vals[q, None]
+        new = (vu * verts[q] - vw * verts[p]) / (vu - vw)
+        new = new[_dedupe(new, verts[keep])]
+        inserted = np.vstack([inserted, row[None, :]])
+        tight = np.vstack([
+            np.hstack([tight[keep], (np.abs(vals[keep]) <= SNAP_TOL)[:, None]]),
+            np.hstack([new <= SNAP_TOL, np.abs(new @ inserted.T) <= SNAP_TOL]),
+        ])
+        verts = np.vstack([verts[keep], new])
         if verts.shape[0] == 0:
             break
     cleaned = []

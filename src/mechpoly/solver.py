@@ -58,6 +58,7 @@ GRID_POINT_CAP = 2_000_000
 
 EXACT_KINDS = ("exact-lp", "vertex-product-exact")
 GRID_KIND = "grid-certified-lower-bound"
+UPPER_KIND = "alternating-upper-bound"
 
 
 class NumericalFailure(RuntimeError):
@@ -564,7 +565,7 @@ def _minmax_alternating(g: FiniteGame, principal: int, restarts: int,
             if moved <= 1e-12:
                 break
     return ValueCertificate(
-        kind="alternating-upper-bound",
+        kind=UPPER_KIND,
         value=float(best_val),
         witness=best_profile,
         gap_bound=-1.0,
@@ -618,10 +619,12 @@ def robust_pbe_membership(g: FiniteGame, mechanisms, certs,
     cert.value - tol.  Exact kinds decide both ways.  A grid certificate's
     value is a lower bound on the floor, so failing it is definitive, while a
     pass is definitive only at or above info["witness_value"] - tol (a
-    feasible upper bound); in between nothing is established.  Upper-bound
-    certificates (alternating kinds) can never establish membership, so
-    all-pass with such a certificate reports 'consistent-with-membership' and
-    a failure against one reports 'not-established'.
+    feasible upper bound); in between nothing is established.  An
+    alternating-upper-bound value is an exact best-response value against a
+    feasible opponent profile, so it bounds the floor from above: passing it
+    is definitive, and a failure against it is 'not-established'.  The
+    alternating (maxmin) kind is a heuristic: a pass against it reports
+    'consistent-with-membership' and a failure 'not-established'.
     """
     bic = is_profile_bic(g, mechanisms)
     per = []
@@ -636,6 +639,8 @@ def robust_pbe_membership(g: FiniteGame, mechanisms, certs,
         elif cert.kind == GRID_KIND:
             upper = cert.info.get("witness_value")
             outcomes.add("pass" if upper is not None and payoff >= upper - tol else "open")
+        elif cert.kind == UPPER_KIND:
+            outcomes.add("pass" if ok else "open")
         else:
             outcomes.add("hedged" if ok else "open")
         per.append({

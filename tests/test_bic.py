@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mechpoly.bic
 from mechpoly import (
     DimensionTooLarge,
     DirectMechanism,
@@ -177,6 +178,43 @@ def test_vertices_have_full_rank_active_sets(rng):
         active.append(poly.ic[np.abs(vals) <= 1e-7])
         rank = np.linalg.matrix_rank(np.vstack(active), tol=1e-7)
         assert rank == z.size
+
+
+def _scan_dedupe(new, keep):
+    """A point joins iff it is more than 1e-8 in max-norm from every kept
+    point and from every earlier point that joined."""
+    merged, join = list(keep), []
+    for z in new:
+        ok = not any(np.max(np.abs(z - m)) <= 1e-8 for m in merged)
+        join.append(ok)
+        if ok:
+            merged.append(z)
+    return np.array(join)
+
+
+@pytest.mark.parametrize("block", [mechpoly.bic.BLOCK, 50])
+def test_crossing_point_dedupe_is_the_scan_rule(rng, monkeypatch, block):
+    monkeypatch.setattr(mechpoly.bic, "BLOCK", block)
+    base = rng.uniform(size=(30, 6))
+    keep = base[:10]
+    # near copies of kept points, and chains x, x + 6e-9, x + 1.2e-8: the
+    # middle point is close to x and is dropped, so the last one joins
+    new = np.vstack([base[5:8] + 3e-9, base[10:30], base[10:30] + 6e-9,
+                     base[10:30] + 1.2e-8, base[8:10] + 2e-8])
+    new = new[rng.permutation(new.shape[0])]
+    want = _scan_dedupe(new, keep)
+    assert 0 < want.sum() < new.shape[0]
+    np.testing.assert_array_equal(mechpoly.bic._dedupe(new, keep), want)
+
+
+def test_vertex_tables_do_not_depend_on_block_size(rng, monkeypatch):
+    g = random_game(rng, num_agents=2, type_sizes=[2, 2], action_sizes=[3, 2])
+    want = enumerate_vertices(g, 0)
+    monkeypatch.setattr(mechpoly.bic, "BLOCK", 50)
+    got = enumerate_vertices(g, 0)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a.p, b.p)
 
 
 def test_dimension_cap_enforced(rng):

@@ -20,7 +20,8 @@ from mechpoly import (
     standard_from_direct,
     truthful_strategies,
 )
-from mechpoly.cli import main
+import mechpoly.solver
+from mechpoly.cli import EXIT_NUMERIC, main
 
 
 def _write_json(path, doc):
@@ -130,6 +131,29 @@ def test_minmax_report_fields(tmp_path, mp_files, capsys):
     out2 = tmp_path / "r2.json"
     assert main(["minmax", "--game", game, "-j", "P1", "--out", str(out2)]) == 0
     assert _read_json(out2)["value"] == doc["value"]
+
+
+def test_numerical_failure_exits_with_code_3(tmp_path, mp_files, monkeypatch, capsys):
+    real = mechpoly.solver.linprog
+    options = []
+
+    def off_tolerance(*args, **kwargs):
+        res = real(*args, **kwargs)
+        options.append(kwargs.get("options"))
+        res.x = res.x + 1e-3  # every simplex row now misses 1 by far more than 1e-9
+        return res
+
+    monkeypatch.setattr(mechpoly.solver, "linprog", off_tolerance)
+    _, game, _ = mp_files
+    out = tmp_path / "r.json"
+    assert main(["minmax", "--game", game, "-j", "1", "--out", str(out)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:")
+    assert "primal residual" in err
+    # the first attempt and the refined one both came back out of tolerance
+    assert len(options) == 2
+    assert options[0] is None and options[1] is not None
+    assert not out.exists()
 
 
 def test_seed_env_overrides_flag(tmp_path, mp_files, monkeypatch):

@@ -1,5 +1,6 @@
 """Property tests: independent value computations bound each other the right
-way, and membership verdicts follow the bounds they use."""
+way, membership verdicts follow the bounds they use, and vertex enumeration
+returns the SVD oracle's tables."""
 
 import dataclasses
 
@@ -7,7 +8,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mechpoly import minmax, random_game, robust_pbe_membership, sample_bic
+from mechpoly import enumerate_vertices, minmax, random_game, robust_pbe_membership, sample_bic
+from vertex_oracle import svd_enumerate_vertices
 
 TOL = 1e-7
 RANK = {"non-member": 0, "not-established": 1, "consistent-with-membership": 2, "member": 3}
@@ -81,3 +83,66 @@ def test_grid_verdicts_never_contradict_exact(g, seeds, q):
                                                for k in range(2)]).verdict
     if grid in ("member", "non-member"):
         assert grid == exact
+
+
+@settings(max_examples=60)
+@given(g=two_principal_games(), seeds=st.lists(st.integers(0, 2**20), min_size=2, max_size=2),
+       q=st.floats(0.0, 1.0), seed=st.integers(0, 1000))
+def test_upper_bound_verdicts_never_contradict_exact(g, seeds, q, seed):
+    profile = [sample_bic(g, k, seed=seeds[k]) for k in range(2)]
+    other = sample_bic(g, 0, seed=seeds[0] + 1)
+    profile[0] = dataclasses.replace(profile[0], p=q * profile[0].p + (1 - q) * other.p)
+    upper = robust_pbe_membership(g, profile, [
+        minmax(g, k, mode="alternating", restarts=2, seed=seed) for k in range(2)]).verdict
+    exact = robust_pbe_membership(g, profile, [minmax(g, k, mode="exact2")
+                                               for k in range(2)]).verdict
+    assert not (upper == "member" and exact == "non-member")
+
+
+@st.composite
+def two_type_games(draw):
+    """Random one- or two-principal games whose one or two agents have two
+    types each, with two or three actions per principal: IC polytopes of at
+    most 12 variables, degenerate when the agent payoffs are all zero."""
+    n_agents = draw(st.integers(1, 2))
+    n_principals = draw(st.integers(1, 2))
+    action_sizes = [draw(st.integers(2, 3)) for _ in range(n_principals)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_game(rng, num_principals=n_principals, num_agents=n_agents,
+                    type_sizes=[2] * n_agents, action_sizes=action_sizes,
+                    zero_agent_payoffs=draw(st.booleans()))
+    if n_agents == 2 and draw(st.booleans()):
+        g = _zero_agents(g, 1)
+    return g
+
+
+def _zero_agents(g, n):
+    """The game with the first n agents' payoffs set to zero.  Their IC rows
+    are inserted first and are tight at every vertex, so later rows meet
+    pairs whose common tight sets are large but not edges."""
+    utils = tuple(tuple(np.zeros_like(u) for u in per) if i < n else per
+                  for i, per in enumerate(g.agent_utils))
+    return dataclasses.replace(g, agent_utils=utils)
+
+
+def _same_tables(g, j, dim_cap=12):
+    got = enumerate_vertices(g, j, dim_cap=dim_cap)
+    want = svd_enumerate_vertices(g, j, dim_cap=dim_cap)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.owner == b.owner
+        assert np.array_equal(a.p, b.p)
+
+
+@settings(max_examples=50)
+@given(g=two_type_games(), j=st.integers(0, 1))
+def test_vertex_enumeration_matches_svd_oracle(g, j):
+    _same_tables(g, j % g.num_principals)
+
+
+def test_vertex_enumeration_matches_svd_oracle_16_variables():
+    # eight profiles and two actions; the first four of the six IC rows
+    # belong to agents with zero payoffs
+    g = random_game(np.random.default_rng(0), num_principals=1, num_agents=3,
+                    type_sizes=[2, 2, 2], action_sizes=[2])
+    _same_tables(_zero_agents(g, 2), 0, dim_cap=16)
