@@ -321,16 +321,22 @@ def principal_value_at_profile(g: FiniteGame, principal: int, dists, x: int) -> 
 
 def _contract_except(g: FiniteGame, valued: int, free: int, mechanisms) -> np.ndarray:
     """Prior-weighted coefficients, shape (n_profiles, |A_free|), of principal
-    ``free``'s table in E[v_valued] with everyone else fixed at ``mechanisms``."""
+    ``free``'s table in E[v_valued] with everyone else fixed at ``mechanisms``.
+    A table may also be a stack (S_k, n_profiles, |A_k|) of candidates; each
+    stack adds a leading axis to the result, in principal order."""
     t = g.principal_utils[valued] * g.prior.reshape((-1,) + (1,) * g.num_principals)
+    lead = 0        # candidate axes in front of t's profile axis
     # contract the other action axes, later axes first so positions stay valid
     for k in range(g.num_principals - 1, -1, -1):
         if k == free:
             continue
         mech = mechanisms[k]
         p = mech.p if isinstance(mech, DirectMechanism) else np.asarray(mech, dtype=float)
-        # t axes: (x, a_1, ..., a_m); contract axis for principal k
-        t = np.einsum(t, [0, *range(1, t.ndim)], p, [0, 1 + k], [0, *(ax for ax in range(1, t.ndim) if ax != 1 + k)])
+        ax = lead + 1 + k
+        new = list(range(t.ndim, t.ndim + p.ndim - 2))
+        t = np.einsum(t, list(range(t.ndim)), p, new + [lead, ax],
+                      new + [a for a in range(t.ndim) if a != ax])
+        lead += len(new)
     return t
 
 

@@ -23,6 +23,7 @@ blocks (robust).
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,19 +34,26 @@ from .game import (
     DirectMechanism,
     FiniteGame,
     GameFormatError,
+    _contract_except,
     _require,
     canonical_game_bytes,
+    conditional_weights,
     expected_principal_payoff,
     fnv1a64,
 )
 
 EQ_TOL = 1e-9
 SELECTION_CAP = 10**6
+COMBO_CAP = 10**6
 OUTCOME_CELL_CAP = 50_000_000
 
 
 class SelectionSpaceTooLarge(ValueError):
     """Nesting a set-valued contract would enumerate too many selections."""
+
+
+class ContinuationSpaceTooLarge(ValueError):
+    """One mechanism's pure candidates or the block combos exceed COMBO_CAP."""
 
 
 class MenuEntryNotBIC(ValueError):
@@ -192,14 +200,9 @@ def induce_direct_mechanism(g: FiniteGame, mech: GeneralMechanism,
     """Average the outcome table over message draws, type profile by type
     profile.  agent_strategies[i] has shape (|X_i|, |M_ij|); types with no
     strategy mass still produce valid rows because rows are mixtures."""
-    c0 = np.asarray(principal_message, dtype=float)
-    rows = np.zeros((g.num_profiles, mech.n_actions))
-    for x in range(g.num_profiles):
-        t = np.tensordot(c0, mech.outcome, axes=(0, 0))
-        for i in range(g.num_agents):
-            ci = np.asarray(agent_strategies[i], dtype=float)[g.profiles[x, i]]
-            t = np.tensordot(ci, t, axes=(0, 0))
-        rows[x] = t
+    rows = _contract_outcome(
+        g, mech, np.asarray(principal_message, dtype=float)[None],
+        [np.asarray(s, dtype=float)[None] for s in agent_strategies])[0]
     return DirectMechanism(owner=mech.owner, p=rows)
 
 
@@ -430,39 +433,48 @@ class CeVerdict:
         return self.ok
 
 
-def _contract_messages(outcome: np.ndarray, vectors) -> np.ndarray:
-    """Contract the message axes of an outcome table against 1-D weights;
-    None entries leave their axis in place (in order), before the action
-    axis."""
-    t = outcome
-    pos = 0
-    for v in vectors:
-        if v is None:
-            pos += 1
-        else:
-            t = np.tensordot(np.asarray(v, dtype=float), t, axes=(0, pos))
-    return t
+def _contract_outcome(g: FiniteGame, mech: GeneralMechanism, principal_w,
+                      agent_w, open_agent=None) -> np.ndarray:
+    """(C, n_profiles, |A|): the tables induced in one mechanism by C
+    candidate weightings, principal_w (C, |M_0|) and agent_w[i]
+    (C, |X_i|, |M_i|), contracted profile by profile, principal message
+    first.  principal_w=None keeps an |M_0| axis after C; ``open_agent``'s
+    weights are unused and its |M_i| axis is kept before |A|.  One-hot
+    weights reproduce the gathered outcome entries exactly."""
+    out = mech.outcome
+    if principal_w is None:
+        t = out[None, :, None]
+    else:
+        w = np.asarray(principal_w, dtype=float)
+        t = (w[:, None, :] @ out.reshape(out.shape[0], -1)).reshape(
+            (len(w), 1, 1) + out.shape[1:])
+    # t axes: (candidate, principal message, profile, next agent's message, ...)
+    for i in range(g.num_agents):
+        if i == open_agent:
+            t = np.moveaxis(t, 3, -2)
+            continue
+        w = np.asarray(agent_w[i], dtype=float)[:, g.profiles[:, i]]
+        rest = t.shape[4:]
+        t = w[:, None, :, None, :] @ t.reshape(t.shape[:4] + (math.prod(rest),))
+        t = t.reshape(t.shape[:3] + rest)
+    t = np.broadcast_to(t, t.shape[:2] + (g.num_profiles,) + t.shape[3:])
+    return t if principal_w is None else t[:, 0]
 
 
-def _agent_message_values(g: FiniteGame, mech: GeneralMechanism,
-                          strategies: StrategyProfile, agent: int,
-                          t: int) -> np.ndarray:
-    """Interim payoff of each message agent i could send to this principal,
-    holding everyone else (and own play elsewhere) fixed."""
-    j = mech.owner
-    i = agent
-    idxs = g.profiles_with_type(i, t)
-    weights = g.prior[idxs] / g.prior[idxs].sum()
-    values = np.zeros(len(mech.agent_messages[i]))
-    for x, w in zip(idxs, weights):
-        vectors = [strategies.principal_messages[j]]
-        for i2 in range(g.num_agents):
-            if i2 == i:
-                vectors.append(None)
-            else:
-                vectors.append(strategies.agent_messages[(i2, j)][g.profiles[x, i2]])
-        k = _contract_messages(mech.outcome, vectors)   # (|M_ij|, |A_j|)
-        values += w * (k @ g.agent_utils[i][j][x])
+def _interim_values(g: FiniteGame, mech: GeneralMechanism, principal_w, agent_w,
+                    agent: int) -> np.ndarray:
+    """(C, |X_i|, |M_i|): the interim payoff of each message ``agent`` could
+    send to this mechanism's owner, per type, under C candidate weightings of
+    the other senders.  Types without prior mass get zero rows, so they never
+    bind."""
+    k = _contract_outcome(g, mech, principal_w, agent_w, open_agent=agent)
+    kv = (k @ g.agent_utils[agent][mech.owner][:, :, None])[..., 0]
+    values = np.zeros((kv.shape[0], len(g.type_spaces[agent]), kv.shape[2]))
+    for t in range(len(g.type_spaces[agent])):
+        idxs, weights = conditional_weights(g, agent, t)
+        if weights is not None:
+            for x, w in zip(idxs, weights):
+                values[:, t] += w * kv[:, x]
     return values
 
 
@@ -477,150 +489,125 @@ def check_continuation_equilibrium(g: FiniteGame, mechanisms,
     no alternative own message improves the ex-ante payoff by more than tol.
     Returns the most profitable deviation found.
     """
-    worst = CeVerdict(ok=True, worst_gain=0.0)
-    for j, mech in enumerate(mechanisms):
+    weights = [[np.asarray(strategies.agent_messages[(i, j)], dtype=float)[None]
+                for i in range(g.num_agents)] for j in range(len(mechanisms))]
+    worst, witness = 0.0, None
+    for j, (mech, agent_w) in enumerate(zip(mechanisms, weights)):
+        c0 = np.asarray(strategies.principal_messages[j], dtype=float)[None]
         for i in range(g.num_agents):
-            for t in range(len(g.type_spaces[i])):
-                if g.type_marginal(i, t) <= 0.0:
-                    continue
-                values = _agent_message_values(g, mech, strategies, i, t)
-                played = float(np.dot(strategies.agent_messages[(i, j)][t], values))
-                m_best = int(np.argmax(values))
-                gain = float(values[m_best] - played)
-                if gain > worst.worst_gain:
-                    worst = CeVerdict(
-                        ok=gain <= tol,
-                        worst_gain=gain,
-                        witness=("agent", g.agent_ids[i], g.type_spaces[i][t],
-                                 g.principal_ids[j], mech.agent_messages[i][m_best]),
-                    )
+            values = _interim_values(g, mech, c0, agent_w, i)[0]
+            for t, row in enumerate(values):
+                m_best = int(np.argmax(row))
+                gain = float(row[m_best] - float(np.dot(agent_w[i][0, t], row)))
+                if gain > worst:
+                    worst, witness = gain, ("agent", g.agent_ids[i], g.type_spaces[i][t],
+                                            g.principal_ids[j], mech.agent_messages[i][m_best])
     induced = induce_profile(g, mechanisms, strategies)
     for j, mech in enumerate(mechanisms):
         if mech.standard:
             continue
         base = expected_principal_payoff(g, j, induced)
-        for m0 in range(len(mech.principal_messages)):
-            alt = np.zeros(len(mech.principal_messages))
-            alt[m0] = 1.0
-            dm = induce_direct_mechanism(
-                g, mech, alt,
-                [strategies.agent_messages[(i, j)] for i in range(g.num_agents)],
-            )
-            trial = list(induced)
-            trial[j] = dm
-            gain = expected_principal_payoff(g, j, trial) - base
-            if gain > worst.worst_gain:
-                worst = CeVerdict(
-                    ok=gain <= tol,
-                    worst_gain=float(gain),
-                    witness=("principal", g.principal_ids[j], mech.principal_messages[m0]),
-                )
-    worst.ok = worst.worst_gain <= tol
-    return worst
+        tables = [dm.p[None] for dm in induced]
+        tables[j] = _contract_outcome(g, mech, None, weights[j])
+        for m0, pay in enumerate(_payoffs(g, j, tables).reshape(-1)):
+            gain = float(pay - base)
+            if gain > worst:
+                worst, witness = gain, ("principal", g.principal_ids[j],
+                                        mech.principal_messages[m0])
+    return CeVerdict(ok=worst <= tol, worst_gain=worst, witness=witness)
 
 
 # -- pure continuation-equilibrium enumeration ----------------------------------
 
 
-def _block_candidates(g: FiniteGame, mech: GeneralMechanism, tol: float):
-    """All (m_0, agent type->message maps) whose agent messages are interim
-    optimal within this mechanism.  Returns a list of (m_0 index, maps,
-    induced table rows)."""
-    n_i = g.num_agents
-    type_sizes = [len(ts) for ts in g.type_spaces]
-    map_spaces = [
-        list(itertools.product(*[range(len(mech.agent_messages[i]))
-                                 for _ in range(type_sizes[i])]))
-        for i in range(n_i)
-    ]
-    out = []
-    for m0 in range(len(mech.principal_messages)):
-        for maps in itertools.product(*map_spaces):
-            ok = True
-            for i in range(n_i):
-                for t in range(type_sizes[i]):
-                    if g.type_marginal(i, t) <= 0.0:
-                        continue
-                    idxs = g.profiles_with_type(i, t)
-                    weights = g.prior[idxs] / g.prior[idxs].sum()
-                    values = np.zeros(len(mech.agent_messages[i]))
-                    for x, w in zip(idxs, weights):
-                        sel = [m0]
-                        for i2 in range(n_i):
-                            if i2 == i:
-                                sel.append(slice(None))
-                            else:
-                                sel.append(maps[i2][g.profiles[x, i2]])
-                        k = mech.outcome[tuple(sel)]     # (|M_ij|, |A_j|)
-                        values += w * (k @ g.agent_utils[i][mech.owner][x])
-                    if values[maps[i][t]] < values.max() - tol:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                out.append((m0, maps, _block_table(g, mech, m0, maps)))
-    return out
+def _agent_optimal_blocks(g: FiniteGame, mech: GeneralMechanism, tol: float):
+    """(m0 (S,), maps[i] (S, |X_i|), tables (S, |M_0|, n_profiles, |A|)):
+    the candidates (m_0, pure type->message maps) of one mechanism whose agent
+    messages are interim optimal, m_0-major then in ``itertools.product``
+    order of the maps, with each one's table under every principal message.
+    Agent i's values do not depend on its own map, so they are computed once
+    per (m_0, other agents' maps) and tested for all of its maps at once."""
+    sizes = [len(m) for m in mech.agent_messages]
+    types = [len(ts) for ts in g.type_spaces]
+    n_m0 = len(mech.principal_messages)
+    count = n_m0 * math.prod(s ** n for s, n in zip(sizes, types))
+    if count > COMBO_CAP:
+        raise ContinuationSpaceTooLarge(
+            f"mechanism of principal index {mech.owner} has {count} pure "
+            f"candidates, more than {COMBO_CAP}")
+    maps = [np.indices((s,) * n).reshape(n, -1).T for s, n in zip(sizes, types)]
+    ok = np.ones((n_m0,) + tuple(len(m) for m in maps), dtype=bool)
+    for i in range(g.num_agents):
+        grid = ok.shape[:1 + i] + ok.shape[2 + i:]      # (m_0, other agents' maps)
+        cand = np.indices(grid).reshape(len(grid), -1)
+        others = [k for k in range(g.num_agents) if k != i]
+        agent_w = [np.eye(sizes[k])[maps[k][c]] for k, c in zip(others, cand[1:])]
+        agent_w.insert(i, None)
+        values = _interim_values(g, mech, np.eye(n_m0)[cand[0]], agent_w, i)
+        chosen = values[:, np.arange(types[i]), maps[i]]      # (C, |maps_i|, |X_i|)
+        fine = ~(chosen < values.max(axis=2)[:, None, :] - tol)
+        ok &= np.moveaxis(fine.all(axis=2).reshape(grid + (len(maps[i]),)), -1, 1 + i)
+    rows = np.argwhere(ok)
+    chosen_maps = [maps[i][rows[:, 1 + i]] for i in range(g.num_agents)]
+    tables = _contract_outcome(g, mech, None, [np.eye(s)[m] for s, m in zip(sizes, chosen_maps)])
+    return rows[:, 0], chosen_maps, tables
 
 
-def _block_table(g: FiniteGame, mech: GeneralMechanism, m0: int, maps) -> np.ndarray:
-    """Direct table induced by principal message m0 and pure agent maps."""
-    rows = np.zeros((g.num_profiles, mech.n_actions))
-    for x in range(g.num_profiles):
-        sel = tuple(maps[i][g.profiles[x, i]] for i in range(g.num_agents))
-        rows[x] = mech.outcome[(m0,) + sel]
-    return rows
-
-
-def _principal_ok(g: FiniteGame, mechanisms, combo, blocks, tol: float) -> bool:
-    tables = [blocks[j][combo[j]][2] for j in range(g.num_principals)]
-    for j, mech in enumerate(mechanisms):
-        if mech.standard:
-            continue
-        base = expected_principal_payoff(g, j, tables)
-        m0, maps, _ = blocks[j][combo[j]]
-        for alt in range(len(mech.principal_messages)):
-            if alt == m0:
-                continue
-            trial = list(tables)
-            trial[j] = _block_table(g, mech, alt, maps)
-            if expected_principal_payoff(g, j, trial) - base > tol:
-                return False
-    return True
+def _payoffs(g: FiniteGame, j: int, tables) -> np.ndarray:
+    """(S_0, ..., S_{J-1}, |M_0|): principal j's payoff over a grid of
+    candidate tables, (S_k, n_profiles, |A_k|) for k != j and one per
+    principal message, (S_j, |M_0|, n_profiles, |A_j|), for j.  Each entry is
+    the flat sum of ``_contract_except`` coefficients times own table, with
+    the bits of ``expected_principal_payoff``."""
+    coeff = _contract_except(g, j, j, tables)
+    prod = coeff[..., None, None, :, :] * tables[j]
+    pay = prod.reshape(prod.shape[:-2] + (math.prod(prod.shape[-2:]),)).sum(axis=-1)
+    return np.moveaxis(pay, -2, j)
 
 
 def _profile_from_blocks(g: FiniteGame, mechanisms, combo, blocks) -> StrategyProfile:
-    pc = {}
-    ac = {}
-    for j, mech in enumerate(mechanisms):
-        m0, maps, _ = blocks[j][combo[j]]
-        pc[j] = mech.principal_messages[m0]
+    pm = {}
+    am = {}
+    for j, (mech, (m0, maps, _)) in enumerate(zip(mechanisms, blocks)):
+        pm[j] = np.eye(len(mech.principal_messages))[m0[combo[j]]]
         for i in range(g.num_agents):
-            ac[(i, j)] = {
-                t: mech.agent_messages[i][maps[i][ti]]
-                for ti, t in enumerate(g.type_spaces[i])
-            }
-    return pure_strategies(g, mechanisms, pc, ac)
+            am[(i, j)] = np.eye(len(mech.agent_messages[i]))[maps[i][combo[j]]]
+    return StrategyProfile(principal_messages=pm, agent_messages=am)
 
 
-def _continuation_combos(g: FiniteGame, mechanisms, tol: float):
-    """(blocks, combos): per-mechanism agent-optimal candidates, and the
-    index tuples into them that also pass the principal-message conditions.
-
-    Agent optimality factors by principal, so candidates are assembled per
-    mechanism first and only the cross products are run through the
-    principal-message conditions."""
-    blocks = [_block_candidates(g, mech, tol) for mech in mechanisms]
-    combos = [combo for combo in itertools.product(*[range(len(b)) for b in blocks])
-              if _principal_ok(g, mechanisms, combo, blocks, tol)]
-    return blocks, combos
+def _continuation_combos(g: FiniteGame, mechanisms, tol: float, valued=None):
+    """(blocks, ok, payoff): each mechanism's agent-optimal blocks, the
+    boolean grid over their cross product of the combos where no principal
+    with a non-standard mechanism gains more than tol by another message,
+    and principal ``valued``'s payoff on that grid (None if not asked)."""
+    blocks = [_agent_optimal_blocks(g, mech, tol) for mech in mechanisms]
+    shape = tuple(len(b[0]) for b in blocks)
+    if math.prod(shape) > COMBO_CAP:
+        raise ContinuationSpaceTooLarge(
+            f"continuation blocks {shape} make more than {COMBO_CAP} combos")
+    ok = np.ones(shape, dtype=bool)
+    payoff = None
+    for j, mech in enumerate(mechanisms):
+        if mech.standard and j != valued:
+            continue
+        tables = [t[np.arange(len(m0)), m0] for m0, _, t in blocks]
+        tables[j] = blocks[j][2]
+        pay = _payoffs(g, j, tables)
+        m0 = blocks[j][0].reshape((1,) * j + (-1,) + (1,) * (len(shape) - j))
+        own = np.take_along_axis(pay, m0, axis=-1)[..., 0]
+        if j == valued:
+            payoff = own
+        if not mech.standard:
+            alt = np.where(np.arange(pay.shape[-1]) == m0, -np.inf, pay).max(axis=-1)
+            ok &= ~(alt - own > tol)
+    return blocks, ok, payoff
 
 
 def enumerate_pure_continuation_equilibria(g: FiniteGame, mechanisms,
                                            tol: float = EQ_TOL):
     """Every pure strategy profile passing the continuation check."""
-    blocks, combos = _continuation_combos(g, mechanisms, tol)
-    return [_profile_from_blocks(g, mechanisms, combo, blocks) for combo in combos]
+    blocks, ok, _ = _continuation_combos(g, mechanisms, tol)
+    return [_profile_from_blocks(g, mechanisms, combo, blocks) for combo in np.argwhere(ok)]
 
 
 # -- equilibrium notions ---------------------------------------------------------
@@ -655,20 +642,30 @@ def check_equilibrium_notion(g: FiniteGame, mechanisms,
                              notion: str, tol: float = EQ_TOL) -> NotionVerdict:
     """Test a candidate profile against finite deviation menus.
 
-    deviations maps a principal index to a list of alternative mechanisms;
-    a deviation identical to the on-path mechanism is skipped.  For each
-    remaining deviation the pure continuation equilibria of the subgame are
-    enumerated and the deviator's payoff aggregated by notion: pbe takes the
-    worst equilibrium for the deviator, strongly-robust the best, robust the
-    worst over the other players' strategy blocks of the best completion.
+    deviations maps a principal index to a list of alternative mechanisms
+    owned by that principal (anything else raises ValueError); a deviation
+    identical to the on-path mechanism is skipped.  For each remaining
+    deviation the pure continuation equilibria of the subgame are enumerated
+    and the deviator's payoff aggregated by notion: pbe takes the worst
+    equilibrium for the deviator, strongly-robust the best, robust the worst
+    over the other players' strategy blocks of the best completion.
     Subgames with no pure continuation equilibrium are listed in
     ``infeasible`` and do not falsify the verdict.  Verdicts quantify over
-    pure continuation play only.
+    pure continuation play only; ContinuationSpaceTooLarge is raised past
+    COMBO_CAP candidates of one mechanism or combos of blocks.
     """
     if notion not in NOTIONS:
         raise ValueError(f"unknown notion {notion!r}")
     if not any(len(v) for v in deviations.values()):
         raise DeviationSetEmpty("no deviation mechanisms supplied")
+    for j, devs in deviations.items():
+        if j not in range(g.num_principals):
+            raise ValueError(f"deviation key {j!r} is not a principal index")
+        for d_idx, dev in enumerate(devs):
+            if dev.owner != j:
+                raise ValueError(
+                    f"deviation {d_idx} for principal {g.principal_ids[j]} is owned "
+                    f"by principal index {dev.owner}")
     on_path = check_continuation_equilibrium(g, mechanisms, strategies, tol)
     induced = induce_profile(g, mechanisms, strategies)
     eq_payoffs = [expected_principal_payoff(g, j, induced)
@@ -682,25 +679,17 @@ def check_equilibrium_notion(g: FiniteGame, mechanisms,
                 continue
             subgame = list(mechanisms)
             subgame[j] = dev
-            blocks, combos = _continuation_combos(g, subgame, tol)
-            if not combos:
+            _, eq, payoff = _continuation_combos(g, subgame, tol, valued=j)
+            if not eq.any():
                 infeasible.append((g.principal_ids[j], d_idx))
                 continue
-            payoff = {
-                combo: expected_principal_payoff(
-                    g, j, [blocks[m][combo[m]][2] for m in range(g.num_principals)])
-                for combo in combos
-            }
             if notion == "pbe":
-                value = min(payoff.values())
+                value = payoff[eq].min()
             elif notion == "strongly-robust":
-                value = max(payoff.values())
+                value = payoff[eq].max()
             else:
-                groups = {}
-                for combo in combos:
-                    key = tuple(c for m, c in enumerate(combo) if m != j)
-                    groups.setdefault(key, []).append(payoff[combo])
-                value = min(max(vals) for vals in groups.values())
+                best = np.where(eq, payoff, -np.inf).max(axis=j)
+                value = best[eq.any(axis=j)].min()
             passed = eq_payoffs[j] >= value - tol
             ok = ok and passed
             checks.append({
@@ -709,7 +698,7 @@ def check_equilibrium_notion(g: FiniteGame, mechanisms,
                 "value": float(value),
                 "equilibrium_payoff": float(eq_payoffs[j]),
                 "ok": bool(passed),
-                "n_continuation_equilibria": len(combos),
+                "n_continuation_equilibria": int(eq.sum()),
             })
     return NotionVerdict(
         ok=bool(ok),
@@ -771,9 +760,11 @@ def simulate(g: FiniteGame, mechanisms, strategies: StrategyProfile,
             "mean": float(vals.mean()),
             "stderr": float(vals.std(ddof=1) / np.sqrt(rounds)) if rounds > 1 else 0.0,
         })
-    joint = np.stack(actions, axis=1)
+    shape = tuple(len(a) for a in g.action_spaces)
+    counts = np.bincount(np.ravel_multi_index(tuple(actions), shape))
+    cells = np.nonzero(counts)[0]
     freq = {}
-    for combo, count in zip(*np.unique(joint, axis=0, return_counts=True)):
+    for combo, count in zip(zip(*np.unravel_index(cells, shape)), counts[cells]):
         label = ",".join(g.action_spaces[j][a] for j, a in enumerate(combo))
         freq[label] = float(count / rounds)
     return {

@@ -275,6 +275,29 @@ def test_build_drm_and_check_eq_round_trip(tmp_path, mp_files):
     assert doc["checks"][0]["value"] == pytest.approx(0.5)
 
 
+def test_check_eq_rejects_deviation_file_of_another_principal(tmp_path, mp_files, capsys):
+    mp2, game, _ = mp_files
+    mech_paths = []
+    for j in range(2):
+        path = tmp_path / f"std{j}.json"
+        save_general_mechanism(mp2, standard_from_direct(
+            mp2, DirectMechanism(owner=j, p=np.array([[0.5, 0.5]]))), path)
+        mech_paths.append(str(path))
+    mechs = [load_general_mechanism(mp2, p) for p in mech_paths]
+    strat_path = tmp_path / "strategies.json"
+    save_strategies(mp2, mechs, truthful_strategies(mp2, mechs), strat_path)
+    dev = _vertex_menu_file(mp2, 1, tmp_path / "menu2.json")
+    out = tmp_path / "check.json"
+    assert main(["check-eq", "--game", game,
+                 "--mechanism", mech_paths[0], "--mechanism", mech_paths[1],
+                 "--strategies", str(strat_path), "--deviation", f"P1={dev}",
+                 "--notion", "robust", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "deviation 0 for principal P1" in err
+    assert not out.exists()
+
+
 def test_check_eq_rejects_dominated_profile(tmp_path, mp_files):
     mp2, game, _ = mp_files
     tables = [DirectMechanism(owner=0, p=np.array([[1.0, 0.0]])),

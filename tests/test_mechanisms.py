@@ -5,7 +5,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import mechpoly.mechanisms
 from mechpoly import (
+    ContinuationSpaceTooLarge,
     DeviationSetEmpty,
     DirectMechanism,
     FiniteGame,
@@ -468,6 +470,41 @@ def test_notion_rejects_empty_deviation_sets(screen1):
                                  notion="sequential")
 
 
+def test_notion_rejects_deviation_of_another_principal(mp2, rng):
+    # equal action counts: a verdict used to be built from P2's utilities;
+    # unequal counts: a broadcast error; an unknown key: IndexError
+    unequal = random_game(rng, num_principals=2, num_agents=1, type_sizes=[1],
+                          action_sizes=[2, 3])
+    for g in (mp2, unequal):
+        mechs = [standard_from_direct(g, DirectMechanism(
+            owner=j, p=np.full((1, len(g.action_spaces[j])), 1.0 / len(g.action_spaces[j]))))
+            for j in range(2)]
+        strat = truthful_strategies(g, mechs)
+        with pytest.raises(ValueError, match="deviation 1 for principal P1 is owned "
+                                             "by principal index 1"):
+            check_equilibrium_notion(g, mechs, strat,
+                                     {0: [_vertex_menu(g, 0), _vertex_menu(g, 1)]},
+                                     notion="robust")
+        with pytest.raises(ValueError, match="deviation key 2 is not a principal index"):
+            check_equilibrium_notion(g, mechs, strat, {2: [_vertex_menu(g, 1)]},
+                                     notion="robust")
+
+
+def test_continuation_space_over_cap_raises(mp2, monkeypatch):
+    # agents are indifferent, so all 2 * 2**3 = 16 candidates of each message
+    # mechanism are blocks and the combo grid holds 256 cells
+    mechs = [GeneralMechanism(owner=j, principal_messages=("d0", "d1"),
+                              agent_messages=(("s0", "s1"),) * 3,
+                              outcome=np.full((2, 2, 2, 2, 2), 0.5)) for j in range(2)]
+    assert len(enumerate_pure_continuation_equilibria(mp2, mechs)) == 256
+    monkeypatch.setattr(mechpoly.mechanisms, "COMBO_CAP", 255)
+    with pytest.raises(ContinuationSpaceTooLarge, match="more than 255 combos"):
+        enumerate_pure_continuation_equilibria(mp2, mechs)
+    monkeypatch.setattr(mechpoly.mechanisms, "COMBO_CAP", 15)
+    with pytest.raises(ContinuationSpaceTooLarge, match="16 pure candidates"):
+        enumerate_pure_continuation_equilibria(mp2, mechs)
+
+
 def _vertex_menu(g, j):
     n_a = len(g.action_spaces[j])
     menu = []
@@ -583,6 +620,30 @@ def test_simulate_single_round(mp2):
     assert out["principals"][0]["mean"] == 1.0
     assert out["principals"][0]["stderr"] == 0.0
     assert out["action_profile_freq"] == {"H,H": 1.0}
+
+
+def test_simulate_counts_action_profiles_as_sorted_unique_rows(rng, monkeypatch):
+    # three principals with skewed tables, so some action profiles never occur
+    g = random_game(rng, num_principals=3, num_agents=1, type_sizes=[2],
+                    action_sizes=[2, 3, 2])
+    tables = [np.array([[0.9, 0.1], [0.6, 0.4]]), np.array([[0.0, 0.7, 0.3], [0.1, 0.0, 0.9]]),
+              np.array([[0.5, 0.5], [1.0, 0.0]])]
+    mechs = [standard_from_direct(g, DirectMechanism(owner=j, p=t)) for j, t in enumerate(tables)]
+    draws = []
+    sample_rows = mechpoly.mechanisms._sample_rows
+
+    def recording(rng, rows):
+        draws.append(sample_rows(rng, rows))
+        return draws[-1]
+
+    monkeypatch.setattr(mechpoly.mechanisms, "_sample_rows", recording)
+    out = simulate(g, mechs, truthful_strategies(g, mechs), seed=3, rounds=500)
+    joint = np.stack(draws[2::3], axis=1)    # per principal: m_0, the agent, the action
+    rows, counts = np.unique(joint, axis=0, return_counts=True)
+    want = {",".join(g.action_spaces[j][a] for j, a in enumerate(r)): float(c / 500)
+            for r, c in zip(rows, counts)}
+    assert list(out["action_profile_freq"].items()) == list(want.items())
+    assert len(want) < 12
 
 
 def test_sample_rows_clamps_draws_past_a_short_row():

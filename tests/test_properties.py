@@ -1,6 +1,7 @@
 """Property tests: independent value computations bound each other the right
-way, membership verdicts follow the bounds they use, and vertex enumeration
-returns the SVD oracle's tables."""
+way, membership verdicts follow the bounds they use, vertex enumeration
+returns the SVD oracle's tables, and the batched continuation-equilibrium
+kernel returns the per-candidate loops' blocks, combos and records."""
 
 import dataclasses
 
@@ -8,7 +9,24 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mechpoly import enumerate_vertices, minmax, random_game, robust_pbe_membership, sample_bic
+import continuation_oracle as oracle
+from mechpoly import (
+    GeneralMechanism,
+    StrategyProfile,
+    build_deviator_reporting,
+    build_type_and_dm_mechanism,
+    check_continuation_equilibrium,
+    check_equilibrium_notion,
+    enumerate_pure_continuation_equilibria,
+    enumerate_vertices,
+    expected_principal_payoff,
+    minmax,
+    random_game,
+    robust_pbe_membership,
+    sample_bic,
+    standard_from_direct,
+)
+from mechpoly.mechanisms import NOTIONS, _continuation_combos
 from vertex_oracle import svd_enumerate_vertices
 
 TOL = 1e-7
@@ -146,3 +164,113 @@ def test_vertex_enumeration_matches_svd_oracle_16_variables():
     g = random_game(np.random.default_rng(0), num_principals=1, num_agents=3,
                     type_sizes=[2, 2, 2], action_sizes=[2])
     _same_tables(_zero_agents(g, 2), 0, dim_cap=16)
+
+
+@st.composite
+def mechanism_profiles(draw):
+    """A game with two or three principals and one to three agents, at most
+    four type profiles and 64 pure candidates per mechanism, and one random
+    mechanism per principal plus one deviation each.  Mechanisms are free-form
+    message games, menus of sampled BIC tables, deviator-reporting mechanisms
+    (three agents only) or wrapped direct tables."""
+    n_principals = draw(st.integers(2, 3))
+    n_agents = draw(st.sampled_from([3, 1, 2] if n_principals == 2 else [1, 2]))
+    type_sizes = [draw(st.integers(1, 2))] + [1] * (n_agents - 1)
+    if n_agents == 2 and n_principals == 2:
+        type_sizes[1] = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_game(rng, num_principals=n_principals, num_agents=n_agents,
+                    type_sizes=type_sizes,
+                    action_sizes=[draw(st.integers(2, 3)) for _ in range(n_principals)],
+                    zero_agent_payoffs=draw(st.booleans()))
+    if type_sizes[0] == 2 and draw(st.booleans()):
+        prior = np.where(g.profiles[:, 0] == 1, 0.0, g.prior)   # a type without mass
+        g = dataclasses.replace(g, prior=prior / prior.sum())
+    kinds = ["message", "menu", "standard"] + (["reporting"] if n_agents == 3 else [])
+
+    def mechanism(j, kinds):
+        kind = draw(st.sampled_from(kinds))
+        seeds = [int(s) for s in rng.integers(1 << 30, size=n_principals + 1)]
+        if kind == "message":
+            shape = ((draw(st.integers(1, 2)),) + tuple(draw(st.integers(1, 2))
+                                                       for _ in range(n_agents)))
+            n_a = len(g.action_spaces[j])
+            outcome = rng.dirichlet(np.ones(n_a), size=int(np.prod(shape)))
+            return GeneralMechanism(
+                owner=j, principal_messages=tuple(f"d{m}" for m in range(shape[0])),
+                agent_messages=tuple(tuple(f"s{m}" for m in range(n)) for n in shape[1:]),
+                outcome=outcome.reshape(shape + (n_a,)))
+        if kind == "menu":
+            return build_type_and_dm_mechanism(
+                g, j, [sample_bic(g, j, seed=s) for s in seeds[:draw(st.integers(1, 2))]])
+        if kind == "reporting":
+            return build_deviator_reporting(
+                g, j, sample_bic(g, j, seed=seeds[-1]),
+                {k: sample_bic(g, j, seed=seeds[k]) for k in range(n_principals) if k != j})
+        return standard_from_direct(g, sample_bic(g, j, seed=seeds[0]))
+
+    # with three agents the on-path profile is deviator reporting, as in a07
+    mechs = [mechanism(j, ["reporting"] if n_agents == 3 else kinds)
+             for j in range(n_principals)]
+    devs = {j: [mechanism(j, kinds)] for j in range(n_principals)}
+    return g, mechs, devs, rng
+
+
+def _pure_profile(rng, g, mechs):
+    pm = {j: np.eye(len(m.principal_messages))[rng.integers(len(m.principal_messages))]
+          for j, m in enumerate(mechs)}
+    am = {(i, j): np.eye(len(m.agent_messages[i]))[
+        rng.integers(len(m.agent_messages[i]), size=len(g.type_spaces[i]))]
+        for j, m in enumerate(mechs) for i in range(g.num_agents)}
+    return StrategyProfile(principal_messages=pm, agent_messages=am)
+
+
+def _mixed_profile(rng, g, mechs):
+    pm = {j: rng.dirichlet(np.ones(len(m.principal_messages))) for j, m in enumerate(mechs)}
+    am = {(i, j): rng.dirichlet(np.ones(len(m.agent_messages[i])), size=len(g.type_spaces[i]))
+          for j, m in enumerate(mechs) for i in range(g.num_agents)}
+    return StrategyProfile(principal_messages=pm, agent_messages=am)
+
+
+def _same_verdict(got, want):
+    assert (got.ok, got.witness) == (want.ok, want.witness)
+    assert got.worst_gain.hex() == want.worst_gain.hex()
+
+
+def _bits(records):
+    return [{k: v.hex() if isinstance(v, float) else v for k, v in r.items()} for r in records]
+
+
+@settings(max_examples=60)
+@given(case=mechanism_profiles())
+def test_continuation_kernel_matches_loop_oracle(case):
+    g, mechs, devs, rng = case
+    blocks, ok, _ = _continuation_combos(g, mechs, 1e-9)
+    want_blocks, want_combos = oracle.continuation_combos(g, mechs)
+    for (m0, maps, tables), want in zip(blocks, want_blocks):
+        assert len(m0) == len(want)
+        for s, (w_m0, w_maps, w_table) in enumerate(want):
+            assert m0[s] == w_m0
+            assert tuple(tuple(m[s].tolist()) for m in maps) == w_maps
+            assert np.array_equal(tables[s, m0[s]], w_table)
+    assert [tuple(c) for c in np.argwhere(ok).tolist()] == want_combos
+
+    pure = enumerate_pure_continuation_equilibria(g, mechs)
+    assert len(pure) == len(want_combos)
+    for strat in pure[:4] + [_pure_profile(rng, g, mechs)]:
+        _same_verdict(check_continuation_equilibrium(g, mechs, strat),
+                      oracle.check_continuation_equilibrium(g, mechs, strat))
+    mixed = _mixed_profile(rng, g, mechs)
+    got = check_continuation_equilibrium(g, mechs, mixed)
+    want = oracle.check_continuation_equilibrium(g, mechs, mixed)
+    assert (got.ok, got.witness) == (want.ok, want.witness)
+    assert abs(got.worst_gain - want.worst_gain) <= 1e-12
+
+    strat = pure[0] if pure else _pure_profile(rng, g, mechs)
+    induced = oracle.induce_profile(g, mechs, strat)
+    eq_payoffs = [expected_principal_payoff(g, j, induced) for j in range(g.num_principals)]
+    for notion in NOTIONS:
+        verdict = check_equilibrium_notion(g, mechs, strat, devs, notion)
+        checks, infeasible = oracle.notion_checks(g, mechs, eq_payoffs, devs, notion)
+        assert _bits(verdict.checks) == _bits(checks)
+        assert verdict.infeasible == infeasible
