@@ -23,7 +23,7 @@ print(f"\npolytope for P1: {poly.n_vars} variables, "
 print("\nH-representation:")
 print(mp.export_h_representation(poly))
 
-verts = mp.enumerate_vertices(g, 0, poly=poly)
+verts = mp.enumerate_vertices(g, 0)
 print(f"{len(verts)} vertices:")
 for v in verts:
     print("   ", np.round(v.p, 6).tolist())
@@ -42,6 +42,6 @@ res = mp.is_individually_bic(g, bad)
 print(f"swapped table: BIC={res.ok}, worst violation {res.worst_label} "
       f"slack {res.worst_value:+.3f}")
 
-sampled = mp.sample_bic(g, 0, seed=7, poly=poly)
+sampled = mp.sample_bic(g, 0, seed=7)
 print("\nrandom feasible table (seed 7):")
 print("   ", np.round(sampled.p, 6).tolist())

@@ -9,11 +9,12 @@ membership queries, enumerates vertices and samples feasible points.
 """
 
 import itertools
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 
 import numpy as np
 
-from .game import DirectMechanism, FiniteGame, conditional_weights
+from .game import DirectMechanism, FiniteGame, _frozen, conditional_weights
 
 MEMBERSHIP_TOL = 1e-9
 SNAP_TOL = 1e-9         # vertex coordinates this close to a grid value are snapped
@@ -40,6 +41,8 @@ class BicPolytope:
         ic: (n_rows, n_vars) inequality rows, feasible iff ic @ p >= 0.
         ic_labels: per row, (agent, true type label, reported type label).
         warnings: zero-mass types that generated no rows.
+
+    build_bic_polytope makes eq and ic read-only.
     """
 
     owner: int
@@ -72,13 +75,21 @@ class BicPolytope:
         return a, rel, b
 
 
+_POLYTOPES = weakref.WeakKeyDictionary()   # game -> {principal: BicPolytope}
+
+
 def build_bic_polytope(g: FiniteGame, principal: int) -> BicPolytope:
-    """Assemble the simplex and truth-telling rows for one principal.
+    """One principal's polytope: the simplex and truth-telling rows.
 
     Rows are ordered by (agent, true type, reported type) in declaration
     order; types with zero prior mass contribute no rows and are recorded as
-    warnings instead.
+    warnings instead.  Each (game object, principal) is built once, on first
+    request, and released with the game; every caller shares the read-only
+    result.
     """
+    built = _POLYTOPES.setdefault(g, {})
+    if principal in built:
+        return built[principal]
     j = principal
     n_x = g.num_profiles
     n_a = len(g.action_spaces[j])
@@ -108,15 +119,16 @@ def build_bic_polytope(g: FiniteGame, principal: int) -> BicPolytope:
                 rows.append(row)
                 labels.append((i, t_lab, r_lab))
     ic = np.array(rows) if rows else np.zeros((0, n_vars))
-    return BicPolytope(
+    built[j] = BicPolytope(
         owner=j,
         n_profiles=n_x,
         n_actions=n_a,
-        eq=eq,
-        ic=ic,
+        eq=_frozen(eq),
+        ic=_frozen(ic),
         ic_labels=tuple(labels),
         warnings=tuple(warnings),
     )
+    return built[j]
 
 
 @dataclass
@@ -130,16 +142,14 @@ class MembershipResult:
 
 
 def is_individually_bic(g: FiniteGame, mech: DirectMechanism,
-                        tol: float = MEMBERSHIP_TOL,
-                        poly: BicPolytope = None) -> MembershipResult:
+                        tol: float = MEMBERSHIP_TOL) -> MembershipResult:
     """Check truthful reporting against single-principal deviations.
 
     The mechanism is assumed to be a valid DirectMechanism; only the IC rows
     are evaluated.  Returns the worst row value and its (agent, true type,
     reported type) label; ok iff every row is >= -tol.
     """
-    if poly is None:
-        poly = build_bic_polytope(g, mech.owner)
+    poly = build_bic_polytope(g, mech.owner)
     vals = poly.ic_values(mech)
     if vals.size == 0:
         return MembershipResult(ok=True, worst_value=0.0, worst_label=None)
@@ -205,13 +215,15 @@ def is_profile_bic(g: FiniteGame, mechanisms, tol: float = MEMBERSHIP_TOL) -> Me
 
 
 def _clean_point(poly: BicPolytope, z: np.ndarray) -> np.ndarray:
+    """Points (..., n_vars) with coordinates within SNAP_TOL of 0 or 1
+    snapped, negatives clipped and every profile's row rescaled to sum 1."""
     z = z.copy()
     z[np.abs(z) <= SNAP_TOL] = 0.0
     z[np.abs(z - 1.0) <= SNAP_TOL] = 1.0
-    z = z.reshape(poly.n_profiles, poly.n_actions)
+    z = z.reshape(z.shape[:-1] + (poly.n_profiles, poly.n_actions))
     z = np.clip(z, 0.0, None)
-    z /= z.sum(axis=1, keepdims=True)
-    return z.reshape(-1)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z.reshape(z.shape[:-2] + (poly.n_vars,))
 
 
 def _close_pairs(a: np.ndarray, b: np.ndarray):
@@ -272,9 +284,26 @@ def _edges(tight: np.ndarray, pos: np.ndarray, neg: np.ndarray, min_common: int)
     return np.concatenate(out_p), np.concatenate(out_q)
 
 
+def _sorted_distinct(z: np.ndarray) -> np.ndarray:
+    """Rows of z in lexicographic order of their 12-digit rounding, without
+    each row within 10*SNAP_TOL in max-norm of the last row kept."""
+    z = z[np.lexsort(np.round(z, 12).T[::-1])]
+    keep = np.ones(z.shape[0], dtype=bool)
+    close = np.abs(np.diff(z, axis=0)).max(axis=1) <= 10 * SNAP_TOL
+    if close.any():
+        # rows up to the first close pair are all kept; from there on each
+        # row is compared with the last row kept
+        last = int(np.argmax(close))
+        for i in range(last + 1, z.shape[0]):
+            if np.max(np.abs(z[i] - z[last])) <= 10 * SNAP_TOL:
+                keep[i] = False
+            else:
+                last = i
+    return z[keep]
+
+
 def enumerate_vertices(g: FiniteGame, principal: int,
-                       dim_cap: int = DEFAULT_DIM_CAP,
-                       poly: BicPolytope = None):
+                       dim_cap: int = DEFAULT_DIM_CAP):
     """All extreme points of the incentive-compatibility polytope.
 
     Double description: start from the vertex set of the product of
@@ -291,12 +320,13 @@ def enumerate_vertices(g: FiniteGame, principal: int,
     crossing point that joined, taken in (u, w) order.  Every temporary is
     bounded by BLOCK elements.
 
-    Returns a list of DirectMechanism sorted lexicographically by table,
-    after snapping coordinates within 1e-9 of 0 or 1.
+    Returns a list of DirectMechanism sorted lexicographically by table
+    (rounded to 12 digits), after snapping coordinates within 1e-9 of 0 or 1
+    and dropping points with an IC row below -1e-9; a point within 1e-8 in
+    max-norm of the last point kept is dropped too.
     Raises DimensionTooLarge when the variable count exceeds dim_cap.
     """
-    if poly is None:
-        poly = build_bic_polytope(g, principal)
+    poly = build_bic_polytope(g, principal)
     n = poly.n_vars
     if n > dim_cap:
         raise DimensionTooLarge(
@@ -330,20 +360,11 @@ def enumerate_vertices(g: FiniteGame, principal: int,
         verts = np.vstack([verts[keep], new])
         if verts.shape[0] == 0:
             break
-    cleaned = []
-    for z in verts:
-        z = _clean_point(poly, z)
-        vals = poly.ic_values(z.reshape(poly.n_profiles, poly.n_actions))
-        if vals.size and float(vals.min()) < -MEMBERSHIP_TOL:
-            continue
-        cleaned.append(z)
-    cleaned.sort(key=lambda z: tuple(np.round(z, 12)))
-    out = []
-    for z in cleaned:
-        if out and np.max(np.abs(z - out[-1].p.reshape(-1))) <= 10 * SNAP_TOL:
-            continue
-        out.append(DirectMechanism(owner=poly.owner, p=z.reshape(poly.n_profiles, poly.n_actions)))
-    return out
+    z = _clean_point(poly, verts)
+    if poly.ic.shape[0]:
+        z = z[(z @ poly.ic.T).min(axis=1) >= -MEMBERSHIP_TOL]
+    return [DirectMechanism(owner=poly.owner, p=p)
+            for p in _sorted_distinct(z).reshape(-1, poly.n_profiles, poly.n_actions)]
 
 
 def sample_bic(g: FiniteGame, principal: int, seed: int,

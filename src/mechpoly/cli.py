@@ -10,6 +10,7 @@ The environment variable MECHPOLY_SEED, when set, overrides any --seed flag.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -22,7 +23,6 @@ import numpy as np
 from .bic import (
     DEFAULT_DIM_CAP,
     MEMBERSHIP_TOL,
-    DimensionTooLarge,
     build_bic_polytope,
     enumerate_vertices,
     export_h_representation,
@@ -42,11 +42,6 @@ from .game import (
     validate_game,
 )
 from .mechanisms import (
-    DeviationSetEmpty,
-    MenuEntryNotBIC,
-    NotBIC,
-    SelectionSpaceTooLarge,
-    TooFewAgents,
     build_deviator_reporting,
     check_equilibrium_notion,
     general_mechanism_from_dict,
@@ -62,7 +57,6 @@ from .solver import (
     DEFAULT_RESTARTS,
     VALUE_TOL,
     GapFamily,
-    ModeUnsupported,
     NumericalFailure,
     Stopwatch,
     ValueCertificate,
@@ -533,7 +527,10 @@ def _add_solver_flags(sp, modes):
                     dest="grid_dim_cap")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The subcommand parser; built once per process and shared by every
+    ``main`` call, so callers must not modify it."""
     ap = argparse.ArgumentParser(
         prog="mechpoly",
         description="Competing-mechanism games: BIC polytopes, value bounds, "
@@ -628,23 +625,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        return args.handler(args, cfg)
-    except GameFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ModeUnsupported, DimensionTooLarge, SelectionSpaceTooLarge,
-            TooFewAgents, NotBIC, MenuEntryNotBIC, DeviationSetEmpty) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+        return args.handler(args, _config_from_args(args))
+    except ValueError as exc:   # input and configuration errors all subclass it
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NumericalFailure as exc:

@@ -60,14 +60,18 @@ def fnv1a64(data: bytes) -> int:
 
 
 def _frozen(a):
-    arr = np.asarray(a, dtype=float)
+    """A read-only float copy, so no alias of the input can change it."""
+    arr = np.array(a, dtype=float)
     arr.setflags(write=False)
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteGame:
     """Immutable description of one finite competing-mechanism game.
+
+    The arrays are read-only copies of the inputs.  Games compare and hash by
+    identity, so derived data (the IC polytopes) can be cached per game.
 
     Fields:
         type_spaces: per agent, the ordered tuple of type labels.

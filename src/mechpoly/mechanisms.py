@@ -478,6 +478,18 @@ def _interim_values(g: FiniteGame, mech: GeneralMechanism, principal_w, agent_w,
     return values
 
 
+def _require_fit(g: FiniteGame, j: int, mech: GeneralMechanism, what: str) -> None:
+    """ValueError unless mech has principal j's actions and one message set
+    per agent of the game."""
+    n_a = len(g.action_spaces[j])
+    if mech.n_actions != n_a:
+        raise ValueError(f"{what} for principal {g.principal_ids[j]} has {mech.n_actions} "
+                         f"actions, the game gives it {n_a}")
+    if mech.num_agents != g.num_agents:
+        raise ValueError(f"{what} for principal {g.principal_ids[j]} has {mech.num_agents} "
+                         f"agent message sets, the game needs {g.num_agents}")
+
+
 def check_continuation_equilibrium(g: FiniteGame, mechanisms,
                                    strategies: StrategyProfile,
                                    tol: float = EQ_TOL) -> CeVerdict:
@@ -487,8 +499,12 @@ def check_continuation_equilibrium(g: FiniteGame, mechanisms,
     alternative message improves the interim payoff component by more than
     tol (sufficient for all mixed alternatives by linearity).  Principals:
     no alternative own message improves the ex-ante payoff by more than tol.
-    Returns the most profitable deviation found.
+    Returns the most profitable deviation found.  A mechanism whose action
+    count or number of agent message sets does not fit the game raises
+    ValueError.
     """
+    for j, mech in enumerate(mechanisms):
+        _require_fit(g, j, mech, "mechanism")
     weights = [[np.asarray(strategies.agent_messages[(i, j)], dtype=float)[None]
                 for i in range(g.num_agents)] for j in range(len(mechanisms))]
     worst, witness = 0.0, None
@@ -643,7 +659,8 @@ def check_equilibrium_notion(g: FiniteGame, mechanisms,
     """Test a candidate profile against finite deviation menus.
 
     deviations maps a principal index to a list of alternative mechanisms
-    owned by that principal (anything else raises ValueError); a deviation
+    owned by that principal and fitting the game, as the on-path mechanisms
+    must (anything else raises ValueError); a deviation
     identical to the on-path mechanism is skipped.  For each remaining
     deviation the pure continuation equilibria of the subgame are enumerated
     and the deviator's payoff aggregated by notion: pbe takes the worst
@@ -666,6 +683,7 @@ def check_equilibrium_notion(g: FiniteGame, mechanisms,
                 raise ValueError(
                     f"deviation {d_idx} for principal {g.principal_ids[j]} is owned "
                     f"by principal index {dev.owner}")
+            _require_fit(g, j, dev, f"deviation {d_idx}")
     on_path = check_continuation_equilibrium(g, mechanisms, strategies, tol)
     induced = induce_profile(g, mechanisms, strategies)
     eq_payoffs = [expected_principal_payoff(g, j, induced)

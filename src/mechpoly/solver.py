@@ -214,18 +214,15 @@ def _optimize_over(poly: BicPolytope, sense: str, what: str, c=None, cuts=None):
         owner=poly.owner, p=z.reshape(poly.n_profiles, poly.n_actions))
 
 
-def best_response(g: FiniteGame, principal: int, mechanisms,
-                  poly: BicPolytope = None):
+def best_response(g: FiniteGame, principal: int, mechanisms):
     """Best expected payoff of one principal against fixed opponents.
 
     ``mechanisms`` must provide a DirectMechanism for every other principal
     (dict or list; the entry for ``principal`` is ignored).  Returns
     (value, DirectMechanism witness); the witness is feasible at 1e-9.
     """
-    if poly is None:
-        poly = build_bic_polytope(g, principal)
     coeff = _contract_except(g, principal, principal, mechanisms).reshape(-1)
-    return _optimize_over(poly, "max", "best-response", c=coeff)
+    return _optimize_over(build_bic_polytope(g, principal), "max", "best-response", c=coeff)
 
 
 # -- maxmin ------------------------------------------------------------------
@@ -260,18 +257,17 @@ def maxmin(g: FiniteGame, principal: int, mode: str = "auto",
     uncertified otherwise; gap_bound is the -1 unknown sentinel).
     """
     j = principal
-    poly = build_bic_polytope(g, j)
     if mode in ("auto", "exact"):
         try:
             opponents, vertex_sets, count = _vertex_products(g, j, dim_cap)
         except DimensionTooLarge:
             if mode == "exact":
                 raise
-            return _maxmin_alternating(g, j, poly, restarts, seed)
+            return _maxmin_alternating(g, j, restarts, seed)
         # maximize t subject to t <= c_w . p for every vertex product w
         cuts = [_contract_except(g, j, j, dict(zip(opponents, combo))).reshape(-1)
                 for combo in itertools.product(*[vertex_sets[k] for k in opponents])]
-        value, witness = _optimize_over(poly, "max", "maxmin", cuts=cuts)
+        value, witness = _optimize_over(build_bic_polytope(g, j), "max", "maxmin", cuts=cuts)
         return ValueCertificate(
             kind="vertex-product-exact",
             value=value,
@@ -280,17 +276,16 @@ def maxmin(g: FiniteGame, principal: int, mode: str = "auto",
             info={"n_vertex_products": count},
         )
     if mode == "alternating":
-        return _maxmin_alternating(g, j, poly, restarts, seed)
+        return _maxmin_alternating(g, j, restarts, seed)
     raise ModeUnsupported(f"maxmin mode {mode!r}")
 
 
-def _sample_bic_rng(g: FiniteGame, principal: int, rng: np.random.Generator,
-                    poly: BicPolytope = None) -> DirectMechanism:
-    return sample_bic(g, principal, int(rng.integers(0, 2**31 - 1)), poly=poly)
+def _sample_bic_rng(g: FiniteGame, principal: int, rng: np.random.Generator) -> DirectMechanism:
+    return sample_bic(g, principal, int(rng.integers(0, 2**31 - 1)))
 
 
 def _inner_min(g: FiniteGame, principal: int, pj: DirectMechanism,
-               polys: dict, rng: np.random.Generator, sweeps: int = 20):
+               rng: np.random.Generator, sweeps: int = 20):
     """Minimize E[v_j] over the opponents for a fixed own mechanism.
 
     Single LP (exact) with one opponent; block-coordinate descent otherwise.
@@ -300,13 +295,13 @@ def _inner_min(g: FiniteGame, principal: int, pj: DirectMechanism,
     opponents = [k for k in range(g.num_principals) if k != j]
     profile = {j: pj}
     for k in opponents:
-        profile[k] = _sample_bic_rng(g, k, rng, poly=polys[k])
+        profile[k] = _sample_bic_rng(g, k, rng)
     best = None
     for _ in range(sweeps):
         improved = False
         for k in opponents:
             c = _contract_except(g, j, k, profile).reshape(-1)
-            value, profile[k] = _optimize_over(polys[k], "min", "inner-min", c=c)
+            value, profile[k] = _optimize_over(build_bic_polytope(g, k), "min", "inner-min", c=c)
             if best is None or value < best - 1e-12:
                 best = value
                 improved = True
@@ -315,17 +310,17 @@ def _inner_min(g: FiniteGame, principal: int, pj: DirectMechanism,
     return best, {k: profile[k] for k in opponents}
 
 
-def _maxmin_alternating(g: FiniteGame, principal: int, poly: BicPolytope,
-                        restarts: int, seed: int) -> ValueCertificate:
+def _maxmin_alternating(g: FiniteGame, principal: int, restarts: int,
+                        seed: int) -> ValueCertificate:
     j = principal
-    polys = {k: build_bic_polytope(g, k) for k in range(g.num_principals) if k != j}
+    poly = build_bic_polytope(g, j)
     best_val, best_witness = -np.inf, None
     for r in range(restarts):
         rng = np.random.default_rng(seed + r)
-        pj = _sample_bic_rng(g, j, rng, poly=poly)
+        pj = _sample_bic_rng(g, j, rng)
         cuts = []  # own-table coefficients against each opponent profile seen
         for _ in range(25):
-            val, opp = _inner_min(g, j, pj, polys, rng)
+            val, opp = _inner_min(g, j, pj, rng)
             cuts.append(_contract_except(g, j, j, opp).reshape(-1))
             if val > best_val + 1e-12:
                 best_val, best_witness = val, pj
@@ -447,9 +442,7 @@ def _minmax_grid(g: FiniteGame, principal: int, step: float,
         raise DimensionTooLarge(
             f"{n_points} grid points exceed the cap {GRID_POINT_CAP}; use a coarser step"
         )
-    poly_j = build_bic_polytope(g, j)
     opp = sorted({k for k, _ in rows})
-    polys = {k: build_bic_polytope(g, k) for k in opp}
 
     # Lipschitz slack: the coarse blocks-times-free-dimension bound can
     # undershoot by a factor of two when rounding a point onto the grid moves
@@ -462,9 +455,9 @@ def _minmax_grid(g: FiniteGame, principal: int, step: float,
     slack_per_coord = 2.0 * step * vbar * sum(len(g.action_spaces[k]) - 1 for k in opp)
     slack = max(slack_coarse, slack_per_coord)
 
-    use_vertices = poly_j.n_vars <= dim_cap
+    use_vertices = build_bic_polytope(g, j).n_vars <= dim_cap
     if use_vertices:
-        verts = enumerate_vertices(g, j, dim_cap=dim_cap, poly=poly_j)
+        verts = enumerate_vertices(g, j, dim_cap=dim_cap)
         vmat = np.array([m.p for m in verts])  # (n_vert, n_x, A_j)
         # W[m, x, c]: payoff of vertex m at profile x against opponent cell c
         axes = [len(g.action_spaces[k]) for k in opp]
@@ -502,14 +495,15 @@ def _minmax_grid(g: FiniteGame, principal: int, step: float,
             gvals = vals.max(axis=1)
         else:
             gvals = np.array([
-                best_response(g, j, {k: tables[k][bi] for k in opp}, poly=poly_j)[0]
+                best_response(g, j, {k: tables[k][bi] for k in opp})[0]
                 for bi in range(bsz)])
         best_overall = min(best_overall, float(gvals.min()))
         # feasibility of the opponents' tables (their own IC rows)
         feas = np.ones(bsz, dtype=bool)
         for k in opp:
-            if polys[k].ic.shape[0]:
-                icv = tables[k].reshape(bsz, -1) @ polys[k].ic.T
+            ic = build_bic_polytope(g, k).ic
+            if ic.shape[0]:
+                icv = tables[k].reshape(bsz, -1) @ ic.T
                 feas &= icv.min(axis=1) >= -MEMBERSHIP_TOL
         if feas.any():
             sub = np.nonzero(feas)[0]
@@ -539,16 +533,14 @@ def _minmax_alternating(g: FiniteGame, principal: int, restarts: int,
     """Descent on the opponents' side; each block step is an epigraph LP
     against the active set of best responses collected so far."""
     j = principal
-    poly_j = build_bic_polytope(g, j)
     opponents = [k for k in range(g.num_principals) if k != j]
-    polys = {k: build_bic_polytope(g, k) for k in opponents}
     best_val, best_profile = np.inf, None
     for r in range(restarts):
         rng = np.random.default_rng(seed + r)
-        profile = {k: _sample_bic_rng(g, k, rng, poly=polys[k]) for k in opponents}
+        profile = {k: _sample_bic_rng(g, k, rng) for k in opponents}
         cuts = []  # own-mechanism tables active in the epigraph
         for _ in range(25):
-            val, br = best_response(g, j, profile, poly=poly_j)
+            val, br = best_response(g, j, profile)
             if val < best_val - 1e-12:
                 best_val = float(val)
                 best_profile = dict(profile)
@@ -559,7 +551,8 @@ def _minmax_alternating(g: FiniteGame, principal: int, restarts: int,
                 # min t s.t. t >= payoff(cut, block k free)
                 cut_rows = [_contract_except(g, j, k, {**profile, j: s}).reshape(-1)
                             for s in cuts]
-                _, profile[k] = _optimize_over(polys[k], "min", "descent", cuts=cut_rows)
+                _, profile[k] = _optimize_over(build_bic_polytope(g, k), "min", "descent",
+                                               cuts=cut_rows)
             moved = max(float(np.max(np.abs(profile[k].p - previous[k])))
                         for k in opponents)
             if moved <= 1e-12:

@@ -16,7 +16,6 @@ from mechpoly import (
     FiniteGame,
     GapFamily,
     GeneralMechanism,
-    build_bic_polytope,
     build_deviator_reporting,
     build_type_and_dm_mechanism,
     best_response,
@@ -66,11 +65,10 @@ def test_a01_profile_bic_factorizes_across_principals():
         g = random_game(rng, num_principals=n_j, num_agents=n_i,
                         type_sizes=[int(rng.integers(1, 3)) for _ in range(n_i)],
                         action_sizes=[int(rng.integers(1, 4)) for _ in range(n_j)])
-        polys = [build_bic_polytope(g, j) for j in range(n_j)]
         for _ in range(50):
             profile = [_dirichlet_table(rng, g, j) for j in range(n_j)]
             joint = is_profile_bic(g, profile, tol=1e-9).ok
-            split = all(is_individually_bic(g, dm, tol=1e-9, poly=polys[j]).ok
+            split = all(is_individually_bic(g, dm, tol=1e-9).ok
                         for j, dm in enumerate(profile))
             assert joint == split
             if joint:
@@ -90,12 +88,11 @@ def test_a02_bic_set_closed_under_mixtures():
         g = random_game(rng, num_principals=2, num_agents=n_i,
                         type_sizes=[int(rng.integers(1, 3)) for _ in range(n_i)],
                         action_sizes=[int(rng.integers(2, 4)), 2])
-        poly = build_bic_polytope(g, 0)
-        a = sample_bic(g, 0, seed=int(rng.integers(1 << 30)), poly=poly)
-        b = sample_bic(g, 0, seed=int(rng.integers(1 << 30)), poly=poly)
+        a = sample_bic(g, 0, seed=int(rng.integers(1 << 30)))
+        b = sample_bic(g, 0, seed=int(rng.integers(1 << 30)))
         for lam in (0.25, 0.5, 0.75):
             mix = DirectMechanism(owner=0, p=lam * a.p + (1.0 - lam) * b.p)
-            assert is_individually_bic(g, mix, tol=1e-12, poly=poly).ok
+            assert is_individually_bic(g, mix, tol=1e-12).ok
     _done(2, "mixtures-stay-incentive-compatible", 10, t0,
           "100 pairs x 3 mixture weights at 1e-12")
 
@@ -186,7 +183,6 @@ def test_a06_profiles_paying_below_floor_are_rejected():
     rejected = 0
     for g_idx, g in enumerate(games):
         floors = [minmax(g, j, mode="exact2").value for j in range(2)]
-        polys = [build_bic_polytope(g, j) for j in range(2)]
         vertex_menus = [enumerate_vertices(g, j) for j in range(2)]
         candidates = []
         if g_idx == 0:
@@ -194,7 +190,7 @@ def test_a06_profiles_paying_below_floor_are_rejected():
                                DirectMechanism(owner=1, p=np.array([[0.0, 1.0]]))])
         for s in range(6):
             candidates.append([
-                sample_bic(g, j, seed=int(rng.integers(1 << 30)), poly=polys[j])
+                sample_bic(g, j, seed=int(rng.integers(1 << 30)))
                 for j in range(2)])
         for prof in candidates:
             pays = [expected_principal_payoff(g, j, prof) for j in range(2)]
@@ -227,9 +223,8 @@ def _random_message_deviation(rng, g, j):
         outcome=flat.reshape(shape))
 
 
-def _random_menu_deviation(rng, g, j, poly):
-    entries = [sample_bic(g, j, seed=int(rng.integers(1 << 30)), poly=poly)
-               for _ in range(2)]
+def _random_menu_deviation(rng, g, j):
+    entries = [sample_bic(g, j, seed=int(rng.integers(1 << 30))) for _ in range(2)]
     return build_type_and_dm_mechanism(g, j, entries)
 
 
@@ -254,15 +249,13 @@ def test_a07_reporting_profiles_support_floor_members():
     for g, flavor in games:
         certs = [minmax(g, j, mode="exact2") for j in range(2)]
         floors = [c.value for c in certs]
-        polys = [build_bic_polytope(g, j) for j in range(2)]
         guarantors = [maxmin(g, j, mode="exact").witness for j in range(2)]
         uniform = [
             DirectMechanism(owner=j, p=np.full(
                 (g.num_profiles, len(g.action_spaces[j])),
                 1.0 / len(g.action_spaces[j])))
             for j in range(2)]
-        sampled = [sample_bic(g, j, seed=int(rng.integers(1 << 30)), poly=polys[j])
-                   for j in range(2)]
+        sampled = [sample_bic(g, j, seed=int(rng.integers(1 << 30))) for j in range(2)]
         members = []
         for prof in (guarantors, uniform, sampled):
             pays = [expected_principal_payoff(g, j, prof) for j in range(2)]
@@ -281,8 +274,7 @@ def test_a07_reporting_profiles_support_floor_members():
                 if flavor == "message":
                     devs = [_random_message_deviation(rng, g, j) for _ in range(5)]
                 else:
-                    devs = [_random_menu_deviation(rng, g, j, polys[j])
-                            for _ in range(5)]
+                    devs = [_random_menu_deviation(rng, g, j) for _ in range(5)]
                 devs.append(build_type_and_dm_mechanism(g, j, enumerate_vertices(g, j)))
                 verdict = check_equilibrium_notion(
                     g, drms, strat, {j: devs}, notion="robust", tol=1e-6)

@@ -1,3 +1,7 @@
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -6,13 +10,22 @@ from mechpoly import (
     DimensionTooLarge,
     DirectMechanism,
     FiniteGame,
+    GapFamily,
     build_bic_polytope,
+    build_deviator_reporting,
+    build_type_and_dm_mechanism,
+    check_equilibrium_notion,
+    deviator_truthful_strategies,
     enumerate_vertices,
     export_h_representation,
     is_individually_bic,
     is_profile_bic,
+    maxmin,
+    minmax,
     random_game,
+    robust_pbe_membership,
     sample_bic,
+    simulate,
 )
 
 TRUTHFUL = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -96,7 +109,7 @@ def test_zero_payoff_rows_keep_everything_feasible(rng):
     assert poly.ic.shape[0] == 2
     np.testing.assert_array_equal(poly.ic, 0.0)
     for _ in range(10):
-        assert is_individually_bic(g, _dirichlet_table(rng, g, 0), poly=poly).ok
+        assert is_individually_bic(g, _dirichlet_table(rng, g, 0)).ok
     assert len(enumerate_vertices(g, 0)) == 4
 
 
@@ -125,12 +138,11 @@ def test_joint_equals_conjunction_on_random_games(rng):
             type_sizes=None,
             action_sizes=None,
         )
-        polys = [build_bic_polytope(g, j) for j in range(g.num_principals)]
         for _ in range(10):
             profile = [_dirichlet_table(rng, g, j) for j in range(g.num_principals)]
             joint = is_profile_bic(g, profile).ok
             split = all(
-                is_individually_bic(g, profile[j], poly=polys[j]).ok
+                is_individually_bic(g, profile[j]).ok
                 for j in range(g.num_principals)
             )
             assert joint == split
@@ -139,12 +151,11 @@ def test_joint_equals_conjunction_on_random_games(rng):
 def test_mixtures_of_bic_tables_stay_bic(rng):
     for trial in range(20):
         g = random_game(rng, num_agents=1, type_sizes=[2], action_sizes=[2, 2])
-        poly = build_bic_polytope(g, 0)
-        p = sample_bic(g, 0, seed=int(rng.integers(1 << 30)), poly=poly)
-        q = sample_bic(g, 0, seed=int(rng.integers(1 << 30)), poly=poly)
+        p = sample_bic(g, 0, seed=int(rng.integers(1 << 30)))
+        q = sample_bic(g, 0, seed=int(rng.integers(1 << 30)))
         for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
             mix = DirectMechanism(owner=0, p=lam * p.p + (1 - lam) * q.p)
-            assert is_individually_bic(g, mix, tol=1e-12, poly=poly).ok
+            assert is_individually_bic(g, mix, tol=1e-12).ok
 
 
 def test_sample_bic_is_deterministic_and_feasible(screen1, rng):
@@ -166,7 +177,7 @@ def test_sample_bic_is_deterministic_and_feasible(screen1, rng):
 def test_vertices_have_full_rank_active_sets(rng):
     g = random_game(rng, num_agents=1, type_sizes=[2], action_sizes=[2, 2])
     poly = build_bic_polytope(g, 0)
-    for v in enumerate_vertices(g, 0, poly=poly):
+    for v in enumerate_vertices(g, 0):
         z = v.p.reshape(-1)
         active = [poly.eq]
         tight = np.nonzero(z <= 1e-9)[0]
@@ -207,6 +218,22 @@ def test_crossing_point_dedupe_is_the_scan_rule(rng, monkeypatch, block):
     np.testing.assert_array_equal(mechpoly.bic._dedupe(new, keep), want)
 
 
+def test_sorted_distinct_is_the_sort_and_scan_rule(rng):
+    # the per-vertex rule it replaced: sort by the rounded tuple, then drop a
+    # point within 1e-8 of the last point kept
+    base = rng.uniform(size=(15, 4))
+    base[:5, 0] = base[5:10, 0]    # equal leading coordinates, so ties reach later ones
+    near = np.vstack([base[7:], base, base + 6e-9, base + 1.2e-8, base[3:9] - 4e-9])
+    for z, drops in ((base, False), (near, True)):
+        z = z[rng.permutation(z.shape[0])]
+        want = []
+        for row in sorted(z, key=lambda r: tuple(np.round(r, 12))):
+            if not want or np.max(np.abs(row - want[-1])) > 1e-8:
+                want.append(row)
+        assert (len(want) < z.shape[0]) == drops
+        np.testing.assert_array_equal(mechpoly.bic._sorted_distinct(z), np.array(want))
+
+
 def test_vertex_tables_do_not_depend_on_block_size(rng, monkeypatch):
     g = random_game(rng, num_agents=2, type_sizes=[2, 2], action_sizes=[3, 2])
     want = enumerate_vertices(g, 0)
@@ -224,6 +251,67 @@ def test_dimension_cap_enforced(rng):
     # a generous cap lifts the restriction
     verts = enumerate_vertices(g, 0, dim_cap=16)
     assert len(verts) >= 1
+
+
+def test_polytope_is_built_once_per_game_and_read_only(rng):
+    g = random_game(rng, num_agents=1, type_sizes=[2], action_sizes=[2, 2])
+    poly = build_bic_polytope(g, 0)
+    assert build_bic_polytope(g, 0) is poly
+    assert build_bic_polytope(g, 1) is not poly
+    for arr in (poly.eq, poly.ic):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 2.0
+    # a replaced game is another game, with its own polytope
+    g2 = dataclasses.replace(g, prior=g.prior[::-1])
+    assert build_bic_polytope(g2, 0) is not poly
+    # the cache does not keep a game, or its polytopes, alive
+    ref = weakref.ref(poly)
+    del g, poly
+    gc.collect()
+    assert ref() is None
+
+
+def _count_builds(monkeypatch):
+    builds = []
+    polytope = mechpoly.bic.BicPolytope
+
+    def counting(**fields):
+        builds.append(fields["owner"])
+        return polytope(**fields)
+
+    monkeypatch.setattr(mechpoly.bic, "BicPolytope", counting)
+    return builds
+
+
+def test_value_computations_build_each_polytope_once(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    g = GapFamily().candidate(0, np.random.default_rng(5))
+    maxmin(g, 0, mode="exact")
+    minmax(g, 0, mode="grid", step=0.05)
+    assert sorted(builds) == [0, 1, 2]
+
+
+def test_floor_support_builds_each_polytope_once(monkeypatch):
+    # the steps of one floor-support item: floors, guarantee tables, a
+    # membership verdict, deviator-reporting mechanisms, menu deviations and
+    # a simulation, all on one game
+    builds = _count_builds(monkeypatch)
+    rng = np.random.default_rng(3)
+    g = random_game(rng, num_principals=2, num_agents=3, type_sizes=[2, 1, 1],
+                    action_sizes=[2, 2])
+    certs = [minmax(g, j, mode="exact2") for j in range(2)]
+    prof = [maxmin(g, j, mode="exact").witness for j in range(2)]
+    assert robust_pbe_membership(g, prof, certs).verdict == "member"
+    drms = [build_deviator_reporting(g, k, prof[k], {1 - k: certs[1 - k].witness[k]})
+            for k in range(2)]
+    strat = deviator_truthful_strategies(g, drms)
+    for j in range(2):
+        menu = [build_type_and_dm_mechanism(g, j, [sample_bic(g, j, seed=s) for s in (1, 2)]),
+                build_type_and_dm_mechanism(g, j, enumerate_vertices(g, j))]
+        assert check_equilibrium_notion(g, drms, strat, {j: menu}, notion="robust",
+                                        tol=1e-6).ok
+    simulate(g, drms, strat, seed=4, rounds=100)
+    assert sorted(builds) == [0, 1]
 
 
 def test_h_representation_format(screen1, mp2):

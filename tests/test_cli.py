@@ -298,6 +298,39 @@ def test_check_eq_rejects_deviation_file_of_another_principal(tmp_path, mp_files
     assert not out.exists()
 
 
+def test_parser_is_shared_between_calls(tmp_path, mp_files):
+    # the parser is built once per process; each call's appended
+    # --mechanism/--deviation lists must still hold only its own files
+    from mechpoly.cli import build_parser
+    assert build_parser() is build_parser()
+    mp2, game, _ = mp_files
+    sessions = [(([[1.0, 0.0]], [[0.0, 1.0]]), (0, 1)), (([[0.5, 0.5]], [[0.5, 0.5]]), (1,))]
+    docs = []
+    for n, (rows, devs) in enumerate(sessions):
+        mech_paths = []
+        for j, row in enumerate(rows):
+            path = tmp_path / f"std{n}{j}.json"
+            save_general_mechanism(mp2, standard_from_direct(
+                mp2, DirectMechanism(owner=j, p=np.array(row))), path)
+            mech_paths.append(str(path))
+        mechs = [load_general_mechanism(mp2, p) for p in mech_paths]
+        strat_path = tmp_path / f"strategies{n}.json"
+        save_strategies(mp2, mechs, truthful_strategies(mp2, mechs), strat_path)
+        dev_args = []
+        for j in devs:
+            dev = _vertex_menu_file(mp2, j, tmp_path / f"menu{n}{j}.json")
+            dev_args += ["--deviation", f"P{j + 1}={dev}"]
+        out = tmp_path / f"check{n}.json"
+        assert main(["check-eq", "--game", game, "--mechanism", mech_paths[0],
+                     "--mechanism", mech_paths[1], "--strategies", str(strat_path),
+                     *dev_args, "--notion", "pbe", "--out", str(out)]) in (0, 1)
+        docs.append(_read_json(out))
+    assert [c["principal"] for c in docs[0]["checks"]] == ["P1", "P2"]
+    assert [c["principal"] for c in docs[1]["checks"]] == ["P2"]
+    assert docs[0]["equilibrium_payoffs"] == pytest.approx([0.0, 1.0])
+    assert docs[1]["equilibrium_payoffs"] == pytest.approx([0.5, 0.5])
+
+
 def test_check_eq_rejects_dominated_profile(tmp_path, mp_files):
     mp2, game, _ = mp_files
     tables = [DirectMechanism(owner=0, p=np.array([[1.0, 0.0]])),

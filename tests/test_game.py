@@ -296,6 +296,28 @@ def test_profile_round_trip_and_errors(screen1):
         profile_from_list(screen1, [doc[0]])
 
 
+def test_game_copies_its_arrays():
+    # writing through the base of a view passed in must not change the game,
+    # whose IC polytopes are cached per game object
+    base = np.array([0.5, 0.5])
+    u = np.array([[1.0, 0.0], [0.0, 1.0]])
+    v = np.zeros((2, 2, 1))
+    g = FiniteGame(type_spaces=(("L", "H"),), action_spaces=(("a", "b"), ("z",)),
+                   prior=base[:], agent_utils=((u[:], np.zeros((2, 1))),),
+                   principal_utils=(v[:], v[:]))
+    base[0] = 0.9
+    u[0, 0] = 5.0
+    v[0, 0, 0] = 7.0
+    np.testing.assert_array_equal(g.prior, [0.5, 0.5])
+    np.testing.assert_array_equal(g.agent_utils[0][0], [[1.0, 0.0], [0.0, 1.0]])
+    np.testing.assert_array_equal(g.principal_utils[0], 0.0)
+    with pytest.raises(ValueError):
+        g.prior[0] = 0.9
+    # games compare by identity, so equal contents do not make equal games
+    assert g == g and g != FiniteGame(g.type_spaces, g.action_spaces, g.prior,
+                                      g.agent_utils, g.principal_utils)
+
+
 def test_game_hash_sensitivity(rng):
     g = random_game(rng, num_agents=1, type_sizes=[2], action_sizes=[2, 2])
     h = game_hash(g)

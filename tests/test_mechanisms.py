@@ -490,6 +490,34 @@ def test_notion_rejects_deviation_of_another_principal(mp2, rng):
                                      notion="robust")
 
 
+def test_mechanisms_must_fit_the_game(rng):
+    # one agent, actions [2, 3]: a 2-action deviation for P2 or a 3-action
+    # on-path mechanism for P1 used to fail inside a numpy matmul
+    g = random_game(rng, num_principals=2, num_agents=1, type_sizes=[1], action_sizes=[2, 3])
+
+    def table(j, n):
+        return standard_from_direct(g, DirectMechanism(owner=j, p=np.full((1, n), 1.0 / n)))
+
+    mechs = [table(0, 2), table(1, 3)]
+    strat = truthful_strategies(g, mechs)
+    two_agents = GeneralMechanism(owner=1, principal_messages=("d0",),
+                                  agent_messages=(("s0",), ("s0",)),
+                                  outcome=np.full((1, 1, 1, 3), 1.0 / 3))
+    with pytest.raises(ValueError, match="deviation 0 for principal P2 has 2 actions, "
+                                         "the game gives it 3"):
+        check_equilibrium_notion(g, mechs, strat, {1: [table(1, 2)]}, notion="robust")
+    with pytest.raises(ValueError, match="deviation 1 for principal P2 has 2 agent message "
+                                         "sets, the game needs 1"):
+        check_equilibrium_notion(g, mechs, strat, {1: [table(1, 3), two_agents]},
+                                 notion="pbe")
+    wide = [table(0, 3), mechs[1]]
+    with pytest.raises(ValueError, match="mechanism for principal P1 has 3 actions, "
+                                         "the game gives it 2"):
+        check_continuation_equilibrium(g, wide, strat)
+    with pytest.raises(ValueError, match="mechanism for principal P1 has 3 actions"):
+        check_equilibrium_notion(g, wide, strat, {1: [table(1, 3)]}, notion="robust")
+
+
 def test_continuation_space_over_cap_raises(mp2, monkeypatch):
     # agents are indifferent, so all 2 * 2**3 = 16 candidates of each message
     # mechanism are blocks and the combo grid holds 256 cells

@@ -1,7 +1,8 @@
 """Property tests: independent value computations bound each other the right
 way, membership verdicts follow the bounds they use, vertex enumeration
-returns the SVD oracle's tables, and the batched continuation-equilibrium
-kernel returns the per-candidate loops' blocks, combos and records."""
+returns the SVD oracle's tables, the batched continuation-equilibrium
+kernel returns the per-candidate loops' blocks, combos and records, and
+joint truthfulness separates into the principals' IC rows."""
 
 import dataclasses
 
@@ -11,8 +12,10 @@ from hypothesis import strategies as st
 
 import continuation_oracle as oracle
 from mechpoly import (
+    DirectMechanism,
     GeneralMechanism,
     StrategyProfile,
+    build_bic_polytope,
     build_deviator_reporting,
     build_type_and_dm_mechanism,
     check_continuation_equilibrium,
@@ -20,6 +23,8 @@ from mechpoly import (
     enumerate_pure_continuation_equilibria,
     enumerate_vertices,
     expected_principal_payoff,
+    is_individually_bic,
+    is_profile_bic,
     minmax,
     random_game,
     robust_pbe_membership,
@@ -274,3 +279,48 @@ def test_continuation_kernel_matches_loop_oracle(case):
         checks, infeasible = oracle.notion_checks(g, mechs, eq_payoffs, devs, notion)
         assert _bits(verdict.checks) == _bits(checks)
         assert verdict.infeasible == infeasible
+
+
+@st.composite
+def separability_cases(draw):
+    """A game with two or three principals and one or two agents of one to
+    three types, the first agent's last type sometimes without prior mass,
+    and a profile of sampled IC tables mixed with random tables at a drawn
+    weight, so profiles fall on both sides of every tolerance."""
+    n_j = draw(st.integers(2, 3))
+    types = [draw(st.integers(1, 3)) for _ in range(draw(st.integers(1, 2)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_game(rng, num_principals=n_j, num_agents=len(types), type_sizes=types,
+                    action_sizes=[draw(st.integers(1, 3)) for _ in range(n_j)])
+    if types[0] > 1 and draw(st.booleans()):
+        prior = np.where(g.profiles[:, 0] == types[0] - 1, 0.0, g.prior)
+        g = dataclasses.replace(g, prior=prior / prior.sum())
+    q = draw(st.floats(0.0, 1.0))
+    profile = []
+    for k in range(n_j):
+        noise = rng.dirichlet(np.ones(len(g.action_spaces[k])), size=g.num_profiles)
+        ic = sample_bic(g, k, seed=int(rng.integers(1 << 30))).p
+        profile.append(DirectMechanism(owner=k, p=q * ic + (1 - q) * noise))
+    return g, profile
+
+
+@settings(max_examples=100)
+@given(case=separability_cases(), tol=st.sampled_from([1e-9, 1e-6, 1e-3]))
+def test_profile_bic_separates_by_principal(case, tol):
+    # the best joint misreport of a type is the sum over principals of the
+    # best single misreport to each, and is zero when no misreport gains
+    g, profile = case
+    joint = is_profile_bic(g, profile, tol=tol)
+    gains = {}   # (agent, true type) -> summed best gain over principals
+    for k, dm in enumerate(profile):
+        poly = build_bic_polytope(g, k)
+        best = {}
+        for value, (i, t, _) in zip(poly.ic_values(dm), poly.ic_labels):
+            best[(i, t)] = max(best.get((i, t), 0.0), -value)
+        for key, gain in best.items():
+            gains[key] = gains.get(key, 0.0) + gain
+    assert abs(joint.worst_value - max(gains.values(), default=0.0)) <= 1e-12
+    if joint.ok:
+        assert all(is_individually_bic(g, dm, tol=tol).ok for dm in profile)
+    if all(is_individually_bic(g, dm, tol=tol / (2 * len(profile))).ok for dm in profile):
+        assert joint.ok

@@ -67,11 +67,10 @@ def test_best_response_matching_pennies(mp2):
 
 def test_best_response_dominates_feasible_tables(rng):
     g = random_game(rng, num_agents=1, type_sizes=[2], action_sizes=[2, 2])
-    poly = build_bic_polytope(g, 0)
     opp = sample_bic(g, 1, seed=3)
-    value, _ = best_response(g, 0, {1: opp}, poly=poly)
+    value, _ = best_response(g, 0, {1: opp})
     for k in range(100):
-        trial = sample_bic(g, 0, seed=1000 + k, poly=poly)
+        trial = sample_bic(g, 0, seed=1000 + k)
         payoff = expected_principal_payoff(g, 0, {0: trial, 1: opp})
         assert value >= payoff - 1e-8
 
