@@ -175,12 +175,13 @@ class FiniteGame:
         return np.nonzero(self._profiles[:, agent] == t)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectMechanism:
     """One principal's map from type profiles to action distributions.
 
     ``p`` has shape (n_profiles, |A_owner|); row x is the action distribution
-    played when profile x is reported.
+    played when profile x is reported.  Mechanisms compare and hash by
+    identity; compare tables with ``np.array_equal``.
     """
 
     owner: int
@@ -197,9 +198,10 @@ class DirectMechanism:
         return bool(np.all(np.abs(self.p.sum(axis=1) - 1.0) <= atol))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RandomActionProfile:
-    """One action distribution per principal (no type dependence)."""
+    """One action distribution per principal (no type dependence); compares
+    and hashes by identity."""
 
     dists: tuple
 

@@ -479,8 +479,11 @@ def _interim_values(g: FiniteGame, mech: GeneralMechanism, principal_w, agent_w,
 
 
 def _require_fit(g: FiniteGame, j: int, mech: GeneralMechanism, what: str) -> None:
-    """ValueError unless mech has principal j's actions and one message set
-    per agent of the game."""
+    """ValueError unless mech is owned by principal j and has j's actions and
+    one message set per agent of the game."""
+    if mech.owner != j:
+        raise ValueError(f"{what} for principal {g.principal_ids[j]} is owned by principal "
+                         f"index {mech.owner}")
     n_a = len(g.action_spaces[j])
     if mech.n_actions != n_a:
         raise ValueError(f"{what} for principal {g.principal_ids[j]} has {mech.n_actions} "
@@ -499,9 +502,9 @@ def check_continuation_equilibrium(g: FiniteGame, mechanisms,
     alternative message improves the interim payoff component by more than
     tol (sufficient for all mixed alternatives by linearity).  Principals:
     no alternative own message improves the ex-ante payoff by more than tol.
-    Returns the most profitable deviation found.  A mechanism whose action
-    count or number of agent message sets does not fit the game raises
-    ValueError.
+    Returns the most profitable deviation found.  A mechanism that is not
+    owned by the principal at its position, or whose action count or number
+    of agent message sets does not fit the game, raises ValueError.
     """
     for j, mech in enumerate(mechanisms):
         _require_fit(g, j, mech, "mechanism")
@@ -679,10 +682,6 @@ def check_equilibrium_notion(g: FiniteGame, mechanisms,
         if j not in range(g.num_principals):
             raise ValueError(f"deviation key {j!r} is not a principal index")
         for d_idx, dev in enumerate(devs):
-            if dev.owner != j:
-                raise ValueError(
-                    f"deviation {d_idx} for principal {g.principal_ids[j]} is owned "
-                    f"by principal index {dev.owner}")
             _require_fit(g, j, dev, f"deviation {d_idx}")
     on_path = check_continuation_equilibrium(g, mechanisms, strategies, tol)
     induced = induce_profile(g, mechanisms, strategies)

@@ -21,6 +21,7 @@ Every routine is deterministic given its inputs and seed.
 
 import itertools
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -55,6 +56,7 @@ VALUE_TOL = 1e-6
 DEFAULT_GRID_DIM_CAP = 4
 DEFAULT_RESTARTS = 32
 GRID_POINT_CAP = 2_000_000
+GRID_CHUNK = 4096        # grid points per batch of the minmax sweep
 
 EXACT_KINDS = ("exact-lp", "vertex-product-exact")
 GRID_KIND = "grid-certified-lower-bound"
@@ -412,15 +414,16 @@ def _free_rows(g: FiniteGame, principal: int):
 
 
 def _simplex_grid(n_actions: int, step: float) -> np.ndarray:
-    """Grid over a simplex: free coords are multiples of step, sum <= 1."""
+    """Grid over a simplex: free coords are multiples of step, sum <= 1.
+    Rows run in lexicographic order of the free coordinates."""
     ticks = int(np.floor(1.0 / step + 1e-12))
     vals = np.arange(ticks + 1) * step
-    pts = []
-    for combo in itertools.product(vals, repeat=n_actions - 1):
-        s = float(sum(combo))
-        if s <= 1.0 + 1e-12:
-            pts.append(list(combo) + [max(1.0 - s, 0.0)])
-    return np.array(pts) if pts else np.ones((1, 1))
+    free = [c.reshape(-1) for c in np.meshgrid(*[vals] * (n_actions - 1), indexing="ij")]
+    s = np.zeros(free[0].size if free else 1)
+    for c in free:       # the filter and 1 - s depend on how s rounds: add in row order
+        s = s + c
+    keep = s <= 1.0 + 1e-12
+    return np.column_stack([c[keep] for c in free] + [np.maximum(1.0 - s[keep], 0.0)])
 
 
 def _minmax_grid(g: FiniteGame, principal: int, step: float,
@@ -434,21 +437,24 @@ def _minmax_grid(g: FiniteGame, principal: int, step: float,
         raise DimensionTooLarge(
             f"opponent free dimension {free_dim} exceeds grid cap {grid_dim_cap}"
         )
-    grids = [_simplex_grid(len(g.action_spaces[k]), step) for k, _ in rows]
-    n_points = 1
-    for gr in grids:
-        n_points *= gr.shape[0]
+    # one (A_k, points) grid per free row, so a batch's tables are gathered
+    # with the batch axis last
+    grids = [np.ascontiguousarray(_simplex_grid(len(g.action_spaces[k]), step).T)
+             for k, _ in rows]
+    sizes = [gr.shape[1] for gr in grids]
+    n_points = math.prod(sizes)
     if n_points > GRID_POINT_CAP:
         raise DimensionTooLarge(
             f"{n_points} grid points exceed the cap {GRID_POINT_CAP}; use a coarser step"
         )
     opp = sorted({k for k, _ in rows})
+    n_x = g.num_profiles
 
     # Lipschitz slack: the coarse blocks-times-free-dimension bound can
     # undershoot by a factor of two when rounding a point onto the grid moves
     # probability mass in both directions, so pair it with the per-coordinate
     # bound and keep whichever is larger.
-    vmax_x = np.max(np.abs(g.principal_utils[j].reshape(g.num_profiles, -1)), axis=1)
+    vmax_x = np.max(np.abs(g.principal_utils[j].reshape(n_x, -1)), axis=1)
     vbar = float(np.dot(g.prior, vmax_x))
     n_blocks = len(opp)
     slack_coarse = vbar * n_blocks * step * free_dim
@@ -457,62 +463,49 @@ def _minmax_grid(g: FiniteGame, principal: int, step: float,
 
     use_vertices = build_bic_polytope(g, j).n_vars <= dim_cap
     if use_vertices:
-        verts = enumerate_vertices(g, j, dim_cap=dim_cap)
-        vmat = np.array([m.p for m in verts])  # (n_vert, n_x, A_j)
+        vmat = np.array([m.p for m in enumerate_vertices(g, j, dim_cap=dim_cap)])
         # W[m, x, c]: payoff of vertex m at profile x against opponent cell c
-        axes = [len(g.action_spaces[k]) for k in opp]
-        n_cells = int(np.prod(axes)) if axes else 1
-        w = np.zeros((len(verts), g.num_profiles, n_cells))
         vf = g.principal_utils[j] * g.prior.reshape((-1,) + (1,) * g.num_principals)
-        for x in range(g.num_profiles):
-            t = vf[x]  # (A_1, ..., A_J)
-            t = np.moveaxis(t, j, 0)  # (A_j, opp cells...) in opponent index order
-            t = t.reshape(t.shape[0], -1)
-            w[:, x, :] = vmat[:, x, :] @ t
+        w = np.stack([vmat[:, x, :] @ np.moveaxis(vf[x], j, 0).reshape(vmat.shape[2], -1)
+                      for x in range(n_x)], axis=1)
+    ics = {k: build_bic_polytope(g, k).ic for k in opp}
 
     best_overall = np.inf
     best_feasible = np.inf
     best_feasible_profile = None
-    chunk = 4096
-    combo_iter = itertools.product(*[range(gr.shape[0]) for gr in grids])
-    while True:
-        batch = list(itertools.islice(combo_iter, chunk))
-        if not batch:
-            break
-        idx = np.array(batch)  # (B, n_rows)
-        bsz = idx.shape[0]
-        # assemble opponent tables for the batch
-        tables = {k: np.zeros((bsz, g.num_profiles, len(g.action_spaces[k]))) for k in opp}
-        for r, (k, x) in enumerate(rows):
-            tables[k][:, x, :] = grids[r][idx[:, r]]
+    for start in range(0, n_points, GRID_CHUNK):
+        idx = np.unravel_index(np.arange(start, min(start + GRID_CHUNK, n_points)), sizes)
+        bsz = idx[0].size
+        # opponent tables (n_x, A_k, B) for the batch
+        tables = {k: np.empty((n_x, len(g.action_spaces[k]), bsz)) for k in opp}
+        for gr, i, (k, x) in zip(grids, idx, rows):
+            tables[k][x] = gr.take(i, axis=1)
         if use_vertices:
-            vals = np.zeros((bsz, w.shape[0]))
-            for x in range(g.num_profiles):
-                q = np.ones((bsz, 1))
-                for k in opp:
-                    q = (q[:, :, None] * tables[k][:, x, None, :]).reshape(bsz, -1)
-                vals += q @ w[:, x, :].T
-            gvals = vals.max(axis=1)
+            vals = np.zeros((len(vmat), bsz))
+            for x in range(n_x):
+                q = tables[opp[0]][x]       # (cells, B): the opponents' joint action
+                for k in opp[1:]:
+                    q = (q[:, None, :] * tables[k][x][None, :, :]).reshape(-1, bsz)
+                vals += (np.ascontiguousarray(q.T) @ w[:, x, :].T).T
+            gvals = vals.max(axis=0)
         else:
             gvals = np.array([
-                best_response(g, j, {k: tables[k][bi] for k in opp})[0]
+                best_response(g, j, {k: DirectMechanism(owner=k, p=tables[k][..., bi])
+                                     for k in opp})[0]
                 for bi in range(bsz)])
         best_overall = min(best_overall, float(gvals.min()))
-        # feasibility of the opponents' tables (their own IC rows)
+        # the best feasible point (the opponents' own IC rows) of the batch
         feas = np.ones(bsz, dtype=bool)
-        for k in opp:
-            ic = build_bic_polytope(g, k).ic
+        for k, ic in ics.items():
             if ic.shape[0]:
-                icv = tables[k].reshape(bsz, -1) @ ic.T
-                feas &= icv.min(axis=1) >= -MEMBERSHIP_TOL
-        if feas.any():
-            sub = np.nonzero(feas)[0]
-            bi = sub[int(np.argmin(gvals[sub]))]
-            if gvals[bi] < best_feasible:
-                best_feasible = float(gvals[bi])
-                best_feasible_profile = {
-                    k: DirectMechanism(owner=k, p=tables[k][bi].copy()) for k in opp
-                }
+                feas &= (ic @ tables[k].reshape(-1, bsz)).min(axis=0) >= -MEMBERSHIP_TOL
+        masked = np.where(feas, gvals, np.inf)
+        bi = int(np.argmin(masked))
+        if masked[bi] < best_feasible:
+            best_feasible = float(masked[bi])
+            best_feasible_profile = {
+                k: DirectMechanism(owner=k, p=tables[k][..., bi]) for k in opp
+            }
     return ValueCertificate(
         kind=GRID_KIND,
         value=best_overall - slack,

@@ -252,6 +252,17 @@ def test_random_action_profile_validate():
     assert not RandomActionProfile(dists=(np.array([0.5, 0.4]),)).validate()
 
 
+def test_mechanisms_compare_and_hash_by_identity():
+    # the generated __eq__/__hash__ over array fields used to raise
+    a = DirectMechanism(owner=0, p=np.eye(2))
+    b = DirectMechanism(owner=0, p=np.eye(2))
+    assert a == a and a != b
+    assert len({a, b, a}) == 2 and hash(a) == hash(a)
+    r = RandomActionProfile(dists=(np.array([0.5, 0.5]),))
+    assert r == r and r != RandomActionProfile(dists=(np.array([0.5, 0.5]),))
+    assert len({r, r}) == 1
+
+
 def test_mechanism_round_trip_and_errors(screen1):
     truthful = DirectMechanism(owner=0, p=np.array([[1.0, 0.0], [0.0, 1.0]]))
     doc = mechanism_to_dict(screen1, truthful)

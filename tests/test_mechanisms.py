@@ -490,6 +490,19 @@ def test_notion_rejects_deviation_of_another_principal(mp2, rng):
                                      notion="robust")
 
 
+def test_mechanisms_must_be_owned_by_their_position(mp2):
+    # swapped standard mechanisms used to pass the on-path check, with P2's
+    # table at position 0 and payoffs read at the other principal's index
+    mechs = [_mp_std(mp2, 1, [0.5, 0.5]), _mp_std(mp2, 0, [0.5, 0.5])]
+    strat = truthful_strategies(mp2, mechs)
+    with pytest.raises(ValueError, match="mechanism for principal P1 is owned by principal "
+                                         "index 1"):
+        check_continuation_equilibrium(mp2, mechs, strat)
+    with pytest.raises(ValueError, match="mechanism for principal P1 is owned"):
+        check_equilibrium_notion(mp2, mechs, strat, {0: [_mp_std(mp2, 0, [1.0, 0.0])]},
+                                 notion="robust")
+
+
 def test_mechanisms_must_fit_the_game(rng):
     # one agent, actions [2, 3]: a 2-action deviation for P2 or a 3-action
     # on-path mechanism for P1 used to fail inside a numpy matmul

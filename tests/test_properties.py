@@ -1,16 +1,20 @@
 """Property tests: independent value computations bound each other the right
 way, membership verdicts follow the bounds they use, vertex enumeration
-returns the SVD oracle's tables, the batched continuation-equilibrium
+returns the SVD oracle's tables, the array grid sweep returns the loop
+oracle's certificates bit for bit, the batched continuation-equilibrium
 kernel returns the per-candidate loops' blocks, combos and records, and
 joint truthfulness separates into the principals' IC rows."""
 
 import dataclasses
+import math
+from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import continuation_oracle as oracle
+import grid_oracle
 from mechpoly import (
     DirectMechanism,
     GeneralMechanism,
@@ -29,6 +33,7 @@ from mechpoly import (
     random_game,
     robust_pbe_membership,
     sample_bic,
+    solver,
     standard_from_direct,
 )
 from mechpoly.mechanisms import NOTIONS, _continuation_combos
@@ -120,6 +125,51 @@ def test_upper_bound_verdicts_never_contradict_exact(g, seeds, q, seed):
     exact = robust_pbe_membership(g, profile, [minmax(g, k, mode="exact2")
                                                for k in range(2)]).verdict
     assert not (upper == "member" and exact == "non-member")
+
+
+@st.composite
+def grid_cases(draw):
+    """A game with two or three principals, one agent with one or two types,
+    one to three actions per principal and at most four free opponent
+    coordinates; principal payoffs are sometimes the integers 0-2, so grid
+    values at dyadic steps tie exactly.  Also a principal, a step and a
+    chunk size that splits the sweep into at most 100 batches."""
+    n_j = draw(st.integers(2, 3))
+    n_types = draw(st.integers(1, 2))
+    actions = [draw(st.integers(1, 3)) for _ in range(n_j)]
+    j = draw(st.integers(0, n_j - 1))
+    assume(n_types * sum(a - 1 for k, a in enumerate(actions) if k != j) <= 4)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_game(rng, num_principals=n_j, num_agents=1, type_sizes=[n_types],
+                    action_sizes=actions, zero_agent_payoffs=draw(st.booleans()))
+    if draw(st.booleans()):
+        g = dataclasses.replace(g, principal_utils=tuple(np.floor(3 * v)
+                                                         for v in g.principal_utils))
+    step = draw(st.sampled_from([0.5, 0.3, 0.25, 0.1, 0.05]))
+    n_points = math.prod(grid_oracle._simplex_grid(len(g.action_spaces[k]), step).shape[0]
+                         for k, _ in solver._free_rows(g, j))
+    chunk = max(draw(st.sampled_from([1, 2, 7, 4096])), -(-n_points // 100))
+    return g, j, step, chunk
+
+
+@settings(max_examples=150)
+@given(case=grid_cases())
+def test_grid_sweep_matches_loop_oracle(case):
+    g, j, step, chunk = case
+    with mock.patch.object(solver, "GRID_CHUNK", chunk):
+        got = minmax(g, j, mode="grid", step=step)
+    want = grid_oracle._minmax_grid(g, j, step, solver.DEFAULT_GRID_DIM_CAP,
+                                    solver.DEFAULT_DIM_CAP, chunk=chunk)
+    assert grid_oracle.certificate_bits(got) == grid_oracle.certificate_bits(want)
+
+
+def test_grid_lp_fallback_matches_loop_oracle(mp2, screen1):
+    # dim_cap=1 sends every grid point through best_response
+    for g, step in ((mp2, 0.1), (screen1, 0.25)):
+        for j in range(2):
+            got = minmax(g, j, mode="grid", step=step, dim_cap=1)
+            want = grid_oracle._minmax_grid(g, j, step, solver.DEFAULT_GRID_DIM_CAP, 1)
+            assert grid_oracle.certificate_bits(got) == grid_oracle.certificate_bits(want)
 
 
 @st.composite

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+import grid_oracle
 from mechpoly import (
     EXACT_KINDS,
     DimensionTooLarge,
     DirectMechanism,
+    FiniteGame,
     GapFamily,
     LPProblem,
     ModeUnsupported,
@@ -26,6 +28,7 @@ from mechpoly import (
     search_minmax_maxmin_gap,
     solve_lp,
     solve_report,
+    solver,
 )
 
 UNIFORM = DirectMechanism(owner=1, p=np.array([[0.5, 0.5]]))
@@ -86,8 +89,6 @@ def test_maxmin_matching_pennies(mp2):
 
 
 def _constant_game(c=0.7):
-    from mechpoly import FiniteGame
-
     zeros = ((np.zeros((1, 2)), np.zeros((1, 2))),)
     return FiniteGame(
         type_spaces=(("x",),),
@@ -216,6 +217,54 @@ def test_minmax_grid_caps(rng):
         minmax(g2, 0, mode="grid", step=0.1, grid_dim_cap=3)
     with pytest.raises(ValueError, match="step"):
         minmax(g, 0, mode="grid", step=0.0)
+
+
+def _pennies_against_p2():
+    """Three principals and one type; P1 is paid 1 for matching P2's action
+    and nothing else, whatever P3 does.  At step 0.25 every grid value is
+    exact, so the five P3 rows at P2's uniform mix (points 10 to 14 of 25)
+    tie at the minimum 0.5."""
+    v1 = np.zeros((1, 2, 2, 2))
+    v1[0, 0, 0, :] = v1[0, 1, 1, :] = 1.0
+    return FiniteGame(
+        type_spaces=(("x",),), action_spaces=(("a", "b"), ("c", "d"), ("e", "f")),
+        prior=np.array([1.0]), agent_utils=((np.zeros((1, 2)),) * 3,),
+        principal_utils=(v1, np.zeros((1, 2, 2, 2)), np.zeros((1, 2, 2, 2))))
+
+
+def test_grid_certificate_does_not_depend_on_chunk_size(monkeypatch, rng):
+    # Chunks of 7 split the tied points 10-14 between two batches; the first
+    # minimum must win within a batch and across batches.  Matrix products of
+    # one-point batches go through numpy's matrix-vector path and may round
+    # differently in the last place, so every sweep here has at least two
+    # points in its last batch.
+    cases = [(_pennies_against_p2(), 0.25),
+             (GapFamily().candidate(0, np.random.default_rng(0)), 0.05),
+             (random_game(rng, num_principals=2, num_agents=1, type_sizes=[2],
+                          action_sizes=[2, 3]), 0.1)]
+    default = solver.GRID_CHUNK
+    for g, step in cases:
+        bits = []
+        for chunk in (7, default):
+            monkeypatch.setattr(solver, "GRID_CHUNK", chunk)
+            cert = minmax(g, 0, mode="grid", step=step)
+            assert cert.info["n_points"] % 7 != 1
+            bits.append(grid_oracle.certificate_bits(cert))
+        assert bits[0] == bits[1]
+    cert = minmax(cases[0][0], 0, mode="grid", step=0.25)
+    assert cert.info["grid_min"] == cert.info["witness_value"] == 0.5
+    np.testing.assert_array_equal(cert.witness[1].p, [[0.5, 0.5]])
+    np.testing.assert_array_equal(cert.witness[2].p, [[0.0, 1.0]])
+
+
+@pytest.mark.parametrize("n_actions", [1, 2, 3, 4])
+@pytest.mark.parametrize("step", [0.5, 0.3, 0.07, 0.01])
+def test_simplex_grid_matches_product_order(n_actions, step):
+    # 0.3 and 0.07 do not divide 1, so the last coordinate is not a tick
+    got = solver._simplex_grid(n_actions, step)
+    want = grid_oracle._simplex_grid(n_actions, step)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_minmax_alternating_matching_pennies(mp2):
