@@ -303,28 +303,6 @@ def conditional_weights(g: FiniteGame, agent: int, t: int):
     return idxs, g.prior[idxs] / mass
 
 
-def expected_agent_component(g: FiniteGame, agent: int, principal: int,
-                             dist: np.ndarray, x: int) -> float:
-    """E[u_ik(a_k, x)] under one action distribution at a fixed type profile."""
-    return float(np.dot(np.asarray(dist, dtype=float), g.agent_utils[agent][principal][x]))
-
-
-def agent_expected_payoff(g: FiniteGame, agent: int, dists, x: int) -> float:
-    """Full agent payoff at profile x: the sum of per-principal components."""
-    return sum(
-        expected_agent_component(g, agent, k, dists[k], x)
-        for k in range(g.num_principals)
-    )
-
-
-def principal_value_at_profile(g: FiniteGame, principal: int, dists, x: int) -> float:
-    """E[v_j(a, x)] when each principal k plays action distribution dists[k]."""
-    t = g.principal_utils[principal][x]
-    for d in dists:
-        t = np.tensordot(np.asarray(d, dtype=float), t, axes=(0, 0))
-    return float(t)
-
-
 def _contract_except(g: FiniteGame, valued: int, free: int, mechanisms) -> np.ndarray:
     """Prior-weighted coefficients, shape (n_profiles, |A_free|), of principal
     ``free``'s table in E[v_valued] with everyone else fixed at ``mechanisms``.

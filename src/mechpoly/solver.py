@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import block_diag
-from scipy.optimize import linprog
 
+from ._highs import TIGHT, linprog
 from .bic import (
     DEFAULT_DIM_CAP,
     MEMBERSHIP_TOL,
@@ -61,6 +61,10 @@ GRID_CHUNK = 4096        # grid points per batch of the minmax sweep
 EXACT_KINDS = ("exact-lp", "vertex-product-exact")
 GRID_KIND = "grid-certified-lower-bound"
 UPPER_KIND = "alternating-upper-bound"
+
+
+_ROW_SIGN = {"<=": 1.0, ">=": -1.0, "=": 0.0}
+_NO_BOUND = np.array([-np.inf, np.inf])
 
 
 class NumericalFailure(RuntimeError):
@@ -104,30 +108,34 @@ def solve_lp(prob: LPProblem) -> LPResult:
     c = np.asarray(prob.c, dtype=float)
     a = np.asarray(prob.a, dtype=float) if len(prob.a) else np.zeros((0, c.size))
     b = np.asarray(prob.b, dtype=float) if len(prob.b) else np.zeros(0)
+    n_rows = len(prob.relations)
+    if c.ndim != 1 or a.shape != (n_rows, c.size) or b.shape != (n_rows,):
+        raise ValueError(f"LP shapes do not match: c {c.shape}, a {a.shape}, b {b.shape} "
+                         f"for {n_rows} relations")
+    if not (np.isfinite(c).all() and np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("LP data must be finite")
     sign = -1.0 if prob.sense == "max" else 1.0
-    rows_ub, rhs_ub, rows_eq, rhs_eq = [], [], [], []
-    for row, rel, rhs in zip(a, prob.relations, b):
-        if rel == "<=":
-            rows_ub.append(row)
-            rhs_ub.append(rhs)
-        elif rel == ">=":
-            rows_ub.append(-row)
-            rhs_ub.append(-rhs)
-        elif rel == "=":
-            rows_eq.append(row)
-            rhs_eq.append(rhs)
-        else:
-            raise ValueError(f"unknown relation {rel!r}")
-    a_ub = np.array(rows_ub) if rows_ub else None
-    b_ub = np.array(rhs_ub) if rows_ub else None
-    a_eq = np.array(rows_eq) if rows_eq else None
-    b_eq = np.array(rhs_eq) if rows_eq else None
-    tight = {"primal_feasibility_tolerance": 1e-10,
-             "dual_feasibility_tolerance": 1e-10}
+    try:
+        row_sign = np.array([_ROW_SIGN[rel] for rel in prob.relations], dtype=float)
+    except KeyError as exc:
+        raise ValueError(f"unknown relation {exc.args[0]!r}") from None
+    # '>=' rows are negated into '<=' rows, which come before the '=' rows
+    is_eq = row_sign == 0.0
+    order = np.argsort(is_eq, kind="stable")
+    flip = np.where(is_eq, 1.0, row_sign)[order]
+    rows = a[order] * flip[:, None]
+    row_hi = b[order] * flip
+    row_lo = np.where(is_eq[order], row_hi, -np.inf)
+    bounds = np.array(prob.bounds, dtype=float)   # None -> nan
+    if bounds.shape != (c.size, 2):
+        raise ValueError(f"LP bounds must be one (lo, hi) pair per variable: "
+                         f"shape {bounds.shape} for {c.size} variables")
+    free = np.isnan(bounds)
+    lo, hi = np.where(free, _NO_BOUND, bounds).T
+    bounds0 = np.where(free, 0.0, bounds)       # the duality gap reads None as 0
     failure = "LP did not run"
-    for options in (None, tight):
-        res = linprog(sign * c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                      bounds=prob.bounds, method="highs", options=options)
+    for options in (None, TIGHT):
+        res = linprog(sign * c, rows, row_lo, row_hi, lo, hi, options=options)
         if res.status == 2:
             return LPResult(status="infeasible")
         if res.status == 3:
@@ -136,32 +144,16 @@ def solve_lp(prob: LPProblem) -> LPResult:
             failure = f"LP solver status {res.status}: {res.message}"
             continue
         x = np.asarray(res.x)
-        # primal feasibility residual
-        resid = 0.0
-        if a_ub is not None:
-            resid = max(resid, float(np.max(a_ub @ x - b_ub, initial=0.0)))
-        if a_eq is not None:
-            resid = max(resid, float(np.max(np.abs(a_eq @ x - b_eq), initial=0.0)))
-        for xi, (lo, hi) in zip(x, prob.bounds):
-            if lo is not None:
-                resid = max(resid, lo - xi)
-            if hi is not None:
-                resid = max(resid, xi - hi)
-        if resid > PRIMAL_RESIDUAL_TOL:
+        # primal feasibility residual over rows and bounds; a nan fails it
+        ax = rows @ x
+        resid = float(np.max(np.concatenate([ax - row_hi, row_lo - ax, lo - x, x - hi]),
+                             initial=0.0))
+        if not resid <= PRIMAL_RESIDUAL_TOL:
             failure = f"primal residual {resid:.3e} exceeds {PRIMAL_RESIDUAL_TOL}"
             continue
         # duality gap from the reported marginals
-        dual_obj = 0.0
-        if a_ub is not None and res.ineqlin is not None:
-            dual_obj += float(np.dot(res.ineqlin.marginals, b_ub))
-        if a_eq is not None and res.eqlin is not None:
-            dual_obj += float(np.dot(res.eqlin.marginals, b_eq))
-        if res.lower is not None:
-            lo = np.array([v if v is not None else 0.0 for v, _ in prob.bounds])
-            dual_obj += float(np.dot(res.lower.marginals, lo))
-        if res.upper is not None:
-            hi = np.array([v if v is not None else 0.0 for _, v in prob.bounds])
-            dual_obj += float(np.dot(res.upper.marginals, hi))
+        dual_obj = float(res.row_dual @ row_hi + res.lower @ bounds0[:, 0]
+                         + res.upper @ bounds0[:, 1])
         gap = abs(float(res.fun) - dual_obj)
         if gap > DUALITY_GAP_TOL * max(1.0, abs(float(res.fun))):
             failure = f"duality gap {gap:.3e} exceeds {DUALITY_GAP_TOL}"
@@ -230,20 +222,20 @@ def best_response(g: FiniteGame, principal: int, mechanisms):
 # -- maxmin ------------------------------------------------------------------
 
 
-def _vertex_products(g: FiniteGame, principal: int, dim_cap: int, product_cap: int = 50000):
-    """Vertices of each opponent polytope and the iterator of their products."""
+def _vertex_product_cuts(g: FiniteGame, principal: int, dim_cap: int,
+                         product_cap: int = 50000) -> np.ndarray:
+    """Coefficient rows, shape (products, n_vars), of principal j's own table
+    against every product of opponent vertices, in ``itertools.product``
+    order over the opponents' vertex lists (principal order)."""
     opponents = [k for k in range(g.num_principals) if k != principal]
-    vertex_sets = {}
-    count = 1
-    for k in opponents:
-        vs = enumerate_vertices(g, k, dim_cap=dim_cap)
-        vertex_sets[k] = vs
-        count *= max(len(vs), 1)
+    stacks = {k: np.stack([m.p for m in enumerate_vertices(g, k, dim_cap=dim_cap)])
+              for k in opponents}
+    count = math.prod(len(stacks[k]) for k in opponents)
     if count > product_cap:
         raise DimensionTooLarge(
             f"{count} opponent vertex products exceed the cap {product_cap}"
         )
-    return opponents, vertex_sets, count
+    return _contract_except(g, principal, principal, stacks).reshape(count, -1)
 
 
 def maxmin(g: FiniteGame, principal: int, mode: str = "auto",
@@ -261,21 +253,19 @@ def maxmin(g: FiniteGame, principal: int, mode: str = "auto",
     j = principal
     if mode in ("auto", "exact"):
         try:
-            opponents, vertex_sets, count = _vertex_products(g, j, dim_cap)
+            cuts = _vertex_product_cuts(g, j, dim_cap)
         except DimensionTooLarge:
             if mode == "exact":
                 raise
             return _maxmin_alternating(g, j, restarts, seed)
         # maximize t subject to t <= c_w . p for every vertex product w
-        cuts = [_contract_except(g, j, j, dict(zip(opponents, combo))).reshape(-1)
-                for combo in itertools.product(*[vertex_sets[k] for k in opponents])]
         value, witness = _optimize_over(build_bic_polytope(g, j), "max", "maxmin", cuts=cuts)
         return ValueCertificate(
             kind="vertex-product-exact",
             value=value,
             witness=witness,
             gap_bound=0.0,
-            info={"n_vertex_products": count},
+            info={"n_vertex_products": len(cuts)},
         )
     if mode == "alternating":
         return _maxmin_alternating(g, j, restarts, seed)

@@ -10,7 +10,6 @@ from mechpoly import (
     GameFormatError,
     NotSeparable,
     RandomActionProfile,
-    agent_expected_payoff,
     conditional_prior,
     contract_opponents,
     decompose_separable,
@@ -21,7 +20,6 @@ from mechpoly import (
     load_game,
     mechanism_from_dict,
     mechanism_to_dict,
-    principal_value_at_profile,
     profile_from_list,
     profile_to_list,
     random_game,
@@ -73,6 +71,25 @@ def test_conditional_prior_zero_mass_raises():
     assert any("zero prior mass" in w for w in res.warnings)
 
 
+def expected_agent_component(g, agent, principal, dist, x):
+    """E[u_ik(a_k, x)] under one action distribution at a fixed type profile."""
+    return float(np.dot(np.asarray(dist, dtype=float), g.agent_utils[agent][principal][x]))
+
+
+def agent_expected_payoff(g, agent, dists, x):
+    """Full agent payoff at profile x: the sum of per-principal components."""
+    return sum(expected_agent_component(g, agent, k, dists[k], x)
+               for k in range(g.num_principals))
+
+
+def principal_value_at_profile(g, principal, dists, x):
+    """E[v_j(a, x)] when each principal k plays action distribution dists[k]."""
+    t = g.principal_utils[principal][x]
+    for d in dists:
+        t = np.tensordot(np.asarray(d, dtype=float), t, axes=(0, 0))
+    return float(t)
+
+
 def test_expected_payoffs_match_enumeration(rng):
     g = random_game(rng, num_agents=2, type_sizes=[2, 2], action_sizes=[2, 3])
     for x in range(g.num_profiles):
@@ -90,6 +107,17 @@ def test_expected_payoffs_match_enumeration(rng):
                 for a1 in range(2) for a2 in range(3)
             )
             assert principal_value_at_profile(g, j, [d1, d2], x) == pytest.approx(brute, abs=1e-12)
+
+
+def test_expected_principal_payoff_matches_per_profile_oracle(rng):
+    g = random_game(rng, num_principals=3, num_agents=2, type_sizes=[2, 1],
+                    action_sizes=[2, 3, 2])
+    mechs = [DirectMechanism(owner=k, p=rng.dirichlet(np.ones(len(acts)), size=g.num_profiles))
+             for k, acts in enumerate(g.action_spaces)]
+    for j in range(3):
+        want = sum(g.prior[x] * principal_value_at_profile(g, j, [m.p[x] for m in mechs], x)
+                   for x in range(g.num_profiles))
+        assert expected_principal_payoff(g, j, mechs) == pytest.approx(want, abs=1e-12)
 
 
 def test_contract_opponents_matches_brute_force(rng):

@@ -2,10 +2,13 @@
 way, membership verdicts follow the bounds they use, vertex enumeration
 returns the SVD oracle's tables, the array grid sweep returns the loop
 oracle's certificates bit for bit, the batched continuation-equilibrium
-kernel returns the per-candidate loops' blocks, combos and records, and
-joint truthfulness separates into the principals' IC rows."""
+kernel returns the per-candidate loops' blocks, combos and records,
+joint truthfulness separates into the principals' IC rows, the direct HiGHS
+call returns linprog's LP results bit for bit, and the batched maxmin cut
+rows are the per-product loop's."""
 
 import dataclasses
+import itertools
 import math
 from unittest import mock
 
@@ -15,9 +18,12 @@ from hypothesis import strategies as st
 
 import continuation_oracle as oracle
 import grid_oracle
+import lp_oracle
 from mechpoly import (
     DirectMechanism,
     GeneralMechanism,
+    LPProblem,
+    NumericalFailure,
     StrategyProfile,
     build_bic_polytope,
     build_deviator_reporting,
@@ -33,9 +39,11 @@ from mechpoly import (
     random_game,
     robust_pbe_membership,
     sample_bic,
+    solve_lp,
     solver,
     standard_from_direct,
 )
+from mechpoly.game import _contract_except
 from mechpoly.mechanisms import NOTIONS, _continuation_combos
 from vertex_oracle import svd_enumerate_vertices
 
@@ -374,3 +382,139 @@ def test_profile_bic_separates_by_principal(case, tol):
         assert all(is_individually_bic(g, dm, tol=tol).ok for dm in profile)
     if all(is_individually_bic(g, dm, tol=tol / (2 * len(profile))).ok for dm in profile):
         assert joint.ok
+
+
+_BOUND_KINDS = ("nonneg", "free", "box", "upper")
+
+
+def _bounds_and_point(rng, kinds):
+    """Per-variable bounds of the drawn kinds and a point inside them."""
+    bounds, x0 = [], []
+    for kind in kinds:
+        lo = float(np.round(rng.normal(), 2))
+        width = float(rng.uniform(0.5, 3.0))
+        bounds.append({"nonneg": (0.0, None), "free": (None, None),
+                       "box": (lo, lo + width), "upper": (None, lo)}[kind])
+        x0.append({"nonneg": width, "free": lo, "box": lo + width / 2, "upper": lo - width}[kind])
+    return bounds, np.array(x0)
+
+
+def _rhs_through(a, relations, x0, rng):
+    """Right-hand sides that x0 satisfies: slack on inequality rows."""
+    slack = rng.uniform(0.0, 1.0, size=len(relations))
+    sign = np.array([{"<=": 1.0, ">=": -1.0, "=": 0.0}[r] for r in relations])
+    return a @ x0 + sign * slack
+
+
+@st.composite
+def dense_lps(draw):
+    """Random dense LPs mixing '<=', '>=' and '=' rows over free, bounded and
+    upper-bounded variables, for either sense.  The data is sometimes small
+    integers (degenerate vertices, tied optima) and has explicit zeros; the
+    right-hand side goes through a point inside the bounds, or is random
+    (often infeasible)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    integer = draw(st.booleans())
+    a = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.7)
+    c = rng.normal(size=n)
+    if integer:
+        a, c = np.round(2 * a), np.round(2 * c)
+    relations = [draw(st.sampled_from(["<=", ">=", "="])) for _ in range(m)]
+    bounds, x0 = _bounds_and_point(rng, [draw(st.sampled_from(_BOUND_KINDS)) for _ in range(n)])
+    b = _rhs_through(a, relations, x0, rng) if draw(st.booleans()) else rng.normal(size=m)
+    return LPProblem(c=c, a=a, relations=relations, b=b, bounds=bounds,
+                     sense=draw(st.sampled_from(["max", "min"])))
+
+
+@st.composite
+def infeasible_or_unbounded_lps(draw):
+    """A feasible dense LP made infeasible (one row also required to exceed
+    its own bound by 1) or unbounded (a nonnegative variable absent from
+    every row, pushed up by the objective)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n = draw(st.integers(1, 5)), draw(st.integers(2, 6))
+    a = np.round(2 * rng.normal(size=(m, n)))
+    relations = [draw(st.sampled_from(["<=", ">=", "="])) for _ in range(m)]
+    kinds = ["nonneg"] + [draw(st.sampled_from(_BOUND_KINDS)) for _ in range(n - 1)]
+    bounds, x0 = _bounds_and_point(rng, kinds)
+    sense = draw(st.sampled_from(["max", "min"]))
+    c = np.round(2 * rng.normal(size=n))
+    if draw(st.booleans()):
+        a[:, 0] = 0.0
+        c[0] = 1.0 if sense == "max" else -1.0
+        b = _rhs_through(a, relations, x0, rng)
+    else:
+        b = _rhs_through(a, relations, x0, rng)
+        r = draw(st.integers(0, m - 1))
+        a = np.vstack([a, a[r]])
+        b = np.append(b, b[r] + 1.0)
+        relations = relations + [">="]
+        relations[r] = "<="
+    return LPProblem(c=c, a=a, relations=relations, b=b, bounds=bounds, sense=sense)
+
+
+@st.composite
+def game_lps(draw):
+    """IC-polytope LPs from random games (``lp_system()``): a linear
+    objective, or an epigraph over cut rows (the opponents' vertex products,
+    as maxmin builds them, or random rows)."""
+    n_j = draw(st.integers(2, 3))
+    n_agents = draw(st.integers(1, 2))
+    type_sizes = [draw(st.integers(1, 2))] + [1] * (n_agents - 1)
+    actions = [draw(st.integers(2, 3)) for _ in range(n_j)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_game(rng, num_principals=n_j, num_agents=n_agents, type_sizes=type_sizes,
+                    action_sizes=actions, zero_agent_payoffs=draw(st.booleans()))
+    j = draw(st.integers(0, n_j - 1))
+    poly = build_bic_polytope(g, j)
+    a, rel, b = poly.lp_system()
+    n = poly.n_vars
+    sense = draw(st.sampled_from(["max", "min"]))
+    shape = draw(st.sampled_from(["linear", "vertex cuts", "random cuts"]))
+    if shape == "linear":
+        return LPProblem(c=rng.normal(size=n), a=a, relations=rel, b=b,
+                         bounds=[(0.0, None)] * n, sense=sense)
+    cuts = (solver._vertex_product_cuts(g, j, solver.DEFAULT_DIM_CAP) if shape == "vertex cuts"
+            else rng.normal(size=(draw(st.integers(1, 6)), n)))
+    a = np.vstack([np.hstack([a, np.zeros((a.shape[0], 1))]),
+                   np.hstack([cuts, np.full((cuts.shape[0], 1), -1.0)])])
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    return LPProblem(c=c, a=a, relations=rel + [">=" if sense == "max" else "<="] * len(cuts),
+                     b=np.concatenate([b, np.zeros(len(cuts))]),
+                     bounds=[(0.0, None)] * n + [(None, None)], sense=sense)
+
+
+def _lp_outcome(solve, prob):
+    try:
+        res = solve(prob)
+    except NumericalFailure:
+        return ("numerical failure",)
+    if res.status != "optimal":
+        return (res.status, res.value, res.x)
+    return (res.status, float(res.value).hex(), res.x.dtype, res.x.shape, res.x.tobytes())
+
+
+@settings(max_examples=300)
+@given(prob=st.one_of(dense_lps(), infeasible_or_unbounded_lps(), game_lps()))
+def test_solve_lp_matches_linprog_oracle(prob):
+    # the direct HiGHS call gives linprog's status, value bits and solution bytes
+    assert _lp_outcome(solve_lp, prob) == _lp_outcome(lp_oracle.solve_lp, prob)
+
+
+def _loop_vertex_product_cuts(g, j):
+    """One contraction per opponent vertex product, in itertools.product order."""
+    opponents = [k for k in range(g.num_principals) if k != j]
+    vertex_sets = [enumerate_vertices(g, k) for k in opponents]
+    return np.array([_contract_except(g, j, j, dict(zip(opponents, combo))).reshape(-1)
+                     for combo in itertools.product(*vertex_sets)])
+
+
+@settings(max_examples=60)
+@given(case=grid_cases())
+def test_vertex_product_cuts_match_loop_oracle(case):
+    g, j, _, _ = case
+    got = solver._vertex_product_cuts(g, j, solver.DEFAULT_DIM_CAP)
+    want = _loop_vertex_product_cuts(g, j)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()

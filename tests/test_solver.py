@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
 import grid_oracle
+from mechpoly import _highs
 from mechpoly import (
     EXACT_KINDS,
     DimensionTooLarge,
@@ -12,6 +14,7 @@ from mechpoly import (
     GapFamily,
     LPProblem,
     ModeUnsupported,
+    NumericalFailure,
     ValueCertificate,
     best_response,
     build_bic_polytope,
@@ -57,6 +60,58 @@ def test_solve_lp_basics():
     with pytest.raises(ValueError, match="unknown relation"):
         solve_lp(LPProblem(c=[1.0], a=[[1.0]], relations=["!"], b=[0.0],
                            bounds=[(0.0, None)]))
+    with pytest.raises(ValueError, match="finite"):
+        solve_lp(LPProblem(c=[np.nan], a=[[1.0]], relations=["<="], b=[0.0],
+                           bounds=[(0.0, None)]))
+    # shapes are checked, as linprog's input cleaning checked them
+    for a, rel, b in [([[1.0, 1.0]], ["<="], [1.0]),      # a has a column too many
+                      ([[1.0]], ["<="], [1.0, 2.0]),       # b has an entry too many
+                      ([[1.0], [2.0]], ["<="], [1.0]),     # a row without a relation
+                      ([[1.0]], ["<=", "<="], [1.0, 2.0])]:
+        with pytest.raises(ValueError, match="shapes do not match"):
+            solve_lp(LPProblem(c=[1.0], a=a, relations=rel, b=b, bounds=[(0.0, None)]))
+    for bounds in [(0.0, None), [(0.0, None)], [(0.0, None)] * 3]:
+        with pytest.raises(ValueError, match="one \\(lo, hi\\) pair per variable"):
+            solve_lp(LPProblem(c=[1.0, 1.0], a=[[1.0, 1.0]], relations=["<="], b=[1.0],
+                               bounds=bounds))
+
+
+def test_highs_model_statuses_map_as_scipy_table():
+    statuses = _highs._h.HighsModelStatus
+    highs = _highs._h._Highs()
+    for status in statuses.__members__.values():
+        want = _highs_to_scipy_status_message(status, "m")[0]
+        assert _highs._failed(highs, status).status == want, status
+    # a model HiGHS rejects counts as infeasible; "unbounded or infeasible"
+    # and an empty model are failed attempts
+    assert {s: _highs._failed(highs, s).status for s in (
+        statuses.kInfeasible, statuses.kModelError, statuses.kUnbounded,
+        statuses.kUnboundedOrInfeasible, statuses.kModelEmpty)} == {
+        statuses.kInfeasible: 2, statuses.kModelError: 2, statuses.kUnbounded: 3,
+        statuses.kUnboundedOrInfeasible: 4, statuses.kModelEmpty: 4}
+
+
+@pytest.mark.parametrize("code, outcome", [(2, "infeasible"), (3, "unbounded"),
+                                           (1, None), (4, None)])
+def test_solve_lp_outcome_per_solver_status(monkeypatch, code, outcome):
+    calls = []
+
+    def fixed_status(*args, options=None):
+        calls.append(options)
+        return _highs.HighsResult(status=code, message="stub")
+
+    monkeypatch.setattr(solver, "linprog", fixed_status)
+    prob = LPProblem(c=[1.0], a=[[1.0]], relations=["<="], b=[3.0], bounds=[(0.0, None)])
+    if outcome is not None:
+        assert solve_lp(prob).status == outcome
+        assert calls == [None]
+    else:
+        with pytest.raises(NumericalFailure, match=f"LP solver status {code}: stub"):
+            solve_lp(prob)
+        assert calls == [None, _highs.TIGHT]
+        assert (_highs.TIGHT.primal_feasibility_tolerance,
+                _highs.TIGHT.dual_feasibility_tolerance) == (1e-10, 1e-10)
+        assert _highs.BASE.primal_feasibility_tolerance == 1e-7   # HiGHS's default
 
 
 def test_best_response_matching_pennies(mp2):
