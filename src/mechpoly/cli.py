@@ -1,20 +1,24 @@
 """Command-line front end.
 
 Every subcommand reads JSON inputs, runs one operation, prints a one-line
-summary, and writes a JSON report.  Reports default to timestamped filenames
-under ./reports so repeated runs never clobber each other; an explicit
---out path is written as given.  Exit codes: 0 success or verdict true,
-1 verdict false, 2 input or configuration error, 3 numerical failure.
+summary, and writes a JSON report.  Files are read and written only through
+``game._read_json`` and ``game._write_json``.  Reports default to timestamped
+filenames under ./reports so repeated runs never clobber each other; an
+explicit --out path is written as given.  Exit codes: 0 success or verdict
+true, 1 verdict false, 2 input or configuration error (an unreadable or
+unwritable file included), 3 numerical failure.
 
-The environment variable MECHPOLY_SEED, when set, overrides any --seed flag.
+The knobs shared by the subcommands have one table of defaults,
+``CONFIG_DEFAULTS``; a report's ``config`` holds the subcommand and those
+knobs as parsed.  The environment variable MECHPOLY_SEED, when set,
+overrides any --seed flag.
 """
 
 import argparse
 import functools
-import json
 import os
 import sys
-from dataclasses import dataclass
+import time
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -31,20 +35,20 @@ from .bic import (
 )
 from .game import (
     GameFormatError,
+    _read_json,
+    _write_json,
     game_hash,
     game_to_dict,
     load_game,
     mechanism_from_dict,
     mechanism_to_dict,
     profile_from_list,
-    profile_to_list,
     save_game,
     validate_game,
 )
 from .mechanisms import (
     build_deviator_reporting,
     check_equilibrium_notion,
-    general_mechanism_from_dict,
     load_general_mechanism,
     load_strategies,
     save_general_mechanism,
@@ -58,7 +62,6 @@ from .solver import (
     VALUE_TOL,
     GapFamily,
     NumericalFailure,
-    Stopwatch,
     ValueCertificate,
     best_response,
     maxmin,
@@ -75,100 +78,61 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 
-@dataclass
-class RunConfig:
-    """Validated knobs shared by the subcommands."""
-
-    subcommand: str
-    seed: int = 0
-    membership_tol: float = MEMBERSHIP_TOL
-    value_tol: float = VALUE_TOL
-    mode: str = "auto"
-    step: float = 0.01
-    restarts: int = DEFAULT_RESTARTS
-    dim_cap: int = DEFAULT_DIM_CAP
-    grid_dim_cap: int = DEFAULT_GRID_DIM_CAP
-    out: str = None
-
-    def validate(self) -> None:
-        if self.membership_tol <= 0 or self.value_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if not (0.0 < self.step <= 0.5):
-            raise ValueError("--step must lie in (0, 0.5]")
-        if self.restarts < 1:
-            raise ValueError("--restarts must be at least 1")
-
-    def as_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "seed": int(self.seed),
-            "membership_tol": float(self.membership_tol),
-            "value_tol": float(self.value_tol),
-            "mode": self.mode,
-            "step": float(self.step),
-            "restarts": int(self.restarts),
-            "dim_cap": int(self.dim_cap),
-            "grid_dim_cap": int(self.grid_dim_cap),
-        }
+# Set on every subparser, so a subcommand without one of these flags still
+# reports the default in its config.
+CONFIG_DEFAULTS = {
+    "seed": 0,
+    "membership_tol": MEMBERSHIP_TOL,
+    "value_tol": VALUE_TOL,
+    "mode": "auto",
+    "step": 0.01,
+    "restarts": DEFAULT_RESTARTS,
+    "dim_cap": DEFAULT_DIM_CAP,
+    "grid_dim_cap": DEFAULT_GRID_DIM_CAP,
+}
 
 
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(
-        subcommand=args.cmd,
-        seed=getattr(args, "seed", 0),
-        membership_tol=getattr(args, "membership_tol", MEMBERSHIP_TOL),
-        value_tol=getattr(args, "value_tol", VALUE_TOL),
-        mode=getattr(args, "mode", "auto"),
-        step=getattr(args, "step", 0.01),
-        restarts=getattr(args, "restarts", DEFAULT_RESTARTS),
-        dim_cap=getattr(args, "dim_cap", DEFAULT_DIM_CAP),
-        grid_dim_cap=getattr(args, "grid_dim_cap", DEFAULT_GRID_DIM_CAP),
-        out=getattr(args, "out", None),
-    )
+def _check_config(args) -> None:
+    """Apply MECHPOLY_SEED and reject out-of-range knobs."""
     env_seed = os.environ.get("MECHPOLY_SEED")
     if env_seed is not None:
         try:
-            cfg.seed = int(env_seed)
+            args.seed = int(env_seed)
         except ValueError:
-            raise ValueError(f"MECHPOLY_SEED must be an integer, got {env_seed!r}")
-    cfg.validate()
-    return cfg
+            raise ValueError(f"MECHPOLY_SEED must be an integer, got {env_seed!r}") from None
+    if args.membership_tol <= 0 or args.value_tol <= 0:
+        raise ValueError("tolerances must be positive")
+    if not (0.0 < args.step <= 0.5):
+        raise ValueError("--step must lie in (0, 0.5]")
+    if args.restarts < 1:
+        raise ValueError("--restarts must be at least 1")
 
 
-def _report_path(cfg: RunConfig) -> Path:
-    if cfg.out:
-        return Path(cfg.out)
+def _report_path(args) -> Path:
+    if args.out:
+        return Path(args.out)
     stamp = datetime.now(timezone.utc).strftime("%Y%m%d-%H%M%S-%f")
     base = Path("reports")
     base.mkdir(parents=True, exist_ok=True)
-    path = base / f"{cfg.subcommand}-{stamp}.json"
+    path = base / f"{args.cmd}-{stamp}.json"
     n = 1
     while path.exists():
-        path = base / f"{cfg.subcommand}-{stamp}-{n}.json"
+        path = base / f"{args.cmd}-{stamp}-{n}.json"
         n += 1
     return path
 
 
-def _write_report(cfg: RunConfig, payload: dict) -> Path:
-    payload = dict(payload)
-    payload["config"] = cfg.as_dict()
-    path = _report_path(cfg)
+def _write_report(args, payload: dict) -> Path:
+    config = {"subcommand": args.cmd, **{k: getattr(args, k) for k in CONFIG_DEFAULTS}}
+    path = _report_path(args)
     if path.parent != Path("."):
         path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_json(path, {**payload, "config": config})
     return path
 
 
-def _load_json(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise GameFormatError(str(path), f"cannot read file: {exc}")
-    except json.JSONDecodeError as exc:
-        raise GameFormatError(str(path), f"invalid JSON: {exc}")
+def _ms_since(t0: float) -> float:
+    return (time.perf_counter() - t0) * 1000.0
 
 
 def _resolve_principal(g, token: str) -> int:
@@ -183,9 +147,17 @@ def _resolve_principal(g, token: str) -> int:
     raise GameFormatError("--principal", f"principal index {j} out of range 1..{g.num_principals}")
 
 
+def _principal_files(g, flag, items):
+    """(principal index, path) for each PRINCIPAL=PATH item of a repeatable flag."""
+    for item in items or []:
+        if "=" not in item:
+            raise GameFormatError(flag, f"expected PRINCIPAL=PATH, got {item!r}")
+        label, path = item.split("=", 1)
+        yield _resolve_principal(g, label), path
+
+
 def _load_profile(g, path):
-    doc = _load_json(path)
-    return profile_from_list(g, doc, path=str(path))
+    return profile_from_list(g, _read_json(path), path=str(path))
 
 
 def _load_mechanisms(g, paths):
@@ -205,7 +177,7 @@ def _load_mechanisms(g, paths):
 # -- subcommand handlers -------------------------------------------------------
 
 
-def _cmd_validate(args, cfg):
+def _cmd_validate(args):
     g = load_game(args.game)
     res = validate_game(g)
     payload = {
@@ -214,25 +186,24 @@ def _cmd_validate(args, cfg):
         "violations": res.violations,
         "warnings": res.warnings,
     }
-    path = _write_report(cfg, payload)
+    path = _write_report(args, payload)
     print(f"validate: {'ok' if res.ok else 'invalid'} "
           f"({len(res.violations)} violations, {len(res.warnings)} warnings) -> {path}")
     return EXIT_OK if res.ok else EXIT_INPUT
 
 
-def _cmd_bic_check(args, cfg):
+def _cmd_bic_check(args):
     g = load_game(args.game)
     if not args.profile and not args.mechanism:
         raise GameFormatError("--mechanism/--profile",
                               "bic-check needs --mechanism or --profile")
     if args.profile:
         mechs = _load_profile(g, args.profile)
-        res = is_profile_bic(g, mechs, tol=cfg.membership_tol)
+        res = is_profile_bic(g, mechs, tol=args.membership_tol)
         what = "profile"
     else:
-        doc = _load_json(args.mechanism)
-        mech = mechanism_from_dict(g, doc, path=str(args.mechanism))
-        res = is_individually_bic(g, mech, tol=cfg.membership_tol)
+        mech = mechanism_from_dict(g, _read_json(args.mechanism), path=str(args.mechanism))
+        res = is_individually_bic(g, mech, tol=args.membership_tol)
         what = "mechanism"
     payload = {
         "game_hash": game_hash(g),
@@ -241,101 +212,101 @@ def _cmd_bic_check(args, cfg):
         "worst_value": float(res.worst_value),
         "worst": list(res.worst_label) if res.worst_label else None,
     }
-    path = _write_report(cfg, payload)
+    path = _write_report(args, payload)
     print(f"bic-check: {what} {'BIC' if res.ok else 'NOT BIC'} "
           f"(worst {res.worst_value:.3e}) -> {path}")
     return EXIT_OK if res.ok else EXIT_FALSE
 
 
-def _minmax(g, j, cfg):
-    return minmax(g, j, mode=cfg.mode, step=cfg.step, grid_dim_cap=cfg.grid_dim_cap,
-                  dim_cap=cfg.dim_cap, restarts=cfg.restarts, seed=cfg.seed)
+def _minmax(g, j, args):
+    return minmax(g, j, mode=args.mode, step=args.step, grid_dim_cap=args.grid_dim_cap,
+                  dim_cap=args.dim_cap, restarts=args.restarts, seed=args.seed)
 
 
-def _cmd_vertices(args, cfg):
+def _cmd_vertices(args):
     g = load_game(args.game)
     j = _resolve_principal(g, args.principal)
-    watch = Stopwatch()
-    verts = enumerate_vertices(g, j, dim_cap=cfg.dim_cap)
+    t0 = time.perf_counter()
+    verts = enumerate_vertices(g, j, dim_cap=args.dim_cap)
     payload = {
         "game_hash": game_hash(g),
         "principal": g.principal_ids[j],
         "count": len(verts),
         "vertices": [mechanism_to_dict(g, v) for v in verts],
-        "runtime_ms": watch.ms(),
+        "runtime_ms": _ms_since(t0),
     }
     if args.hrep:
         with open(args.hrep, "w", encoding="utf-8") as fh:
             fh.write(export_h_representation(build_bic_polytope(g, j)))
         payload["hrep_file"] = str(args.hrep)
-    path = _write_report(cfg, payload)
+    path = _write_report(args, payload)
     print(f"vertices: {len(verts)} vertices of {g.principal_ids[j]}'s polytope -> {path}")
     return EXIT_OK
 
 
-def _cmd_best_response(args, cfg):
+def _cmd_best_response(args):
     g = load_game(args.game)
     j = _resolve_principal(g, args.principal)
     opponents = _load_profile(g, args.profile)
-    watch = Stopwatch()
+    t0 = time.perf_counter()
     value, witness = best_response(g, j, opponents)
     cert = ValueCertificate(kind="exact-lp", value=value, witness=witness, gap_bound=0.0)
-    payload = solve_report(g, j, cert, cfg.seed, watch.ms())
-    path = _write_report(cfg, payload)
+    payload = solve_report(g, j, cert, args.seed, _ms_since(t0))
+    path = _write_report(args, payload)
     print(f"best-response: {g.principal_ids[j]} value={value:.6f} -> {path}")
     return EXIT_OK
 
 
-def _cmd_minmax(args, cfg):
+def _cmd_minmax(args):
     g = load_game(args.game)
     j = _resolve_principal(g, args.principal)
-    watch = Stopwatch()
-    cert = _minmax(g, j, cfg)
-    payload = solve_report(g, j, cert, cfg.seed, watch.ms())
+    t0 = time.perf_counter()
+    cert = _minmax(g, j, args)
+    payload = solve_report(g, j, cert, args.seed, _ms_since(t0))
     payload["info"] = _jsonable(cert.info)
-    path = _write_report(cfg, payload)
+    path = _write_report(args, payload)
     print(f"minmax: {g.principal_ids[j]} {cert.kind} value={cert.value:.6f} "
           f"gap_bound={cert.gap_bound:.6f} -> {path}")
     return EXIT_OK
 
 
-def _cmd_maxmin(args, cfg):
+def _cmd_maxmin(args):
     g = load_game(args.game)
     j = _resolve_principal(g, args.principal)
-    watch = Stopwatch()
-    cert = maxmin(g, j, mode=cfg.mode, dim_cap=cfg.dim_cap,
-                  restarts=cfg.restarts, seed=cfg.seed)
-    payload = solve_report(g, j, cert, cfg.seed, watch.ms())
+    t0 = time.perf_counter()
+    cert = maxmin(g, j, mode=args.mode, dim_cap=args.dim_cap,
+                  restarts=args.restarts, seed=args.seed)
+    payload = solve_report(g, j, cert, args.seed, _ms_since(t0))
     payload["info"] = _jsonable(cert.info)
-    path = _write_report(cfg, payload)
+    path = _write_report(args, payload)
     print(f"maxmin: {g.principal_ids[j]} {cert.kind} value={cert.value:.6f} -> {path}")
     return EXIT_OK
 
 
-def _cmd_punish(args, cfg):
+def _cmd_punish(args):
     g = load_game(args.game)
     j = _resolve_principal(g, args.principal)
-    watch = Stopwatch()
-    cert = _minmax(g, j, cfg)
+    t0 = time.perf_counter()
+    cert = _minmax(g, j, args)
     if cert.witness is None:
         raise NumericalFailure("minmax run produced no feasible witness; try a finer step")
     value, _ = best_response(g, j, cert.witness)
     out_cert = ValueCertificate(kind=cert.kind, value=float(value),
                                 witness=cert.witness, gap_bound=cert.gap_bound)
-    payload = solve_report(g, j, out_cert, cfg.seed, watch.ms())
+    payload = solve_report(g, j, out_cert, args.seed, _ms_since(t0))
     payload["minmax_value"] = float(cert.value)
-    path = _write_report(cfg, payload)
+    path = _write_report(args, payload)
     print(f"punish: {g.principal_ids[j]} best-response value={value:.6f} "
           f"({cert.kind}) -> {path}")
     return EXIT_OK
 
 
-def _cmd_membership(args, cfg):
+def _cmd_membership(args):
     g = load_game(args.game)
     mechs = _load_profile(g, args.profile)
-    watch = Stopwatch()
-    certs = [_minmax(g, j, cfg) for j in range(g.num_principals)]
-    verdict = robust_pbe_membership(g, mechs, certs, tol=cfg.value_tol)
+    t0 = time.perf_counter()
+    certs = [_minmax(g, j, args) for j in range(g.num_principals)]
+    verdict = robust_pbe_membership(g, mechs, certs, tol=args.value_tol)
     payload = {
         "game_hash": game_hash(g),
         "verdict": verdict.verdict,
@@ -343,35 +314,29 @@ def _cmd_membership(args, cfg):
         "bic_ok": verdict.bic_ok,
         "bic_worst": list(verdict.bic_worst) if verdict.bic_worst else None,
         "per_principal": verdict.per_principal,
-        "runtime_ms": watch.ms(),
+        "runtime_ms": _ms_since(t0),
     }
-    path = _write_report(cfg, payload)
+    path = _write_report(args, payload)
     slacks = ", ".join(f"{d['principal']}={d['slack']:+.4f}" for d in verdict.per_principal)
     print(f"membership: {verdict.verdict} ({slacks}) -> {path}")
     return EXIT_OK if verdict.ok else EXIT_FALSE
 
 
-def _cmd_build_drm(args, cfg):
+def _cmd_build_drm(args):
     g = load_game(args.game)
     k = _resolve_principal(g, args.principal)
-    doc = _load_json(args.default)
-    default = mechanism_from_dict(g, doc, path=str(args.default))
+    default = mechanism_from_dict(g, _read_json(args.default), path=str(args.default))
     if default.owner != k:
         raise GameFormatError(str(args.default), "default table owner mismatch")
     punishments = {}
-    for item in args.punish or []:
-        if "=" not in item:
-            raise GameFormatError("--punish", f"expected PRINCIPAL=PATH, got {item!r}")
-        label, p = item.split("=", 1)
-        jj = _resolve_principal(g, label)
-        doc = _load_json(p)
-        punishments[jj] = mechanism_from_dict(g, doc, path=str(p))
-    watch = Stopwatch()
+    for jj, p in _principal_files(g, "--punish", args.punish):
+        punishments[jj] = mechanism_from_dict(g, _read_json(p), path=str(p))
+    t0 = time.perf_counter()
     computed = {}
     for jj in range(g.num_principals):
         if jj == k or jj in punishments:
             continue
-        cert = _minmax(g, jj, cfg)
+        cert = _minmax(g, jj, args)
         if cert.witness is None:
             raise NumericalFailure(f"no punishment witness for {g.principal_ids[jj]}")
         punishments[jj] = cert.witness[k]
@@ -385,28 +350,24 @@ def _cmd_build_drm(args, cfg):
         "standard": bool(mech.standard),
         "message_set_sizes": [len(m) for m in mech.agent_messages],
         "computed_punishment_values": computed,
-        "runtime_ms": watch.ms(),
+        "runtime_ms": _ms_since(t0),
     }
-    path = _write_report(cfg, payload)
+    path = _write_report(args, payload)
     print(f"build-drm: wrote {args.out_mechanism} "
           f"(standard={mech.standard}) -> {path}")
     return EXIT_OK
 
 
-def _cmd_check_eq(args, cfg):
+def _cmd_check_eq(args):
     g = load_game(args.game)
     mechs = _load_mechanisms(g, args.mechanism)
     strategies = load_strategies(g, mechs, args.strategies)
     deviations = {j: [] for j in range(g.num_principals)}
-    for item in args.deviation or []:
-        if "=" not in item:
-            raise GameFormatError("--deviation", f"expected PRINCIPAL=PATH, got {item!r}")
-        label, p = item.split("=", 1)
-        jj = _resolve_principal(g, label)
+    for jj, p in _principal_files(g, "--deviation", args.deviation):
         deviations[jj].append(load_general_mechanism(g, p))
-    watch = Stopwatch()
+    t0 = time.perf_counter()
     verdict = check_equilibrium_notion(g, mechs, strategies, deviations,
-                                       args.notion, tol=cfg.membership_tol)
+                                       args.notion, tol=args.membership_tol)
     payload = {
         "game_hash": game_hash(g),
         "notion": verdict.notion,
@@ -420,16 +381,16 @@ def _cmd_check_eq(args, cfg):
             "worst_gain": float(verdict.on_path.worst_gain),
             "witness": list(verdict.on_path.witness) if verdict.on_path.witness else None,
         },
-        "runtime_ms": watch.ms(),
+        "runtime_ms": _ms_since(t0),
     }
-    path = _write_report(cfg, payload)
+    path = _write_report(args, payload)
     print(f"check-eq: {verdict.notion} {'holds' if verdict.ok else 'fails'} "
           f"({len(verdict.checks)} deviation checks, "
           f"{len(verdict.infeasible)} infeasible) -> {path}")
     return EXIT_OK if verdict.ok else EXIT_FALSE
 
 
-def _cmd_simulate(args, cfg):
+def _cmd_simulate(args):
     g = load_game(args.game)
     if args.profile:
         dms = _load_profile(g, args.profile)
@@ -442,21 +403,21 @@ def _cmd_simulate(args, cfg):
                 "simulate needs either --profile or --mechanism files plus --strategies")
         mechs = _load_mechanisms(g, args.mechanism)
         strategies = load_strategies(g, mechs, args.strategies)
-    watch = Stopwatch()
-    result = simulate(g, mechs, strategies, seed=cfg.seed, rounds=args.rounds)
-    payload = {"game_hash": game_hash(g), **result, "runtime_ms": watch.ms()}
-    path = _write_report(cfg, payload)
+    t0 = time.perf_counter()
+    result = simulate(g, mechs, strategies, seed=args.seed, rounds=args.rounds)
+    payload = {"game_hash": game_hash(g), **result, "runtime_ms": _ms_since(t0)}
+    path = _write_report(args, payload)
     means = ", ".join(f"{d['id']}={d['mean']:.4f}" for d in result["principals"])
     print(f"simulate: {args.rounds} rounds, principal means {means} -> {path}")
     return EXIT_OK
 
 
-def _cmd_search_gap(args, cfg):
+def _cmd_search_gap(args):
     family = GapFamily(num_principals=args.principals, num_agents=args.agents,
                        num_actions=args.actions)
-    watch = Stopwatch()
-    res = search_minmax_maxmin_gap(family, budget=args.budget, step=cfg.step,
-                                   seed=cfg.seed, principal=args.j - 1)
+    t0 = time.perf_counter()
+    res = search_minmax_maxmin_gap(family, budget=args.budget, step=args.step,
+                                   seed=args.seed, principal=args.j - 1)
     g = res.game
     payload = {
         "game_hash": game_hash(g),
@@ -478,12 +439,12 @@ def _cmd_search_gap(args, cfg):
         },
         "game": game_to_dict(g),
         "seed": int(res.seed),
-        "runtime_ms": watch.ms(),
+        "runtime_ms": _ms_since(t0),
     }
     if args.out_game:
         save_game(g, args.out_game)
         payload["game_file"] = str(args.out_game)
-    path = _write_report(cfg, payload)
+    path = _write_report(args, payload)
     print(f"search-gap: best candidate {res.candidate_index} certified gap "
           f"{res.certified_gap:+.6f} -> {path}")
     return EXIT_OK
@@ -510,21 +471,20 @@ def _add_common(sp, game=True, principal=False, seeded=True):
     if principal:
         sp.add_argument("--principal", "-j", required=True,
                         help="principal label or 1-based index")
+    sp.set_defaults(**CONFIG_DEFAULTS)
     if seeded:
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=int)
     sp.add_argument("--out", help="report path (default: timestamped under ./reports)")
-    sp.add_argument("--membership-tol", type=float, default=MEMBERSHIP_TOL,
-                    dest="membership_tol")
-    sp.add_argument("--value-tol", type=float, default=VALUE_TOL, dest="value_tol")
+    sp.add_argument("--membership-tol", type=float, dest="membership_tol")
+    sp.add_argument("--value-tol", type=float, dest="value_tol")
 
 
 def _add_solver_flags(sp, modes):
-    sp.add_argument("--mode", choices=modes, default="auto")
-    sp.add_argument("--step", type=float, default=0.01, help="grid step delta")
-    sp.add_argument("--restarts", "-R", type=int, default=DEFAULT_RESTARTS)
-    sp.add_argument("--dim-cap", type=int, default=DEFAULT_DIM_CAP, dest="dim_cap")
-    sp.add_argument("--grid-dim-cap", type=int, default=DEFAULT_GRID_DIM_CAP,
-                    dest="grid_dim_cap")
+    sp.add_argument("--mode", choices=modes)
+    sp.add_argument("--step", type=float, help="grid step delta")
+    sp.add_argument("--restarts", "-R", type=int)
+    sp.add_argument("--dim-cap", type=int, dest="dim_cap")
+    sp.add_argument("--grid-dim-cap", type=int, dest="grid_dim_cap")
 
 
 @functools.cache
@@ -550,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("vertices", help="enumerate BIC polytope vertices")
     _add_common(sp, principal=True, seeded=False)
-    sp.add_argument("--dim-cap", type=int, default=DEFAULT_DIM_CAP, dest="dim_cap")
+    sp.add_argument("--dim-cap", type=int, dest="dim_cap")
     sp.add_argument("--hrep", help="also write the halfspace representation here")
     sp.set_defaults(handler=_cmd_vertices)
 
@@ -618,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--budget", type=int, default=500)
     sp.add_argument("-j", type=int, default=1, help="1-based target principal")
     sp.add_argument("--out-game", dest="out_game", help="save the best instance here")
-    sp.add_argument("--step", type=float, default=0.01)
+    sp.add_argument("--step", type=float)
     sp.set_defaults(handler=_cmd_search_gap)
 
     return ap
@@ -627,8 +587,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args, _config_from_args(args))
-    except ValueError as exc:   # input and configuration errors all subclass it
+        _check_config(args)
+        return args.handler(args)
+    except (ValueError, OSError) as exc:   # bad input, or a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NumericalFailure as exc:

@@ -590,20 +590,37 @@ def game_from_dict(doc: dict) -> FiniteGame:
     )
 
 
-def load_game(path) -> FiniteGame:
-    """Load a game from a JSON file; GameFormatError carries line info for bad JSON."""
-    with open(path, "r", encoding="utf-8") as fh:
+# -- JSON files ----------------------------------------------------------------
+
+
+def report_to_json(report: dict) -> str:
+    """The text of every JSON file the package writes: sorted keys, one-space
+    indent, trailing newline."""
+    return json.dumps(report, sort_keys=True, indent=1) + "\n"
+
+
+def _read_json(path):
+    """Parse a JSON file; bad JSON raises GameFormatError at path:line:col.
+    An unreadable file raises OSError."""
+    with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as e:
             raise GameFormatError(f"{path}:{e.lineno}:{e.colno}", e.msg) from e
-    return game_from_dict(doc)
+
+
+def _write_json(path, doc) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(report_to_json(doc))
+
+
+def load_game(path) -> FiniteGame:
+    """Load a game from a JSON file; GameFormatError carries line info for bad JSON."""
+    return game_from_dict(_read_json(path))
 
 
 def save_game(g: FiniteGame, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(game_to_dict(g), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, game_to_dict(g))
 
 
 # -- direct mechanism (de)serialization ------------------------------------

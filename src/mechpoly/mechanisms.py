@@ -35,7 +35,9 @@ from .game import (
     FiniteGame,
     GameFormatError,
     _contract_except,
+    _read_json,
     _require,
+    _write_json,
     canonical_game_bytes,
     conditional_weights,
     expected_principal_payoff,
@@ -884,18 +886,11 @@ def general_mechanism_from_dict(g: FiniteGame, doc: dict,
 
 
 def save_general_mechanism(g: FiniteGame, mech: GeneralMechanism, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(general_mechanism_to_dict(g, mech), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, general_mechanism_to_dict(g, mech))
 
 
 def load_general_mechanism(g: FiniteGame, path) -> GeneralMechanism:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise GameFormatError(str(path), f"invalid JSON: {exc}") from exc
-    return general_mechanism_from_dict(g, doc, path="$")
+    return general_mechanism_from_dict(g, _read_json(path), path="$")
 
 
 def mechanism_profile_hash(g: FiniteGame, mechanisms) -> str:
@@ -970,16 +965,8 @@ def strategies_from_dict(g: FiniteGame, mechanisms, doc: dict,
 
 def save_strategies(g: FiniteGame, mechanisms, strategies: StrategyProfile,
                     path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(strategies_to_dict(g, mechanisms, strategies), fh,
-                  indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, strategies_to_dict(g, mechanisms, strategies))
 
 
 def load_strategies(g: FiniteGame, mechanisms, path) -> StrategyProfile:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise GameFormatError(str(path), f"invalid JSON: {exc}") from exc
-    return strategies_from_dict(g, mechanisms, doc, path="$")
+    return strategies_from_dict(g, mechanisms, _read_json(path), path="$")

@@ -20,9 +20,7 @@ Every routine is deterministic given its inputs and seed.
 """
 
 import itertools
-import json
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +55,8 @@ DEFAULT_GRID_DIM_CAP = 4
 DEFAULT_RESTARTS = 32
 GRID_POINT_CAP = 2_000_000
 GRID_CHUNK = 4096        # grid points per batch of the minmax sweep
+VERTEX_PRODUCT_CAP = 50_000   # opponent vertex products an exact maxmin may cut with
+INNER_MIN_SWEEPS = 20    # block-coordinate sweeps of the alternating inner minimum
 
 EXACT_KINDS = ("exact-lp", "vertex-product-exact")
 GRID_KIND = "grid-certified-lower-bound"
@@ -222,8 +222,7 @@ def best_response(g: FiniteGame, principal: int, mechanisms):
 # -- maxmin ------------------------------------------------------------------
 
 
-def _vertex_product_cuts(g: FiniteGame, principal: int, dim_cap: int,
-                         product_cap: int = 50000) -> np.ndarray:
+def _vertex_product_cuts(g: FiniteGame, principal: int, dim_cap: int) -> np.ndarray:
     """Coefficient rows, shape (products, n_vars), of principal j's own table
     against every product of opponent vertices, in ``itertools.product``
     order over the opponents' vertex lists (principal order)."""
@@ -231,9 +230,9 @@ def _vertex_product_cuts(g: FiniteGame, principal: int, dim_cap: int,
     stacks = {k: np.stack([m.p for m in enumerate_vertices(g, k, dim_cap=dim_cap)])
               for k in opponents}
     count = math.prod(len(stacks[k]) for k in opponents)
-    if count > product_cap:
+    if count > VERTEX_PRODUCT_CAP:
         raise DimensionTooLarge(
-            f"{count} opponent vertex products exceed the cap {product_cap}"
+            f"{count} opponent vertex products exceed the cap {VERTEX_PRODUCT_CAP}"
         )
     return _contract_except(g, principal, principal, stacks).reshape(count, -1)
 
@@ -277,7 +276,7 @@ def _sample_bic_rng(g: FiniteGame, principal: int, rng: np.random.Generator) -> 
 
 
 def _inner_min(g: FiniteGame, principal: int, pj: DirectMechanism,
-               rng: np.random.Generator, sweeps: int = 20):
+               rng: np.random.Generator):
     """Minimize E[v_j] over the opponents for a fixed own mechanism.
 
     Single LP (exact) with one opponent; block-coordinate descent otherwise.
@@ -289,7 +288,7 @@ def _inner_min(g: FiniteGame, principal: int, pj: DirectMechanism,
     for k in opponents:
         profile[k] = _sample_bic_rng(g, k, rng)
     best = None
-    for _ in range(sweeps):
+    for _ in range(INNER_MIN_SWEEPS):
         improved = False
         for k in opponents:
             c = _contract_except(g, j, k, profile).reshape(-1)
@@ -765,17 +764,3 @@ def solve_report(g: FiniteGame, principal: int, cert: ValueCertificate,
         "seed": int(seed),
         "runtime_ms": float(runtime_ms),
     }
-
-
-def report_to_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=1) + "\n"
-
-
-class Stopwatch:
-    """Milliseconds since construction; keeps report plumbing tidy."""
-
-    def __init__(self):
-        self.t0 = time.perf_counter()
-
-    def ms(self) -> float:
-        return (time.perf_counter() - self.t0) * 1000.0

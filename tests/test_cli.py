@@ -424,3 +424,59 @@ def test_bad_flags_exit_with_input_error(tmp_path, mp_files, capsys, rng):
     save_game(g3, game3)
     assert main(["minmax", "--game", str(game3), "-j", "1", "--mode", "exact2",
                  "--out", out]) == 2
+
+
+def test_unreadable_files_exit_with_input_error(tmp_path, mp_files, capsys):
+    # a missing or malformed input file, or an output file in a missing
+    # directory, is an input error: exit 2, one "error:" line naming the OS
+    # error or the JSON error's path:line:col, no report
+    mp2, game, profile = mp_files
+    missing = str(tmp_path / "missing.json")
+    bad = tmp_path / "bad.json"
+    bad.write_text("{", encoding="utf-8")
+    bad = str(bad)
+    mech_paths = []
+    for j in range(2):
+        path = tmp_path / f"std{j}.json"
+        save_general_mechanism(mp2, standard_from_direct(
+            mp2, DirectMechanism(owner=j, p=np.array([[0.5, 0.5]]))), path)
+        mech_paths.append(str(path))
+    mechs = [load_general_mechanism(mp2, p) for p in mech_paths]
+    strategies = str(tmp_path / "strategies.json")
+    save_strategies(mp2, mechs, truthful_strategies(mp2, mechs), strategies)
+    default = _write_json(tmp_path / "default.json", mechanism_to_dict(
+        mp2, DirectMechanism(owner=0, p=np.array([[0.5, 0.5]]))))
+    drm = str(tmp_path / "no-such-dir" / "drm.json")
+
+    def check_eq(mechanism=mech_paths[0], strategies=strategies, deviation=mech_paths[0]):
+        return ["check-eq", "--game", game, "--mechanism", mechanism,
+                "--mechanism", mech_paths[1], "--strategies", strategies,
+                "--deviation", f"P1={deviation}", "--notion", "pbe"]
+
+    def build_drm(default=default, punish=default, out=str(tmp_path / "drm.json")):
+        return ["build-drm", "--game", game, "-j", "P1", "--default", default,
+                "--punish", f"P2={punish}", "--out-mechanism", out]
+
+    def inputs(path):
+        return {
+            "--game": ["validate", "--game", path],
+            "--profile": ["bic-check", "--game", game, "--profile", path],
+            "bic-check --mechanism": ["bic-check", "--game", game, "--mechanism", path],
+            "check-eq --mechanism": check_eq(mechanism=path),
+            "--strategies": check_eq(strategies=path),
+            "--deviation": check_eq(deviation=path),
+            "--default": build_drm(default=path),
+            "--punish": build_drm(punish=path),
+        }
+
+    cases = [(flag, argv, "error: [Errno", missing) for flag, argv in inputs(missing).items()]
+    cases.append(("--out-mechanism", build_drm(out=drm), "error: [Errno", drm))
+    cases += [(flag, argv, f"error: {bad}:1:2: ", bad) for flag, argv in inputs(bad).items()]
+    for flag, argv, prefix, path in cases:
+        out = tmp_path / "report.json"
+        assert main(argv + ["--out", str(out)]) == 2, flag
+        err = capsys.readouterr().err
+        assert err.startswith(prefix), (flag, err)
+        assert path in err and "Traceback" not in err, (flag, err)
+        assert not out.exists(), flag
+    assert not (tmp_path / "no-such-dir").exists()
