@@ -35,6 +35,7 @@ from .bic import (
 )
 from .game import (
     GameFormatError,
+    _one_per_principal,
     _read_json,
     _write_json,
     game_hash,
@@ -162,16 +163,8 @@ def _load_profile(g, path):
 
 def _load_mechanisms(g, paths):
     """Load one general mechanism per principal, matching by owner label."""
-    mechs = [None] * g.num_principals
-    for p in paths:
-        m = load_general_mechanism(g, p)
-        if mechs[m.owner] is not None:
-            raise GameFormatError(str(p), f"duplicate mechanism for {g.principal_ids[m.owner]}")
-        mechs[m.owner] = m
-    missing = [g.principal_ids[j] for j, m in enumerate(mechs) if m is None]
-    if missing:
-        raise GameFormatError("--mechanism", f"no mechanism supplied for {', '.join(missing)}")
-    return mechs
+    return _one_per_principal(g, ((str(p), load_general_mechanism(g, p)) for p in paths),
+                              "--mechanism")
 
 
 # -- subcommand handlers -------------------------------------------------------

@@ -13,6 +13,7 @@ tables indexed by a flat type-profile axis, in declaration order.
 
 import itertools
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,7 @@ import numpy as np
 PRIOR_ATOL = 1e-12      # prior must sum to 1 within this
 DIST_ATOL = 1e-12       # per-row distribution tolerance for direct mechanisms
 SEPARABLE_ATOL = 1e-9   # max residual accepted by decompose_separable
+FLOAT_MAX = sys.float_info.max
 
 FNV64_OFFSET = 0xCBF29CE484222325
 FNV64_PRIME = 0x100000001B3
@@ -456,137 +458,168 @@ def _require(cond, path, message):
         raise GameFormatError(path, message)
 
 
+# Field readers: each checks one JSON value and raises GameFormatError with
+# its path, so a reader touches only values that have passed one of them.
+
+
+def _fields(doc, path, *keys, missing="missing field"):
+    """The values of ``keys`` in the JSON object ``doc``, in order.  A missing
+    key is reported at its own path: ``path.key``, or plain ``key`` at the top
+    level of a game file, whose ``path`` is empty."""
+    _require(isinstance(doc, dict), path or "$", "expected an object")
+    try:
+        return [doc[key] for key in keys]
+    except KeyError as e:
+        raise GameFormatError(f"{path}.{e.args[0]}" if path else e.args[0], missing) from None
+
+
+def _array(value, path):
+    _require(isinstance(value, list), path, "expected an array")
+    return value
+
+
+def _number(value, path) -> float:
+    """A finite JSON number; a bool is not a number."""
+    _require(type(value) in (int, float) and abs(value) <= FLOAT_MAX, path,
+             "expected a finite number")
+    return float(value)
+
+
+def _labels(value, path) -> tuple:
+    """A nonempty JSON array of distinct strings."""
+    _require(isinstance(value, list) and value and all(isinstance(v, str) for v in value)
+             and len(set(value)) == len(value), path, "labels must be nonempty, distinct strings")
+    return tuple(value)
+
+
+def _index(labels, value, path, what) -> int:
+    """Position of ``value`` in the label tuple ``labels``."""
+    try:
+        return labels.index(value)
+    except ValueError:
+        raise GameFormatError(path, f"unknown {what} {value!r}") from None
+
+
+def _indices(spaces, value, path, what) -> tuple:
+    """Positions of a JSON array holding one label from each of ``spaces``."""
+    if not (isinstance(value, list) and len(value) == len(spaces)):
+        raise GameFormatError(path, f"expected {len(spaces)} {what} labels")
+    try:    # the per-label paths are built only when a label is unknown
+        return tuple(labels.index(v) for labels, v in zip(spaces, value))
+    except ValueError:
+        for n, (labels, v) in enumerate(zip(spaces, value)):
+            _index(labels, v, f"{path}[{n}]", what)     # raises at the unknown label
+        raise
+
+
+def _dist(doc, labels, path, what) -> list:
+    """A JSON object from labels to probabilities, as a list over
+    ``labels``; a label it does not list gets 0."""
+    _fields(doc, path)
+    out = [0.0] * len(labels)
+    for label, p in doc.items():
+        lpath = f"{path}.{label}"
+        out[_index(labels, label, lpath, what)] = _number(p, lpath)
+    return out
+
+
+def _one_per_principal(g: FiniteGame, items, path) -> list:
+    """Slot (item path, mechanism) pairs by owner: every principal needs
+    exactly one mechanism."""
+    out = [None] * g.num_principals
+    for item_path, mech in items:
+        _require(out[mech.owner] is None, item_path,
+                 f"duplicate mechanism for principal {g.principal_ids[mech.owner]}")
+        out[mech.owner] = mech
+    missing = [pid for pid, mech in zip(g.principal_ids, out) if mech is None]
+    _require(not missing, path, f"missing mechanism for principal {', '.join(missing)}")
+    return out
+
+
 def game_from_dict(doc: dict) -> FiniteGame:
     """Parse the game file format; raises GameFormatError with a field path.
 
     Prior entries not listed default to 0; every payoff entry must be listed.
     """
-    _require(isinstance(doc, dict), "$", "expected a JSON object")
-    for key in ("principals", "agents", "prior", "agent_payoffs", "principal_payoffs"):
-        _require(key in doc, key, "missing required field")
-        _require(isinstance(doc[key], list), key, "expected an array")
+    principals, agents, prior_rows, agent_rows, principal_rows = _fields(
+        doc, "", "principals", "agents", "prior", "agent_payoffs", "principal_payoffs")
 
-    principal_ids, action_spaces = [], []
-    for j, row in enumerate(doc["principals"]):
-        path = f"principals[{j}]"
-        _require(isinstance(row, dict), path, "expected an object")
-        _require("id" in row and "actions" in row, path, "need 'id' and 'actions'")
-        _require(isinstance(row["actions"], list) and row["actions"], f"{path}.actions",
-                 "need a nonempty array of action labels")
-        principal_ids.append(str(row["id"]))
-        action_spaces.append(tuple(str(a) for a in row["actions"]))
+    def players(rows, path, key):
+        ids, spaces = [], []
+        for n, row in enumerate(_array(rows, path)):
+            pid, labels = _fields(row, f"{path}[{n}]", "id", key)
+            ids.append(pid)
+            spaces.append(_labels(labels, f"{path}[{n}].{key}"))
+        return ids, tuple(spaces)
+
+    principal_ids, action_spaces = players(principals, "principals", "actions")
     _require(len(principal_ids) >= 2, "principals", "need at least 2 principals")
-    _require(len(set(principal_ids)) == len(principal_ids), "principals", "duplicate ids")
-
-    agent_ids, type_spaces = [], []
-    for i, row in enumerate(doc["agents"]):
-        path = f"agents[{i}]"
-        _require(isinstance(row, dict), path, "expected an object")
-        _require("id" in row and "types" in row, path, "need 'id' and 'types'")
-        _require(isinstance(row["types"], list) and row["types"], f"{path}.types",
-                 "need a nonempty array of type labels")
-        agent_ids.append(str(row["id"]))
-        type_spaces.append(tuple(str(t) for t in row["types"]))
+    principal_ids = _labels(principal_ids, "principals")
+    agent_ids, type_spaces = players(agents, "agents", "types")
     _require(len(agent_ids) >= 1, "agents", "need at least 1 agent")
-    _require(len(set(agent_ids)) == len(agent_ids), "agents", "duplicate ids")
+    agent_ids = _labels(agent_ids, "agents")
 
-    pj = {pid: j for j, pid in enumerate(principal_ids)}
-    ai = {aid: i for i, aid in enumerate(agent_ids)}
-    sizes = [len(ts) for ts in type_spaces]
-    n_profiles = int(np.prod(sizes)) if sizes else 1
+    # tables are filled with one axis per agent, then flattened to the
+    # profile axis (the last agent's type varies fastest)
+    sizes = tuple(len(ts) for ts in type_spaces)
+    n_actions = tuple(len(a) for a in action_spaces)
+    n_profiles = int(np.prod(sizes))
 
-    def parse_profile(labels, path):
-        _require(isinstance(labels, list) and len(labels) == len(type_spaces), path,
-                 f"expected {len(type_spaces)} type labels")
-        idx = 0
-        for i, lab in enumerate(labels):
-            _require(str(lab) in type_spaces[i], f"{path}[{i}]",
-                     f"unknown type {lab!r} for agent {agent_ids[i]}")
-            idx = idx * sizes[i] + type_spaces[i].index(str(lab))
-        return idx
-
-    prior = np.zeros(n_profiles)
-    for r, row in enumerate(doc["prior"]):
+    prior = np.zeros(sizes)
+    for r, row in enumerate(_array(prior_rows, "prior")):
         path = f"prior[{r}]"
-        _require(isinstance(row, dict) and "profile" in row and "p" in row, path,
-                 "need 'profile' and 'p'")
-        x = parse_profile(row["profile"], f"{path}.profile")
-        _require(isinstance(row["p"], (int, float)), f"{path}.p", "expected a number")
-        prior[x] += float(row["p"])
+        labels, p = _fields(row, path, "profile", "p")
+        prior[_indices(type_spaces, labels, f"{path}.profile", "type")] += _number(p, f"{path}.p")
+    prior = prior.reshape(-1)
     s = float(prior.sum())
     _require(abs(s - 1.0) <= PRIOR_ATOL, "prior",
              "sums to %.17g, expected 1 within %g" % (s, PRIOR_ATOL))
     _require(bool(np.all(prior >= 0)), "prior", "negative entry")
 
-    agent_utils = [
-        [np.full((n_profiles, len(action_spaces[k])), np.nan) for k in range(len(action_spaces))]
-        for _ in agent_ids
-    ]
-    for r, row in enumerate(doc["agent_payoffs"]):
+    agent_utils = [[np.full(sizes + (n,), np.nan) for n in n_actions] for _ in agent_ids]
+    for r, row in enumerate(_array(agent_rows, "agent_payoffs")):
         path = f"agent_payoffs[{r}]"
-        _require(isinstance(row, dict), path, "expected an object")
-        for keyname in ("agent", "principal", "action", "profile", "u"):
-            _require(keyname in row, path, f"missing '{keyname}'")
-        _require(str(row["agent"]) in ai, f"{path}.agent", f"unknown agent {row['agent']!r}")
-        _require(str(row["principal"]) in pj, f"{path}.principal",
-                 f"unknown principal {row['principal']!r}")
-        i = ai[str(row["agent"])]
-        k = pj[str(row["principal"])]
-        _require(str(row["action"]) in action_spaces[k], f"{path}.action",
-                 f"unknown action {row['action']!r} for principal {row['principal']}")
-        a = action_spaces[k].index(str(row["action"]))
-        x = parse_profile(row["profile"], f"{path}.profile")
-        _require(isinstance(row["u"], (int, float)), f"{path}.u", "expected a number")
-        _require(np.isnan(agent_utils[i][k][x, a]), path, "duplicate entry")
-        agent_utils[i][k][x, a] = float(row["u"])
-    for i in range(len(agent_ids)):
-        for k in range(len(principal_ids)):
-            if np.any(np.isnan(agent_utils[i][k])):
-                x, a = map(int, np.argwhere(np.isnan(agent_utils[i][k]))[0])
+        agent, principal, action, labels, u = _fields(
+            row, path, "agent", "principal", "action", "profile", "u")
+        i = _index(agent_ids, agent, f"{path}.agent", "agent")
+        k = _index(principal_ids, principal, f"{path}.principal", "principal")
+        cell = (_indices(type_spaces, labels, f"{path}.profile", "type")
+                + (_index(action_spaces[k], action, f"{path}.action", "action"),))
+        _require(np.isnan(agent_utils[i][k][cell]), path, "duplicate entry")
+        agent_utils[i][k][cell] = _number(u, f"{path}.u")
+    agent_utils = [[t.reshape(n_profiles, -1) for t in per] for per in agent_utils]
+    for i, per in enumerate(agent_utils):
+        for k, tab in enumerate(per):
+            if np.any(np.isnan(tab)):
+                x, a = map(int, np.argwhere(np.isnan(tab))[0])
                 raise GameFormatError(
                     "agent_payoffs",
                     f"missing entry: agent {agent_ids[i]}, principal {principal_ids[k]}, "
                     f"action {action_spaces[k][a]!r}, profile index {x}",
                 )
 
-    action_shape = tuple(len(a) for a in action_spaces)
-    principal_utils = [np.full((n_profiles,) + action_shape, np.nan) for _ in principal_ids]
-    for r, row in enumerate(doc["principal_payoffs"]):
+    principal_utils = [np.full(sizes + n_actions, np.nan) for _ in principal_ids]
+    for r, row in enumerate(_array(principal_rows, "principal_payoffs")):
         path = f"principal_payoffs[{r}]"
-        _require(isinstance(row, dict), path, "expected an object")
-        for keyname in ("principal", "action_profile", "profile", "v"):
-            _require(keyname in row, path, f"missing '{keyname}'")
-        _require(str(row["principal"]) in pj, f"{path}.principal",
-                 f"unknown principal {row['principal']!r}")
-        j = pj[str(row["principal"])]
-        ap = row["action_profile"]
-        _require(isinstance(ap, list) and len(ap) == len(action_spaces),
-                 f"{path}.action_profile", f"expected {len(action_spaces)} action labels")
-        aprof = []
-        for k, lab in enumerate(ap):
-            _require(str(lab) in action_spaces[k], f"{path}.action_profile[{k}]",
-                     f"unknown action {lab!r} for principal {principal_ids[k]}")
-            aprof.append(action_spaces[k].index(str(lab)))
-        x = parse_profile(row["profile"], f"{path}.profile")
-        _require(isinstance(row["v"], (int, float)), f"{path}.v", "expected a number")
-        cell = (x,) + tuple(aprof)
+        principal, aprof, labels, v = _fields(
+            row, path, "principal", "action_profile", "profile", "v")
+        j = _index(principal_ids, principal, f"{path}.principal", "principal")
+        cell = (_indices(type_spaces, labels, f"{path}.profile", "type")
+                + _indices(action_spaces, aprof, f"{path}.action_profile", "action"))
         _require(np.isnan(principal_utils[j][cell]), path, "duplicate entry")
-        principal_utils[j][cell] = float(row["v"])
-    for j in range(len(principal_ids)):
-        if np.any(np.isnan(principal_utils[j])):
-            raise GameFormatError(
-                "principal_payoffs",
-                f"missing entries for principal {principal_ids[j]}",
-            )
+        principal_utils[j][cell] = _number(v, f"{path}.v")
+    for j, pid in enumerate(principal_ids):
+        _require(not np.any(np.isnan(principal_utils[j])), "principal_payoffs",
+                 f"missing entries for principal {pid}")
 
     return FiniteGame(
-        type_spaces=tuple(type_spaces),
-        action_spaces=tuple(action_spaces),
+        type_spaces=type_spaces,
+        action_spaces=action_spaces,
         prior=prior,
-        agent_utils=tuple(tuple(t for t in per) for per in agent_utils),
-        principal_utils=tuple(principal_utils),
-        agent_ids=tuple(agent_ids),
-        principal_ids=tuple(principal_ids),
+        agent_utils=tuple(tuple(per) for per in agent_utils),
+        principal_utils=tuple(t.reshape((n_profiles,) + n_actions) for t in principal_utils),
+        agent_ids=agent_ids,
+        principal_ids=principal_ids,
     )
 
 
@@ -600,13 +633,17 @@ def report_to_json(report: dict) -> str:
 
 
 def _read_json(path):
-    """Parse a JSON file; bad JSON raises GameFormatError at path:line:col.
-    An unreadable file raises OSError."""
+    """Parse a JSON file.  Bad JSON raises GameFormatError at path:line:col,
+    and a file that is not UTF-8 text raises it at the file's path; an
+    unreadable file raises OSError.  The document's fields are left to the
+    reader of its format, which checks each one before using it."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as e:
             raise GameFormatError(f"{path}:{e.lineno}:{e.colno}", e.msg) from e
+        except UnicodeDecodeError as e:
+            raise GameFormatError(str(path), f"not UTF-8 text ({e.reason})") from e
 
 
 def _write_json(path, doc) -> None:
@@ -638,35 +675,17 @@ def mechanism_to_dict(g: FiniteGame, mech: DirectMechanism) -> dict:
 
 
 def mechanism_from_dict(g: FiniteGame, doc: dict, path: str = "$") -> DirectMechanism:
-    _require(isinstance(doc, dict) and "owner" in doc and "rows" in doc, path,
-             "need 'owner' and 'rows'")
-    _require(str(doc["owner"]) in g.principal_ids, f"{path}.owner",
-             f"unknown principal {doc['owner']!r}")
-    owner = g.principal_ids.index(str(doc["owner"]))
-    n_a = len(g.action_spaces[owner])
-    p = np.full((g.num_profiles, n_a), np.nan)
-    _require(isinstance(doc["rows"], list), f"{path}.rows", "expected an array")
-    for r, row in enumerate(doc["rows"]):
+    owner, rows = _fields(doc, path, "owner", "rows")
+    owner = _index(g.principal_ids, owner, f"{path}.owner", "principal")
+    actions = g.action_spaces[owner]
+    p = np.full(tuple(len(ts) for ts in g.type_spaces) + (len(actions),), np.nan)
+    for r, row in enumerate(_array(rows, f"{path}.rows")):
         rpath = f"{path}.rows[{r}]"
-        _require(isinstance(row, dict) and "profile" in row and "dist" in row, rpath,
-                 "need 'profile' and 'dist'")
-        labels = row["profile"]
-        _require(isinstance(labels, list) and len(labels) == g.num_agents,
-                 f"{rpath}.profile", f"expected {g.num_agents} type labels")
-        try:
-            x = g.profile_index([str(l) for l in labels])
-        except ValueError:
-            raise GameFormatError(f"{rpath}.profile", f"unknown type labels {labels!r}")
+        labels, dist = _fields(row, rpath, "profile", "dist")
+        x = _indices(g.type_spaces, labels, f"{rpath}.profile", "type")
         _require(bool(np.isnan(p[x]).all()), rpath, "duplicate profile row")
-        dist = row["dist"]
-        _require(isinstance(dist, dict), f"{rpath}.dist", "expected an object")
-        p[x] = 0.0
-        for lab, val in dist.items():
-            _require(str(lab) in g.action_spaces[owner], f"{rpath}.dist",
-                     f"unknown action {lab!r}")
-            _require(isinstance(val, (int, float)), f"{rpath}.dist[{lab}]",
-                     "expected a number")
-            p[x, g.action_spaces[owner].index(str(lab))] = float(val)
+        p[x] = _dist(dist, actions, f"{rpath}.dist", "action label")
+    p = p.reshape(g.num_profiles, -1)
     missing = np.nonzero(np.isnan(p).any(axis=1))[0]
     _require(missing.size == 0, f"{path}.rows",
              "missing row for profile index %s" % (missing[:1].tolist() if missing.size else []))
@@ -682,13 +701,5 @@ def profile_to_list(g: FiniteGame, mechanisms) -> list:
 
 def profile_from_list(g: FiniteGame, doc, path: str = "$") -> list:
     """Parse a full direct-mechanism profile (one entry per principal)."""
-    _require(isinstance(doc, list), path, "expected an array of mechanisms")
-    out = [None] * g.num_principals
-    for r, item in enumerate(doc):
-        mech = mechanism_from_dict(g, item, path=f"{path}[{r}]")
-        _require(out[mech.owner] is None, f"{path}[{r}]",
-                 f"duplicate mechanism for principal {g.principal_ids[mech.owner]}")
-        out[mech.owner] = mech
-    for j, mech in enumerate(out):
-        _require(mech is not None, path, f"missing mechanism for principal {g.principal_ids[j]}")
-    return out
+    return _one_per_principal(g, ((f"{path}[{r}]", mechanism_from_dict(g, item, f"{path}[{r}]"))
+                                  for r, item in enumerate(_array(doc, path))), path)

@@ -35,6 +35,12 @@ from .game import (
     FiniteGame,
     GameFormatError,
     _contract_except,
+    _array,
+    _dist,
+    _fields,
+    _index,
+    _indices,
+    _labels,
     _read_json,
     _require,
     _write_json,
@@ -828,58 +834,33 @@ def general_mechanism_to_dict(g: FiniteGame, mech: GeneralMechanism) -> dict:
 
 def general_mechanism_from_dict(g: FiniteGame, doc: dict,
                                 path: str = "$") -> GeneralMechanism:
-    _require(isinstance(doc, dict), path, "mechanism must be an object")
-    for key in ("owner", "message_sets", "outcome_rows", "standard"):
-        _require(key in doc, f"{path}.{key}", "missing field")
-    _require(doc["owner"] in g.principal_ids, f"{path}.owner",
-             f"unknown principal {doc['owner']!r}")
-    owner = g.principal_ids.index(doc["owner"])
-    ms = doc["message_sets"]
-    _require(isinstance(ms, dict) and "principal" in ms and "agents" in ms,
-             f"{path}.message_sets", "needs 'principal' and 'agents'")
-    pm = tuple(ms["principal"])
-    _require(len(pm) > 0 and len(set(pm)) == len(pm),
-             f"{path}.message_sets.principal", "labels must be nonempty and distinct")
-    am = []
-    for i, aid in enumerate(g.agent_ids):
-        _require(aid in ms["agents"], f"{path}.message_sets.agents.{aid}",
-                 "missing agent message set")
-        labels = tuple(ms["agents"][aid])
-        _require(len(labels) > 0 and len(set(labels)) == len(labels),
-                 f"{path}.message_sets.agents.{aid}",
-                 "labels must be nonempty and distinct")
-        am.append(labels)
-    am = tuple(am)
-    n_a = len(g.action_spaces[owner])
-    shape = (len(pm),) + tuple(len(m) for m in am) + (n_a,)
-    outcome = np.full(shape, np.nan)
-    for r_idx, row in enumerate(doc["outcome_rows"]):
-        rpath = f"{path}.outcome_rows[{r_idx}]"
-        _require(isinstance(row, dict) and "m" in row and "dist" in row,
-                 rpath, "row needs 'm' and 'dist'")
-        m = row["m"]
-        _require(len(m) == 1 + len(am), f"{rpath}.m",
-                 f"expected {1 + len(am)} message labels")
-        _require(m[0] in pm, f"{rpath}.m[0]", f"unknown principal message {m[0]!r}")
-        idx = [pm.index(m[0])]
-        for i in range(len(am)):
-            _require(m[1 + i] in am[i], f"{rpath}.m[{1 + i}]",
-                     f"unknown message {m[1 + i]!r} for agent {g.agent_ids[i]}")
-            idx.append(am[i].index(m[1 + i]))
-        _require(np.all(np.isnan(outcome[tuple(idx)])), f"{rpath}.m",
-                 "duplicate outcome row")
-        dist = np.zeros(n_a)
-        for lab, p in row["dist"].items():
-            _require(lab in g.action_spaces[owner], f"{rpath}.dist.{lab}",
-                     "unknown action label")
-            dist[g.action_spaces[owner].index(lab)] = float(p)
-        outcome[tuple(idx)] = dist
-    _require(not np.any(np.isnan(outcome)), f"{path}.outcome_rows",
+    owner, message_sets, rows, standard = _fields(
+        doc, path, "owner", "message_sets", "outcome_rows", "standard")
+    owner = _index(g.principal_ids, owner, f"{path}.owner", "principal")
+    _require(isinstance(standard, bool), f"{path}.standard", "expected true or false")
+    mpath = f"{path}.message_sets"
+    principal, agents = _fields(message_sets, mpath, "principal", "agents")
+    spaces = (_labels(principal, f"{mpath}.principal"),) + tuple(
+        _labels(labels, f"{mpath}.agents.{aid}")
+        for aid, labels in zip(g.agent_ids, _fields(agents, f"{mpath}.agents", *g.agent_ids)))
+    # each row fills a distinct cell, so rows at least as many as cells fill
+    # them all; counting first also bounds the table by the file's size
+    rows = _array(rows, f"{path}.outcome_rows")
+    shape = tuple(len(m) for m in spaces)
+    _require(len(rows) >= math.prod(shape), f"{path}.outcome_rows",
              "some message combinations have no outcome row")
+    actions = g.action_spaces[owner]
+    outcome = np.full(shape + (len(actions),), np.nan)
+    for r, row in enumerate(rows):
+        rpath = f"{path}.outcome_rows[{r}]"
+        m, dist = _fields(row, rpath, "m", "dist")
+        cell = _indices(spaces, m, f"{rpath}.m", "message")
+        _require(np.all(np.isnan(outcome[cell])), f"{rpath}.m", "duplicate outcome row")
+        outcome[cell] = _dist(dist, actions, f"{rpath}.dist", "action label")
     try:
         return GeneralMechanism(
-            owner=owner, principal_messages=pm, agent_messages=am,
-            outcome=outcome, standard=bool(doc["standard"]),
+            owner=owner, principal_messages=spaces[0], agent_messages=spaces[1:],
+            outcome=outcome, standard=standard,
         )
     except ValueError as exc:
         raise GameFormatError(path, str(exc)) from exc
@@ -925,36 +906,24 @@ def strategies_to_dict(g: FiniteGame, mechanisms,
 
 def strategies_from_dict(g: FiniteGame, mechanisms, doc: dict,
                          path: str = "$") -> StrategyProfile:
-    _require(isinstance(doc, dict) and "entries" in doc, path,
-             "strategy document needs an 'entries' object")
     h = mechanism_profile_hash(g, mechanisms)
-    _require(doc.get("mechanism_profile_hash") == h,
-             f"{path}.mechanism_profile_hash",
+    written_for, entries = _fields(doc, path, "mechanism_profile_hash", "entries")
+    _require(written_for == h, f"{path}.mechanism_profile_hash",
              "strategies were written for a different mechanism profile")
-    entries = doc["entries"]
+    epath = f"{path}.entries"
+
+    def entry(key, labels):
+        (dist,) = _fields(entries, epath, key, missing="missing entry")
+        return _dist(dist, labels, f"{epath}.{key}", "message label")
+
     pm = {}
     am = {}
     for j, mech in enumerate(mechanisms):
         pid = g.principal_ids[j]
-        key = f"principal:{pid}:{h}"
-        _require(key in entries, f"{path}.entries.{key}", "missing entry")
-        c0 = np.zeros(len(mech.principal_messages))
-        for lab, p in entries[key].items():
-            _require(lab in mech.principal_messages, f"{path}.entries.{key}.{lab}",
-                     "unknown message label")
-            c0[mech.principal_message_index(lab)] = float(p)
-        pm[j] = c0
-        for i in range(g.num_agents):
-            aid = g.agent_ids[i]
-            rows = np.zeros((len(g.type_spaces[i]), len(mech.agent_messages[i])))
-            for ti, t in enumerate(g.type_spaces[i]):
-                key = f"agent:{aid}:{pid}:{h}:{t}"
-                _require(key in entries, f"{path}.entries.{key}", "missing entry")
-                for lab, p in entries[key].items():
-                    _require(lab in mech.agent_messages[i],
-                             f"{path}.entries.{key}.{lab}", "unknown message label")
-                    rows[ti, mech.agent_message_index(i, lab)] = float(p)
-            am[(i, j)] = rows
+        pm[j] = np.array(entry(f"principal:{pid}:{h}", mech.principal_messages))
+        for i, aid in enumerate(g.agent_ids):
+            am[(i, j)] = np.array([entry(f"agent:{aid}:{pid}:{h}:{t}", mech.agent_messages[i])
+                                   for t in g.type_spaces[i]])
     prof = StrategyProfile(principal_messages=pm, agent_messages=am)
     try:
         prof.validate(g, mechanisms)

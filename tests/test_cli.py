@@ -1,7 +1,11 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mechpoly import (
     DirectMechanism,
@@ -41,6 +45,50 @@ def mp_files(tmp_path, mp2):
     uniform = [DirectMechanism(owner=j, p=np.array([[0.5, 0.5]])) for j in range(2)]
     profile = _write_json(tmp_path / "uniform.json", profile_to_list(mp2, uniform))
     return mp2, str(game), profile
+
+
+@pytest.fixture
+def mp_inputs(tmp_path, mp_files):
+    """Valid matching-pennies files for every flag that reads an input file."""
+    mp2, game, profile = mp_files
+    uniform = [DirectMechanism(owner=j, p=np.array([[0.5, 0.5]])) for j in range(2)]
+    files = {"game": game, "profile": profile, "drm": str(tmp_path / "drm.json")}
+    for j in range(2):
+        files[f"std{j}"] = str(tmp_path / f"std{j}.json")
+        save_general_mechanism(mp2, standard_from_direct(mp2, uniform[j]), files[f"std{j}"])
+    mechs = [load_general_mechanism(mp2, files[f"std{j}"]) for j in range(2)]
+    files["strategies"] = str(tmp_path / "strategies.json")
+    save_strategies(mp2, mechs, truthful_strategies(mp2, mechs), files["strategies"])
+    files["default"] = _write_json(tmp_path / "default.json", mechanism_to_dict(mp2, uniform[0]))
+    return files
+
+
+def _check_eq(f, mechanism=None, strategies=None, deviation=None):
+    return ["check-eq", "--game", f["game"], "--mechanism", mechanism or f["std0"],
+            "--mechanism", f["std1"], "--strategies", strategies or f["strategies"],
+            "--deviation", f"P1={deviation or f['std0']}", "--notion", "pbe"]
+
+
+def _build_drm(f, default=None, punish=None, out=None):
+    return ["build-drm", "--game", f["game"], "-j", "P1", "--default", default or f["default"],
+            "--punish", f"P2={punish or f['default']}", "--out-mechanism", out or f["drm"]]
+
+
+def inputs(f, path):
+    """For each flag that reads an input file: the valid file it reads in
+    ``f``, and an argv that reads ``path`` through it instead, with every
+    other input valid."""
+    return {
+        "--game": (f["game"], ["validate", "--game", path]),
+        "--profile": (f["profile"], ["bic-check", "--game", f["game"], "--profile", path]),
+        "bic-check --mechanism": (f["default"],
+                                  ["bic-check", "--game", f["game"], "--mechanism", path]),
+        "check-eq --mechanism": (f["std0"], _check_eq(f, mechanism=path)),
+        "--strategies": (f["strategies"], _check_eq(f, strategies=path)),
+        "--deviation": (f["std0"], _check_eq(f, deviation=path)),
+        "--default": (f["default"], _build_drm(f, default=path)),
+        "--punish": (f["default"], _build_drm(f, punish=path)),
+    }
 
 
 def test_validate_ok(tmp_path, mp_files, capsys):
@@ -426,52 +474,26 @@ def test_bad_flags_exit_with_input_error(tmp_path, mp_files, capsys, rng):
                  "--out", out]) == 2
 
 
-def test_unreadable_files_exit_with_input_error(tmp_path, mp_files, capsys):
-    # a missing or malformed input file, or an output file in a missing
-    # directory, is an input error: exit 2, one "error:" line naming the OS
-    # error or the JSON error's path:line:col, no report
-    mp2, game, profile = mp_files
+def test_unreadable_files_exit_with_input_error(tmp_path, mp_inputs, capsys):
+    # a missing, malformed or non-UTF-8 input file, or an output file in a
+    # missing directory, is an input error: exit 2, one "error:" line naming
+    # the OS error, the JSON error's path:line:col or the file, no report
     missing = str(tmp_path / "missing.json")
     bad = tmp_path / "bad.json"
     bad.write_text("{", encoding="utf-8")
     bad = str(bad)
-    mech_paths = []
-    for j in range(2):
-        path = tmp_path / f"std{j}.json"
-        save_general_mechanism(mp2, standard_from_direct(
-            mp2, DirectMechanism(owner=j, p=np.array([[0.5, 0.5]]))), path)
-        mech_paths.append(str(path))
-    mechs = [load_general_mechanism(mp2, p) for p in mech_paths]
-    strategies = str(tmp_path / "strategies.json")
-    save_strategies(mp2, mechs, truthful_strategies(mp2, mechs), strategies)
-    default = _write_json(tmp_path / "default.json", mechanism_to_dict(
-        mp2, DirectMechanism(owner=0, p=np.array([[0.5, 0.5]]))))
+    not_utf8 = tmp_path / "not-utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe{}")
+    not_utf8 = str(not_utf8)
     drm = str(tmp_path / "no-such-dir" / "drm.json")
 
-    def check_eq(mechanism=mech_paths[0], strategies=strategies, deviation=mech_paths[0]):
-        return ["check-eq", "--game", game, "--mechanism", mechanism,
-                "--mechanism", mech_paths[1], "--strategies", strategies,
-                "--deviation", f"P1={deviation}", "--notion", "pbe"]
-
-    def build_drm(default=default, punish=default, out=str(tmp_path / "drm.json")):
-        return ["build-drm", "--game", game, "-j", "P1", "--default", default,
-                "--punish", f"P2={punish}", "--out-mechanism", out]
-
-    def inputs(path):
-        return {
-            "--game": ["validate", "--game", path],
-            "--profile": ["bic-check", "--game", game, "--profile", path],
-            "bic-check --mechanism": ["bic-check", "--game", game, "--mechanism", path],
-            "check-eq --mechanism": check_eq(mechanism=path),
-            "--strategies": check_eq(strategies=path),
-            "--deviation": check_eq(deviation=path),
-            "--default": build_drm(default=path),
-            "--punish": build_drm(punish=path),
-        }
-
-    cases = [(flag, argv, "error: [Errno", missing) for flag, argv in inputs(missing).items()]
-    cases.append(("--out-mechanism", build_drm(out=drm), "error: [Errno", drm))
-    cases += [(flag, argv, f"error: {bad}:1:2: ", bad) for flag, argv in inputs(bad).items()]
+    cases = [(flag, argv, "error: [Errno", missing)
+             for flag, (_, argv) in inputs(mp_inputs, missing).items()]
+    cases.append(("--out-mechanism", _build_drm(mp_inputs, out=drm), "error: [Errno", drm))
+    cases += [(flag, argv, f"error: {bad}:1:2: ", bad)
+              for flag, (_, argv) in inputs(mp_inputs, bad).items()]
+    cases += [(flag, argv, f"error: {not_utf8}: ", not_utf8)
+              for flag, (_, argv) in inputs(mp_inputs, not_utf8).items()]
     for flag, argv, prefix, path in cases:
         out = tmp_path / "report.json"
         assert main(argv + ["--out", str(out)]) == 2, flag
@@ -480,3 +502,55 @@ def test_unreadable_files_exit_with_input_error(tmp_path, mp_files, capsys):
         assert path in err and "Traceback" not in err, (flag, err)
         assert not out.exists(), flag
     assert not (tmp_path / "no-such-dir").exists()
+
+
+# The single-field replacements: null, a number, a string, an array, an
+# object, a bool, NaN, or the field deleted.
+DELETE = object()
+REPLACEMENTS = [None, 7, "x", [], {}, True, math.nan, DELETE]
+
+# How a reported path starts: a game file's top-level field, another file's
+# root, or a file the command was given.
+FIELD_PATH = re.compile(r"(\$|principals|agents|prior|agent_payoffs|principal_payoffs)[.\[:]")
+
+
+def _field_paths(doc, path=()):
+    """Every field of a JSON document, as a tuple of keys and indices."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _field_paths(value, path + (key,))
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_input_files_exit_with_one_error_line(tmp_path, mp_inputs, capsys, data):
+    # each example reads the fixture's valid files and overwrites only the
+    # mutated file and the report, so examples do not share state
+    mutated = tmp_path / "mutated.json"
+    table = inputs(mp_inputs, str(mutated))
+    flag = data.draw(st.sampled_from(sorted(table)), label="flag")
+    source, argv = table[flag]
+    doc = _read_json(source)
+    *parents, key = data.draw(st.sampled_from(list(_field_paths(doc))), label="field")
+    replacement = data.draw(st.sampled_from(REPLACEMENTS), label="replacement")
+    target = doc
+    for k in parents:
+        target = target[k]
+    if replacement is DELETE:
+        del target[key]
+    else:
+        target[key] = replacement
+    mutated.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "report.json"
+    code = main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    if code == 2:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        where = lines[0][len("error: "):]
+        assert FIELD_PATH.match(where) or any(
+            where.startswith(p) for p in [*mp_inputs.values(), str(mutated)]), where
+        assert not out.exists()
+    out.unlink(missing_ok=True)

@@ -232,6 +232,26 @@ def test_game_from_dict_error_paths(screen1):
     with pytest.raises(GameFormatError, match="at least 2"):
         game_from_dict(doc)
 
+    # a number is a JSON number other than a bool; a duplicate label is
+    # reported where it is declared
+    cases = [
+        (("prior", 0, "p"), "0.5", "prior[0].p"),
+        (("prior", 0, "p"), True, "prior[0].p"),
+        (("agent_payoffs", 0, "u"), True, "agent_payoffs[0].u"),
+        (("principal_payoffs", 0, "v"), "0.5", "principal_payoffs[0].v"),
+        (("principals", 0, "actions"), ["a", "a"], "principals[0].actions"),
+        (("agents", 0, "types"), ["L", "L"], "agents[0].types"),
+    ]
+    for (*keys, last), value, path in cases:
+        doc = json.loads(json.dumps(base))
+        target = doc
+        for key in keys:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(GameFormatError) as exc:
+            game_from_dict(doc)
+        assert exc.value.path == path, (value, str(exc.value))
+
 
 def test_unlisted_prior_rows_default_to_zero(screen1):
     doc = game_to_dict(screen1)
@@ -317,6 +337,12 @@ def test_mechanism_round_trip_and_errors(screen1):
     bad["owner"] = "P9"
     with pytest.raises(GameFormatError, match="unknown principal"):
         mechanism_from_dict(screen1, bad)
+
+    bad = json.loads(json.dumps(doc))
+    bad["rows"][0]["dist"] = {"a": True}
+    with pytest.raises(GameFormatError, match="expected a finite number") as exc:
+        mechanism_from_dict(screen1, bad)
+    assert exc.value.path == "$.rows[0].dist.a"
 
 
 def test_profile_round_trip_and_errors(screen1):

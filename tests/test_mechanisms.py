@@ -756,6 +756,13 @@ def test_general_mechanism_dict_errors(screen1):
     with pytest.raises(GameFormatError, match="unknown action label"):
         general_mechanism_from_dict(screen1, bad)
 
+    for p in ("0.5", True):
+        bad = json.loads(json.dumps(doc))
+        bad["outcome_rows"][0]["dist"] = {"a": p, "b": 0.5}
+        with pytest.raises(GameFormatError, match="expected a finite number") as exc:
+            general_mechanism_from_dict(screen1, bad)
+        assert exc.value.path == "$.outcome_rows[0].dist.a"
+
 
 def test_strategies_round_trip(tmp_path, screen1):
     menu = [DirectMechanism(owner=0, p=UNIFORM), DirectMechanism(owner=0, p=TRUTHFUL)]
@@ -785,3 +792,10 @@ def test_strategies_round_trip(tmp_path, screen1):
     del doc["entries"][key]
     with pytest.raises(GameFormatError, match="missing entry"):
         strategies_from_dict(screen1, mechs, doc)
+
+    for p in ("0.25", True):
+        doc = strategies_to_dict(screen1, mechs, strat)
+        doc["entries"][key] = {"dm0": p, "dm1": 0.75}
+        with pytest.raises(GameFormatError, match="expected a finite number") as exc:
+            strategies_from_dict(screen1, mechs, doc)
+        assert exc.value.path == f"$.entries.{key}.dm0"
