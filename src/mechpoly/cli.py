@@ -357,7 +357,12 @@ def _cmd_check_eq(args):
     strategies = load_strategies(g, mechs, args.strategies)
     deviations = {j: [] for j in range(g.num_principals)}
     for jj, p in _principal_files(g, "--deviation", args.deviation):
-        deviations[jj].append(load_general_mechanism(g, p))
+        mech = load_general_mechanism(g, p)
+        if mech.owner != jj:
+            raise GameFormatError(p, f"deviation {len(deviations[jj])} for principal "
+                                     f"{g.principal_ids[jj]} is owned by principal "
+                                     f"{g.principal_ids[mech.owner]}")
+        deviations[jj].append(mech)
     t0 = time.perf_counter()
     verdict = check_equilibrium_notion(g, mechs, strategies, deviations,
                                        args.notion, tol=args.membership_tol)

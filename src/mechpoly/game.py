@@ -13,6 +13,7 @@ tables indexed by a flat type-profile axis, in declaration order.
 
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -563,7 +564,16 @@ def game_from_dict(doc: dict) -> FiniteGame:
     # profile axis (the last agent's type varies fastest)
     sizes = tuple(len(ts) for ts in type_spaces)
     n_actions = tuple(len(a) for a in action_spaces)
-    n_profiles = int(np.prod(sizes))
+    n_profiles = math.prod(sizes)
+    # every payoff entry is listed once, so counting rows first bounds the
+    # tables by the file's size
+    agent_rows = _array(agent_rows, "agent_payoffs")
+    principal_rows = _array(principal_rows, "principal_payoffs")
+    for rows, path, need in (
+            (agent_rows, "agent_payoffs", len(agent_ids) * sum(n_actions) * n_profiles),
+            (principal_rows, "principal_payoffs",
+             len(principal_ids) * math.prod(n_actions) * n_profiles)):
+        _require(len(rows) >= need, path, f"missing entry: {len(rows)} rows for {need} entries")
 
     prior = np.zeros(sizes)
     for r, row in enumerate(_array(prior_rows, "prior")):
@@ -577,7 +587,7 @@ def game_from_dict(doc: dict) -> FiniteGame:
     _require(bool(np.all(prior >= 0)), "prior", "negative entry")
 
     agent_utils = [[np.full(sizes + (n,), np.nan) for n in n_actions] for _ in agent_ids]
-    for r, row in enumerate(_array(agent_rows, "agent_payoffs")):
+    for r, row in enumerate(agent_rows):
         path = f"agent_payoffs[{r}]"
         agent, principal, action, labels, u = _fields(
             row, path, "agent", "principal", "action", "profile", "u")
@@ -599,7 +609,7 @@ def game_from_dict(doc: dict) -> FiniteGame:
                 )
 
     principal_utils = [np.full(sizes + n_actions, np.nan) for _ in principal_ids]
-    for r, row in enumerate(_array(principal_rows, "principal_payoffs")):
+    for r, row in enumerate(principal_rows):
         path = f"principal_payoffs[{r}]"
         principal, aprof, labels, v = _fields(
             row, path, "principal", "action_profile", "profile", "v")

@@ -871,7 +871,7 @@ def save_general_mechanism(g: FiniteGame, mech: GeneralMechanism, path) -> None:
 
 
 def load_general_mechanism(g: FiniteGame, path) -> GeneralMechanism:
-    return general_mechanism_from_dict(g, _read_json(path), path="$")
+    return general_mechanism_from_dict(g, _read_json(path), path=str(path))
 
 
 def mechanism_profile_hash(g: FiniteGame, mechanisms) -> str:
@@ -938,4 +938,4 @@ def save_strategies(g: FiniteGame, mechanisms, strategies: StrategyProfile,
 
 
 def load_strategies(g: FiniteGame, mechanisms, path) -> StrategyProfile:
-    return strategies_from_dict(g, mechanisms, _read_json(path), path="$")
+    return strategies_from_dict(g, mechanisms, _read_json(path), path=str(path))

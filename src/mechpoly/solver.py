@@ -5,8 +5,10 @@ the expected-payoff functional E_x[v_j] as mechanisms range over the
 per-principal polytopes:
 
 * ``best_response``: the linear maximum against a fixed opponent profile.
-* ``maxmin``: the largest payoff j can secure (exact via the vertex products
-  of the opponents' polytopes, since the functional is multilinear).
+* ``maxmin``: the largest payoff j can secure.  Exact for two principals
+  (the saddle-point LP that minmax shares); for more principals exact via
+  the vertex products of the opponents' polytopes, since the functional is
+  multilinear.
 * ``minmax``: the lowest payoff the opponents can force on j.  Exact for two
   principals (saddle-point LP); for more principals a certified grid lower
   bound or an alternating-descent upper bound.
@@ -166,11 +168,12 @@ def solve_lp(prob: LPProblem) -> LPResult:
 class ValueCertificate:
     """A computed value plus what it certifies.
 
-    kind is one of 'exact-lp', 'vertex-product-exact',
-    'grid-certified-lower-bound', 'alternating-upper-bound', 'alternating'.
-    gap_bound is 0 for exact kinds, the certified slack for grid kind, and -1
-    (unknown) for the alternating kinds.  witness is the mechanism (maxmin) or
-    opponent profile dict (minmax) attaining the value.
+    kind is one of 'exact-lp' (the two-principal saddle LP, for maxmin and
+    minmax alike), 'vertex-product-exact' (maxmin with three or more
+    principals), 'grid-certified-lower-bound', 'alternating-upper-bound',
+    'alternating'.  gap_bound is 0 for exact kinds, the certified slack for
+    grid kind, and -1 (unknown) for the alternating kinds.  witness is the
+    mechanism (maxmin) or opponent profile dict (minmax) attaining the value.
     """
 
     kind: str
@@ -242,33 +245,47 @@ def maxmin(g: FiniteGame, principal: int, mode: str = "auto",
            seed: int = 0) -> ValueCertificate:
     """Largest payoff principal j can guarantee against any opponent profile.
 
-    The guarantee functional is multilinear in the opponents' tables, so its
-    minimum over the product of polytopes is attained at a product of
-    vertices; exact mode maximizes, by LP, the worst case over all vertex
-    products.  mode='alternating' is a seeded heuristic for instances whose
-    opponent polytopes are too large to enumerate (exact for two principals,
-    uncertified otherwise; gap_bound is the -1 unknown sentinel).
+    With two principals, 'auto' and 'exact' solve the saddle point as one LP
+    by dualizing the opponent's inner minimum (kind 'exact-lp', as minmax's
+    exact2); this never enumerates vertices, so dim_cap does not apply.  With
+    more principals the guarantee functional is multilinear in the
+    opponents' tables, so its minimum over the product of polytopes is
+    attained at a product of vertices; exact mode maximizes, by LP, the worst
+    case over all vertex products, and 'auto' falls back to 'alternating'
+    when the opponents' polytopes exceed dim_cap or the products exceed the
+    cap.  mode='alternating' is a seeded heuristic (exact for two
+    principals, uncertified otherwise; gap_bound is the -1 unknown sentinel).
     """
     j = principal
-    if mode in ("auto", "exact"):
-        try:
-            cuts = _vertex_product_cuts(g, j, dim_cap)
-        except DimensionTooLarge:
-            if mode == "exact":
-                raise
-            return _maxmin_alternating(g, j, restarts, seed)
-        # maximize t subject to t <= c_w . p for every vertex product w
-        value, witness = _optimize_over(build_bic_polytope(g, j), "max", "maxmin", cuts=cuts)
-        return ValueCertificate(
-            kind="vertex-product-exact",
-            value=value,
-            witness=witness,
-            gap_bound=0.0,
-            info={"n_vertex_products": len(cuts)},
-        )
     if mode == "alternating":
         return _maxmin_alternating(g, j, restarts, seed)
-    raise ModeUnsupported(f"maxmin mode {mode!r}")
+    if mode not in ("auto", "exact"):
+        raise ModeUnsupported(f"maxmin mode {mode!r}")
+    if g.num_principals == 2:
+        value, witness = _saddle_lp(g, j, "max")
+        return ValueCertificate(kind="exact-lp", value=value, witness=witness, gap_bound=0.0)
+    try:
+        return _maxmin_vertex_products(g, j, dim_cap)
+    except DimensionTooLarge:
+        if mode == "exact":
+            raise
+        return _maxmin_alternating(g, j, restarts, seed)
+
+
+def _maxmin_vertex_products(g: FiniteGame, principal: int, dim_cap: int) -> ValueCertificate:
+    """Exact maxmin for any number of principals: maximize t subject to
+    t <= c_w . p for every opponent vertex product w.  Raises
+    DimensionTooLarge above dim_cap or VERTEX_PRODUCT_CAP."""
+    cuts = _vertex_product_cuts(g, principal, dim_cap)
+    value, witness = _optimize_over(build_bic_polytope(g, principal), "max", "maxmin",
+                                    cuts=cuts)
+    return ValueCertificate(
+        kind="vertex-product-exact",
+        value=value,
+        witness=witness,
+        gap_bound=0.0,
+        info={"n_vertex_products": len(cuts)},
+    )
 
 
 def _sample_bic_rng(g: FiniteGame, principal: int, rng: np.random.Generator) -> DirectMechanism:
@@ -366,34 +383,49 @@ def minmax(g: FiniteGame, principal: int, mode: str = "auto",
 def _minmax_exact2(g: FiniteGame, principal: int) -> ValueCertificate:
     if g.num_principals != 2:
         raise ModeUnsupported("exact2 needs exactly two principals")
-    j = principal
-    k = 1 - j
-    poly_j = build_bic_polytope(g, j)
-    poly_k = build_bic_polytope(g, k)
-    n_k, n_x, m_j = poly_k.n_vars, g.num_profiles, poly_j.ic.shape[0]
-    # bilinear form: E[v_j] = p_j^T Q q with Q[(x,a_j),(x,a_k)] = F(x) v_j(x,a)
-    v = g.principal_utils[j]  # (x, A_1, A_2)
-    q_full = block_diag(*[g.prior[x] * (v[x] if j == 0 else v[x].T) for x in range(n_x)])
-    # variables: [q (n_k), y (n_x), z (m_j)]; rows: dual feasibility of the
-    # inner max, E_j^T y - G_j^T z - Q q >= 0, then q in the opponent's polytope
-    a_k, rel_k, b_k = poly_k.lp_system()
-    a = np.vstack([np.hstack([-q_full, poly_j.eq.T, -poly_j.ic.T]),
-                   np.hstack([a_k, np.zeros((a_k.shape[0], n_x + m_j))])])
-    rel = [">="] * poly_j.n_vars + rel_k
-    b = np.concatenate([np.zeros(poly_j.n_vars), b_k])
-    obj = np.concatenate([np.zeros(n_k), np.ones(n_x), np.zeros(m_j)])
-    bounds = [(0.0, None)] * n_k + [(None, None)] * n_x + [(0.0, None)] * m_j
-    res = solve_lp(LPProblem(c=obj, a=a, relations=rel, b=b, bounds=bounds, sense="min"))
-    if res.status != "optimal":
-        raise NumericalFailure(f"saddle LP {res.status}")
-    z = _clean_point(poly_k, res.x[:n_k])
-    witness = {k: DirectMechanism(owner=k, p=z.reshape(poly_k.n_profiles, poly_k.n_actions))}
+    value, witness = _saddle_lp(g, principal, "min")
     return ValueCertificate(
         kind="exact-lp",
-        value=float(res.value),
-        witness=witness,
+        value=value,
+        witness={witness.owner: witness},
         gap_bound=0.0,
     )
+
+
+def _saddle_lp(g: FiniteGame, principal: int, sense: str):
+    """Two-principal saddle point of E[v_j] as one LP (sequence-form LP of
+    Koller, Megiddo & von Stengel); returns (value, outer DirectMechanism).
+
+    sense='min' is j's minmax: the outer table is the opponent's q and the
+    inner program j's max over p.  sense='max' is j's maxmin: the outer
+    table is j's p and the inner program the opponent's min over q.
+    Dualizing the inner program over its polytope (E simplex rows, G IC
+    rows) gives variables [outer table, y (n_x), z (inner IC rows)], the
+    objective 1^T y, and rows -Q q + E_j^T y - G_j^T z >= 0 (min) or
+    Q^T p - E_k^T y - G_k^T z >= 0 (max), then the outer polytope's rows.
+    """
+    inner = principal if sense == "min" else 1 - principal
+    poly_in = build_bic_polytope(g, inner)
+    poly_out = build_bic_polytope(g, 1 - inner)
+    n_out, n_x, m_in = poly_out.n_vars, g.num_profiles, poly_in.ic.shape[0]
+    # the bilinear form's block rows run over the inner principal's actions:
+    # Q_in[(x,a_in),(x,a_out)] = F(x) v_j(x,a)
+    v = g.principal_utils[principal]  # (x, A_1, A_2)
+    q_in = block_diag(*[g.prior[x] * (v[x] if inner == 0 else v[x].T) for x in range(n_x)])
+    flip = 1.0 if sense == "min" else -1.0
+    a_out, rel_out, b_out = poly_out.lp_system()
+    a = np.vstack([np.hstack([-flip * q_in, flip * poly_in.eq.T, -poly_in.ic.T]),
+                   np.hstack([a_out, np.zeros((a_out.shape[0], n_x + m_in))])])
+    rel = [">="] * poly_in.n_vars + rel_out
+    b = np.concatenate([np.zeros(poly_in.n_vars), b_out])
+    obj = np.concatenate([np.zeros(n_out), np.ones(n_x), np.zeros(m_in)])
+    bounds = [(0.0, None)] * n_out + [(None, None)] * n_x + [(0.0, None)] * m_in
+    res = solve_lp(LPProblem(c=obj, a=a, relations=rel, b=b, bounds=bounds, sense=sense))
+    if res.status != "optimal":
+        raise NumericalFailure(f"saddle LP {res.status}")
+    z = _clean_point(poly_out, res.x[:n_out])
+    return float(res.value), DirectMechanism(
+        owner=poly_out.owner, p=z.reshape(poly_out.n_profiles, poly_out.n_actions))
 
 
 def _free_rows(g: FiniteGame, principal: int):
@@ -703,7 +735,7 @@ def search_minmax_maxmin_gap(family: GapFamily = None, budget: int = 500,
                              principal: int = 0) -> GapSearchResult:
     """Search a seeded family for a certified minmax/maxmin separation.
 
-    For each candidate the exact maxmin (vertex-product LP) and the
+    For each candidate the exact maxmin (mode 'exact') and the
     grid-certified minmax lower bound are computed for ``principal``; the
     result is the candidate maximizing (certified lower bound - maxmin).  A
     best gap <= 0 is reported as found=False; nothing is asserted a priori.

@@ -220,7 +220,7 @@ def test_maxmin_value(tmp_path, mp_files):
     out = tmp_path / "r.json"
     assert main(["maxmin", "--game", game, "-j", "P1", "--out", str(out)]) == 0
     doc = _read_json(out)
-    assert doc["kind"] == "vertex-product-exact"
+    assert doc["kind"] == "exact-lp"
     assert doc["value"] == pytest.approx(0.5, abs=1e-9)
 
 
@@ -343,6 +343,44 @@ def test_check_eq_rejects_deviation_file_of_another_principal(tmp_path, mp_files
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "deviation 0 for principal P1" in err
+    assert err.startswith(f"error: {dev}: deviation 0 for principal P1 is owned by principal P2")
+    assert not out.exists()
+
+
+def test_check_eq_errors_name_the_bad_mechanism_or_strategy_file(tmp_path, mp_inputs, capsys):
+    # with two --mechanism files, the error line says which one is bad
+    doc = _read_json(mp_inputs["std0"])
+    label = next(iter(doc["outcome_rows"][0]["dist"]))
+    doc["outcome_rows"][0]["dist"][label] = "0.5"
+    bad = _write_json(tmp_path / "bad0.json", doc)
+    out = tmp_path / "check.json"
+    assert main(_check_eq(mp_inputs, mechanism=bad) + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}.outcome_rows[0].dist.{label}: expected a finite number\n"
+
+    doc = _read_json(mp_inputs["strategies"])
+    key = next(iter(doc["entries"]))
+    dist = doc["entries"][key]
+    dist[next(iter(dist))] = "0.5"
+    bad = _write_json(tmp_path / "bad-strategies.json", doc)
+    assert main(_check_eq(mp_inputs, strategies=bad) + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}.entries.{key}."), err
+    assert not out.exists()
+
+
+def test_game_file_with_too_few_payoff_rows_exits_before_allocating(tmp_path, capsys):
+    # 4**40 type profiles: the payoff rows are counted before any table is
+    # allocated, so the error names a field instead of numpy's size limit
+    doc = {"principals": [{"id": "P1", "actions": ["a", "b"]},
+                          {"id": "P2", "actions": ["c", "d"]}],
+           "agents": [{"id": f"A{i}", "types": ["t0", "t1", "t2", "t3"]} for i in range(40)],
+           "prior": [], "agent_payoffs": [], "principal_payoffs": []}
+    game = _write_json(tmp_path / "huge.json", doc)
+    out = tmp_path / "r.json"
+    assert main(["validate", "--game", game, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: agent_payoffs: missing entry: 0 rows for {40 * 4 * 4 ** 40} entries\n"
     assert not out.exists()
 
 

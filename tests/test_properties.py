@@ -4,8 +4,9 @@ returns the SVD oracle's tables, the array grid sweep returns the loop
 oracle's certificates bit for bit, the batched continuation-equilibrium
 kernel returns the per-candidate loops' blocks, combos and records,
 joint truthfulness separates into the principals' IC rows, the direct HiGHS
-call returns linprog's LP results bit for bit, and the batched maxmin cut
-rows are the per-product loop's."""
+call returns linprog's LP results bit for bit, the batched maxmin cut
+rows are the per-product loop's, and the two-principal saddle-LP maxmin is
+the vertex-product maxmin and the exact2 minmax."""
 
 import dataclasses
 import itertools
@@ -35,6 +36,7 @@ from mechpoly import (
     expected_principal_payoff,
     is_individually_bic,
     is_profile_bic,
+    maxmin,
     minmax,
     random_game,
     robust_pbe_membership,
@@ -518,3 +520,19 @@ def test_vertex_product_cuts_match_loop_oracle(case):
     got = solver._vertex_product_cuts(g, j, solver.DEFAULT_DIM_CAP)
     want = _loop_vertex_product_cuts(g, j)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60)
+@given(g=st.one_of(two_principal_games(),
+                   two_type_games().filter(lambda g: g.num_principals == 2)),
+       j=st.integers(0, 1))
+def test_saddle_maxmin_matches_vertex_products_and_exact2(g, j):
+    cert = maxmin(g, j, mode="exact")
+    assert cert.kind == "exact-lp" and cert.info == {}
+    vp = solver._maxmin_vertex_products(g, j, solver.DEFAULT_DIM_CAP)
+    assert abs(cert.value - vp.value) <= 1e-9
+    assert abs(cert.value - minmax(g, j, mode="exact2").value) <= 1e-9
+    assert is_individually_bic(g, cert.witness, tol=1e-9).ok
+    # the witness secures its value against every opponent vertex
+    cuts = solver._vertex_product_cuts(g, j, solver.DEFAULT_DIM_CAP)
+    assert np.min(cuts @ cert.witness.p.ravel()) >= cert.value - 1e-9

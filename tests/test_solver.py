@@ -135,12 +135,13 @@ def test_best_response_dominates_feasible_tables(rng):
 
 def test_maxmin_matching_pennies(mp2):
     cert = maxmin(mp2, 0, mode="exact")
-    assert cert.kind == "vertex-product-exact"
+    assert cert.kind == "exact-lp"
     assert cert.kind in EXACT_KINDS
     assert cert.value == pytest.approx(0.5, abs=1e-9)
     assert cert.gap_bound == 0.0
     np.testing.assert_allclose(cert.witness.p, [[0.5, 0.5]], atol=1e-9)
-    assert cert.info["n_vertex_products"] == 2
+    vp = solver._maxmin_vertex_products(mp2, 0, solver.DEFAULT_DIM_CAP)
+    assert vp.info["n_vertex_products"] == 2
 
 
 def _constant_game(c=0.7):
@@ -344,13 +345,30 @@ def test_mode_dispatch_and_errors(mp2, rng):
 
 
 def test_maxmin_auto_falls_back_when_opponents_too_large(rng):
-    g = random_game(rng, num_agents=3, type_sizes=[2, 2, 2], action_sizes=[2, 2])
+    # three principals: the opponents' 4-variable polytopes exceed dim_cap 3
+    g = random_game(rng, num_principals=3, num_agents=1, type_sizes=[2],
+                    action_sizes=[2, 2, 2])
     with pytest.raises(DimensionTooLarge):
-        maxmin(g, 0, mode="exact")
-    cert = maxmin(g, 0, mode="auto", restarts=1, seed=5)
+        maxmin(g, 0, mode="exact", dim_cap=3)
+    cert = maxmin(g, 0, mode="auto", dim_cap=3, restarts=1, seed=5)
     assert cert.kind == "alternating"
     assert cert.gap_bound == -1.0
     assert np.isfinite(cert.value)
+
+
+def test_maxmin_two_principals_is_the_saddle_lp_above_dim_cap(rng):
+    # the opponent's 16-variable polytope is over dim_cap, which the saddle
+    # LP never enumerates
+    g = random_game(rng, num_agents=3, type_sizes=[2, 2, 2], action_sizes=[2, 2])
+    with pytest.raises(DimensionTooLarge):
+        solver._maxmin_vertex_products(g, 0, solver.DEFAULT_DIM_CAP)
+    exact2 = minmax(g, 0, mode="exact2").value
+    for mode in ("exact", "auto"):
+        cert = maxmin(g, 0, mode=mode)
+        assert cert.kind == "exact-lp"
+        assert cert.gap_bound == 0.0
+        assert abs(cert.value - exact2) <= 1e-9
+        assert is_individually_bic(g, cert.witness).ok
 
 
 def test_maxmin_alternating_matches_exact_for_two_principals(mp2, rng):
