@@ -52,11 +52,19 @@ def working_tree():
             "dirty": bool(git("status", "--porcelain")), "src_sha256": digest.hexdigest()}
 
 
-def run_once(checkout, workload, seed):
-    """One perfbench run: its metrics, failed_frac and machine fingerprint."""
+def run_once(checkout, workload, seed, side, pair):
+    """One perfbench run: its metrics, failed_frac and machine fingerprint.
+    A run that exits non-zero ends the script with exit code 1, after
+    printing which side and pair it was, its exit code and the end of its
+    stderr."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, check=True, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        print(f"{side} run of pair {pair} ({workload}, seed {seed}) exited with code "
+              f"{proc.returncode}; the last 20 lines of its stderr:", file=sys.stderr)
+        print("\n".join(proc.stderr.splitlines()[-20:]), file=sys.stderr)
+        sys.exit(1)
     line = json.loads(proc.stdout.strip().splitlines()[-1])
     record_path = Path(checkout) / ".perfbench_out" / f"result-{workload}-seed{seed}-trace0.json"
     record = json.loads(record_path.read_text(encoding="utf-8"))
@@ -113,7 +121,7 @@ def main(argv=None):
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for position, name in enumerate(order):
-                run = run_once(checkouts[name], args.workload, args.seed)
+                run = run_once(checkouts[name], args.workload, args.seed, name, pair)
                 run.update(side=name, pair=pair, position=position)
                 runs.append(run)
                 print(f"pair {pair} {name:6s} items_per_s {run['metrics']['items_per_s']:.4g} "

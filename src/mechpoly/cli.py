@@ -479,10 +479,11 @@ def _add_common(sp, game=True, principal=False, seeded=True):
 
 def _add_solver_flags(sp, modes):
     sp.add_argument("--mode", choices=modes)
-    sp.add_argument("--step", type=float, help="grid step delta")
     sp.add_argument("--restarts", "-R", type=int)
     sp.add_argument("--dim-cap", type=int, dest="dim_cap")
-    sp.add_argument("--grid-dim-cap", type=int, dest="grid_dim_cap")
+    if "grid" in modes:     # maxmin has no grid, so it takes no flag it never reads
+        sp.add_argument("--step", type=float, help="grid step delta")
+        sp.add_argument("--grid-dim-cap", type=int, dest="grid_dim_cap")
 
 
 @functools.cache

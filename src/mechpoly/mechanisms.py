@@ -21,6 +21,7 @@ best case (strongly-robust), or best case per opponent block, worst case over
 blocks (robust).
 """
 
+import functools
 import itertools
 import json
 import math
@@ -602,12 +603,11 @@ def _profile_from_blocks(g: FiniteGame, mechanisms, combo, blocks) -> StrategyPr
     return StrategyProfile(principal_messages=pm, agent_messages=am)
 
 
-def _continuation_combos(g: FiniteGame, mechanisms, tol: float, valued=None):
-    """(blocks, ok, payoff): each mechanism's agent-optimal blocks, the
-    boolean grid over their cross product of the combos where no principal
-    with a non-standard mechanism gains more than tol by another message,
-    and principal ``valued``'s payoff on that grid (None if not asked)."""
-    blocks = [_agent_optimal_blocks(g, mech, tol) for mech in mechanisms]
+def _continuation_combos(g: FiniteGame, mechanisms, blocks, tol: float, valued=None):
+    """(ok, payoff): given each mechanism's agent-optimal blocks, the boolean
+    grid over their cross product of the combos where no principal with a
+    non-standard mechanism gains more than tol by another message, and
+    principal ``valued``'s payoff on that grid (None if not asked)."""
     shape = tuple(len(b[0]) for b in blocks)
     if math.prod(shape) > COMBO_CAP:
         raise ContinuationSpaceTooLarge(
@@ -627,13 +627,14 @@ def _continuation_combos(g: FiniteGame, mechanisms, tol: float, valued=None):
         if not mech.standard:
             alt = np.where(np.arange(pay.shape[-1]) == m0, -np.inf, pay).max(axis=-1)
             ok &= ~(alt - own > tol)
-    return blocks, ok, payoff
+    return ok, payoff
 
 
 def enumerate_pure_continuation_equilibria(g: FiniteGame, mechanisms,
                                            tol: float = EQ_TOL):
     """Every pure strategy profile passing the continuation check."""
-    blocks, ok, _ = _continuation_combos(g, mechanisms, tol)
+    blocks = [_agent_optimal_blocks(g, mech, tol) for mech in mechanisms]
+    ok, _ = _continuation_combos(g, mechanisms, blocks, tol)
     return [_profile_from_blocks(g, mechanisms, combo, blocks) for combo in np.argwhere(ok)]
 
 
@@ -681,6 +682,12 @@ def check_equilibrium_notion(g: FiniteGame, mechanisms,
     ``infeasible`` and do not falsify the verdict.  Verdicts quantify over
     pure continuation play only; ContinuationSpaceTooLarge is raised past
     COMBO_CAP candidates of one mechanism or combos of blocks.
+
+    Agent payoffs are separable across principals, so whether an agent's
+    messages to one mechanism are interim optimal depends on that mechanism
+    alone: ``_agent_optimal_blocks(g, mech, tol)`` reads only ``mech``.  Each
+    on-path mechanism's blocks are therefore computed once, in the first
+    subgame that needs them, and reused in every later one.
     """
     if notion not in NOTIONS:
         raise ValueError(f"unknown notion {notion!r}")
@@ -698,13 +705,17 @@ def check_equilibrium_notion(g: FiniteGame, mechanisms,
     checks = []
     infeasible = []
     ok = on_path.ok
+    on_path_blocks = functools.cache(lambda k: _agent_optimal_blocks(g, mechanisms[k], tol))
     for j, devs in sorted(deviations.items()):
         for d_idx, dev in enumerate(devs):
             if _same_mechanism(dev, mechanisms[j]):
                 continue
             subgame = list(mechanisms)
             subgame[j] = dev
-            _, eq, payoff = _continuation_combos(g, subgame, tol, valued=j)
+            # in principal order, so the first mechanism past COMBO_CAP raises
+            blocks = [_agent_optimal_blocks(g, dev, tol) if k == j else on_path_blocks(k)
+                      for k in range(len(subgame))]
+            eq, payoff = _continuation_combos(g, subgame, blocks, tol, valued=j)
             if not eq.any():
                 infeasible.append((g.principal_ids[j], d_idx))
                 continue
@@ -738,12 +749,17 @@ def check_equilibrium_notion(g: FiniteGame, mechanisms,
 # -- simulation ------------------------------------------------------------------
 
 
-def _sample_rows(rng: np.random.Generator, rows: np.ndarray) -> np.ndarray:
-    """One categorical draw per row, via inverse transform; validated rows may
-    sum to 1 - 1e-9, so a draw past the last cumulative total is clamped."""
-    u = rng.random(rows.shape[0])
-    cdf = np.cumsum(rows, axis=1)
-    return np.minimum((u[:, None] > cdf).sum(axis=1), rows.shape[1] - 1)
+def _sample_cdf(rng: np.random.Generator, cdf: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """One categorical draw per entry of ``row`` from that row of the
+    cumulative table ``cdf``, via inverse transform: the number of cumulative
+    totals below a uniform draw, counted column by column.  Validated rows
+    may hold entries down to -DIST_ATOL, so totals need not be monotone, and
+    may sum to 1 - 1e-9, so a draw past the last total is clamped."""
+    u = rng.random(len(row))
+    count = np.zeros(len(row), dtype=np.intp)
+    for col in cdf.T:
+        count += u > col[row]
+    return np.minimum(count, cdf.shape[1] - 1)
 
 
 def simulate(g: FiniteGame, mechanisms, strategies: StrategyProfile,
@@ -753,20 +769,29 @@ def simulate(g: FiniteGame, mechanisms, strategies: StrategyProfile,
     Draws type profiles from the prior and messages from the strategies,
     applies each outcome table, and reports per-player payoff means with
     standard errors plus empirical action-profile frequencies.  Deterministic
-    given the seed.
+    given the seed, which fixes the draws in this order: the type profiles,
+    then per principal its message m_0, each agent's message and the action.
+    A property test pins them to the per-round oracle's draws.  Mechanisms
+    must fit the game and strategies validate against them, and rounds must
+    be at least 1 (anything else raises ValueError).
     """
+    if rounds < 1:
+        raise ValueError("rounds must be at least 1")
+    for j, mech in enumerate(mechanisms):
+        _require_fit(g, j, mech, "mechanism")
+    strategies.validate(g, mechanisms)
     rng = np.random.default_rng(seed)
     x_idx = rng.choice(g.num_profiles, p=g.prior, size=rounds)
     actions = []
     for j, mech in enumerate(mechanisms):
         c0 = np.asarray(strategies.principal_messages[j], dtype=float)
-        m0 = _sample_rows(rng, np.tile(c0, (rounds, 1)))
-        msgs = [m0]
-        for i in range(g.num_agents):
+        cell = _sample_cdf(rng, np.cumsum(c0[None], axis=1), np.zeros(rounds, dtype=np.intp))
+        for i, labels in enumerate(mech.agent_messages):
             rows = np.asarray(strategies.agent_messages[(i, j)], dtype=float)
-            msgs.append(_sample_rows(rng, rows[g.profiles[x_idx, i]]))
-        dist_rows = mech.outcome[tuple(msgs)]
-        actions.append(_sample_rows(rng, dist_rows))
+            cell = cell * len(labels) + _sample_cdf(rng, np.cumsum(rows, axis=1),
+                                                    g.profiles[x_idx, i])
+        outcome = np.cumsum(mech.outcome.reshape(-1, mech.n_actions), axis=1)
+        actions.append(_sample_cdf(rng, outcome, cell))
     principals = []
     for j in range(g.num_principals):
         vals = g.principal_utils[j][(x_idx,) + tuple(actions)]

@@ -222,6 +222,19 @@ def test_maxmin_value(tmp_path, mp_files):
     doc = _read_json(out)
     assert doc["kind"] == "exact-lp"
     assert doc["value"] == pytest.approx(0.5, abs=1e-9)
+    assert doc["config"]["step"] == 0.01
+
+
+def test_maxmin_rejects_grid_flags(tmp_path, mp_files, capsys):
+    # maxmin never reads --step or --grid-dim-cap, so argparse refuses them
+    _, game, _ = mp_files
+    for flag, value in (("--step", "0.7"), ("--grid-dim-cap", "3")):
+        with pytest.raises(SystemExit) as exc:
+            main(["maxmin", "--game", game, "-j", "P1", flag, value,
+                  "--out", str(tmp_path / "r.json")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_punish_reports_both_values(tmp_path, mp_files):
@@ -453,6 +466,17 @@ def test_simulate_profile(tmp_path, mp_files):
     for rec in doc["principals"]:
         assert abs(rec["mean"] - 0.5) <= 4 * rec["stderr"]
     assert main(["simulate", "--game", game, "--out", str(out)]) == 2
+
+
+def test_simulate_rejects_rounds_below_one(tmp_path, mp_files, capsys):
+    # --rounds 0 used to write NaN means; -3 failed inside numpy
+    _, game, uniform = mp_files
+    out = tmp_path / "r.json"
+    for rounds in ("0", "-3"):
+        assert main(["simulate", "--game", game, "--profile", uniform,
+                     "--rounds", rounds, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: rounds must be at least 1\n"
+    assert not out.exists()
 
 
 def test_simulate_from_mechanism_files(tmp_path, mp_files):

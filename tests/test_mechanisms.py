@@ -460,6 +460,31 @@ def test_notion_skips_identical_deviation(screen1):
     assert verdict.infeasible == []
 
 
+def test_notion_computes_each_on_path_blocks_once(mp2, monkeypatch):
+    # one call per on-path mechanism some subgame needs, in the first subgame
+    # that needs it, plus one per deviation that is not skipped
+    mechs = [_mp_std(mp2, 0, [0.5, 0.5]), _mp_std(mp2, 1, [0.5, 0.5])]
+    strat = truthful_strategies(mp2, mechs)
+    menus = [_vertex_menu(mp2, j) for j in range(2)]
+    pure = _mp_std(mp2, 0, [1.0, 0.0])
+    seen = []
+    blocks = mechpoly.mechanisms._agent_optimal_blocks
+
+    def recording(g, mech, tol):
+        seen.append(mech)
+        return blocks(g, mech, tol)
+
+    monkeypatch.setattr(mechpoly.mechanisms, "_agent_optimal_blocks", recording)
+    for devs, want in [
+            ({0: [menus[0], mechs[0], pure], 1: [menus[1]]},
+             [menus[0], mechs[1], pure, mechs[0], menus[1]]),
+            ({0: [menus[0], pure], 1: [mechs[1]]}, [menus[0], mechs[1], pure]),
+            ({0: [mechs[0]], 1: [mechs[1]]}, [])]:
+        seen.clear()
+        check_equilibrium_notion(mp2, mechs, strat, devs, notion="robust")
+        assert [id(m) for m in seen] == [id(m) for m in want]
+
+
 def test_notion_rejects_empty_deviation_sets(screen1):
     mechs = _screen_pair(screen1, TRUTHFUL)
     strat = truthful_strategies(screen1, mechs)
@@ -671,13 +696,13 @@ def test_simulate_counts_action_profiles_as_sorted_unique_rows(rng, monkeypatch)
               np.array([[0.5, 0.5], [1.0, 0.0]])]
     mechs = [standard_from_direct(g, DirectMechanism(owner=j, p=t)) for j, t in enumerate(tables)]
     draws = []
-    sample_rows = mechpoly.mechanisms._sample_rows
+    sample_cdf = mechpoly.mechanisms._sample_cdf
 
-    def recording(rng, rows):
-        draws.append(sample_rows(rng, rows))
+    def recording(rng, cdf, row):
+        draws.append(sample_cdf(rng, cdf, row))
         return draws[-1]
 
-    monkeypatch.setattr(mechpoly.mechanisms, "_sample_rows", recording)
+    monkeypatch.setattr(mechpoly.mechanisms, "_sample_cdf", recording)
     out = simulate(g, mechs, truthful_strategies(g, mechs), seed=3, rounds=500)
     joint = np.stack(draws[2::3], axis=1)    # per principal: m_0, the agent, the action
     rows, counts = np.unique(joint, axis=0, return_counts=True)
@@ -688,7 +713,7 @@ def test_simulate_counts_action_profiles_as_sorted_unique_rows(rng, monkeypatch)
 
 
 def test_sample_rows_clamps_draws_past_a_short_row():
-    from mechpoly.mechanisms import _sample_rows
+    from mechpoly.mechanisms import _sample_cdf
 
     class StubRng:
         def random(self, n):
@@ -696,7 +721,23 @@ def test_sample_rows_clamps_draws_past_a_short_row():
 
     # validation accepts rows summing to 1 - 5e-10; the draw lies above that
     rows = np.array([[0.5, 0.5 - 5e-10], [0.25, 0.75]])
-    assert _sample_rows(StubRng(), rows).tolist() == [1, 1]
+    assert _sample_cdf(StubRng(), np.cumsum(rows, axis=1), np.arange(2)).tolist() == [1, 1]
+
+
+def test_simulate_rejects_inputs_it_would_mis_sample(mp2):
+    # at rounds 0 the means were NaN; an agent row wider than its message set
+    # would fold into another outcome cell
+    mechs = [_mp_std(mp2, 0, [0.5, 0.5]), _mp_std(mp2, 1, [0.5, 0.5])]
+    strat = truthful_strategies(mp2, mechs)
+    for rounds in (0, -3):
+        with pytest.raises(ValueError, match="rounds must be at least 1"):
+            simulate(mp2, mechs, strat, seed=0, rounds=rounds)
+    wide = StrategyProfile(principal_messages=strat.principal_messages,
+                           agent_messages={**strat.agent_messages, (0, 0): np.array([[0.0, 1.0]])})
+    with pytest.raises(ValueError, match=r"agent 0 strategy for principal 0: shape \(1, 2\)"):
+        simulate(mp2, mechs, wide, seed=0, rounds=10)
+    with pytest.raises(ValueError, match="mechanism for principal P1 is owned"):
+        simulate(mp2, mechs[::-1], strat, seed=0, rounds=10)
 
 
 # -- files ---------------------------------------------------------------------------

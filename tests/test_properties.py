@@ -5,8 +5,9 @@ oracle's certificates bit for bit, the batched continuation-equilibrium
 kernel returns the per-candidate loops' blocks, combos and records,
 joint truthfulness separates into the principals' IC rows, the direct HiGHS
 call returns linprog's LP results bit for bit, the batched maxmin cut
-rows are the per-product loop's, and the two-principal saddle-LP maxmin is
-the vertex-product maxmin and the exact2 minmax."""
+rows are the per-product loop's, the two-principal saddle-LP maxmin is
+the vertex-product maxmin and the exact2 minmax, and ``simulate`` makes the
+per-round oracle's draws."""
 
 import dataclasses
 import itertools
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 import continuation_oracle as oracle
 import grid_oracle
 import lp_oracle
+import simulate_oracle
 from mechpoly import (
     DirectMechanism,
     GeneralMechanism,
@@ -41,12 +43,13 @@ from mechpoly import (
     random_game,
     robust_pbe_membership,
     sample_bic,
+    simulate,
     solve_lp,
     solver,
     standard_from_direct,
 )
-from mechpoly.game import _contract_except
-from mechpoly.mechanisms import NOTIONS, _continuation_combos
+from mechpoly.game import DIST_ATOL, _contract_except
+from mechpoly.mechanisms import NOTIONS, _agent_optimal_blocks, _continuation_combos
 from vertex_oracle import svd_enumerate_vertices
 
 TOL = 1e-7
@@ -235,9 +238,11 @@ def test_vertex_enumeration_matches_svd_oracle_16_variables():
 def mechanism_profiles(draw):
     """A game with two or three principals and one to three agents, at most
     four type profiles and 64 pure candidates per mechanism, and one random
-    mechanism per principal plus one deviation each.  Mechanisms are free-form
-    message games, menus of sampled BIC tables, deviator-reporting mechanisms
-    (three agents only) or wrapped direct tables."""
+    mechanism per principal plus one to three deviations each, some of them
+    the on-path mechanism itself (which the notion check skips).  Mechanisms
+    are free-form message games, menus of sampled BIC tables,
+    deviator-reporting mechanisms (three agents only) or wrapped direct
+    tables."""
     n_principals = draw(st.integers(2, 3))
     n_agents = draw(st.sampled_from([3, 1, 2] if n_principals == 2 else [1, 2]))
     type_sizes = [draw(st.integers(1, 2))] + [1] * (n_agents - 1)
@@ -277,7 +282,9 @@ def mechanism_profiles(draw):
     # with three agents the on-path profile is deviator reporting, as in a07
     mechs = [mechanism(j, ["reporting"] if n_agents == 3 else kinds)
              for j in range(n_principals)]
-    devs = {j: [mechanism(j, kinds)] for j in range(n_principals)}
+    devs = {j: [mechs[j] if draw(st.integers(0, 3)) == 0 else mechanism(j, kinds)
+                for _ in range(draw(st.integers(1, 3)))]
+            for j in range(n_principals)}
     return g, mechs, devs, rng
 
 
@@ -310,7 +317,8 @@ def _bits(records):
 @given(case=mechanism_profiles())
 def test_continuation_kernel_matches_loop_oracle(case):
     g, mechs, devs, rng = case
-    blocks, ok, _ = _continuation_combos(g, mechs, 1e-9)
+    blocks = [_agent_optimal_blocks(g, mech, 1e-9) for mech in mechs]
+    ok, _ = _continuation_combos(g, mechs, blocks, 1e-9)
     want_blocks, want_combos = oracle.continuation_combos(g, mechs)
     for (m0, maps, tables), want in zip(blocks, want_blocks):
         assert len(m0) == len(want)
@@ -340,6 +348,48 @@ def test_continuation_kernel_matches_loop_oracle(case):
         assert _bits(verdict.checks) == _bits(checks)
         assert verdict.infeasible == infeasible
 
+
+def _at_the_edges(rng, rows):
+    """A copy of the distribution rows, each row as it is, scaled to sum to
+    1 - 5e-10, or with one entry at -DIST_ATOL and its mass moved to another:
+    rows that validation still accepts, with short or non-monotone
+    cumulative totals."""
+    rows = np.array(rows, dtype=float)
+    for row in rows.reshape(-1, rows.shape[-1]):
+        kind = rng.integers(3)
+        if kind == 1:
+            row *= 1 - 5e-10
+        elif kind == 2 and len(row) > 1:
+            a, b = rng.choice(len(row), size=2, replace=False)
+            row[b] += row[a] + DIST_ATOL
+            row[a] = -DIST_ATOL
+    return rows
+
+
+def _hex(obj):
+    """obj with dicts as item lists, so order counts, and floats as hex."""
+    if isinstance(obj, dict):
+        return [(k, _hex(v)) for k, v in obj.items()]
+    if isinstance(obj, list):
+        return [_hex(v) for v in obj]
+    return obj.hex() if isinstance(obj, float) else obj
+
+
+@settings(max_examples=80)
+@given(case=mechanism_profiles(), mixed=st.booleans(),
+       rounds=st.sampled_from([1, 2, 37, 500]), seed=st.integers(0, 2**32 - 1))
+def test_simulate_matches_per_round_oracle(case, mixed, rounds, seed):
+    g, mechs, _, rng = case
+    mechs = [dataclasses.replace(m, outcome=_at_the_edges(rng, m.outcome), standard=None)
+             for m in mechs]
+    strat = (_mixed_profile if mixed else _pure_profile)(rng, g, mechs)
+    strat = StrategyProfile(
+        principal_messages={j: _at_the_edges(rng, c) for j, c in strat.principal_messages.items()},
+        agent_messages={key: _at_the_edges(rng, rows)
+                        for key, rows in strat.agent_messages.items()})
+    got = simulate(g, mechs, strat, seed=seed, rounds=rounds)
+    want = simulate_oracle.simulate(g, mechs, strat, seed=seed, rounds=rounds)
+    assert _hex(got) == _hex(want)
 
 @st.composite
 def separability_cases(draw):
