@@ -22,8 +22,6 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from .bic import (
     DEFAULT_DIM_CAP,
     MEMBERSHIP_TOL,
@@ -256,7 +254,7 @@ def _cmd_minmax(args):
     t0 = time.perf_counter()
     cert = _minmax(g, j, args)
     payload = solve_report(g, j, cert, args.seed, _ms_since(t0))
-    payload["info"] = _jsonable(cert.info)
+    payload["info"] = cert.info
     path = _write_report(args, payload)
     print(f"minmax: {g.principal_ids[j]} {cert.kind} value={cert.value:.6f} "
           f"gap_bound={cert.gap_bound:.6f} -> {path}")
@@ -270,7 +268,7 @@ def _cmd_maxmin(args):
     cert = maxmin(g, j, mode=args.mode, dim_cap=args.dim_cap,
                   restarts=args.restarts, seed=args.seed)
     payload = solve_report(g, j, cert, args.seed, _ms_since(t0))
-    payload["info"] = _jsonable(cert.info)
+    payload["info"] = cert.info
     path = _write_report(args, payload)
     print(f"maxmin: {g.principal_ids[j]} {cert.kind} value={cert.value:.6f} -> {path}")
     return EXIT_OK
@@ -446,18 +444,6 @@ def _cmd_search_gap(args):
     print(f"search-gap: best candidate {res.candidate_index} certified gap "
           f"{res.certified_gap:+.6f} -> {path}")
     return EXIT_OK
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
 
 
 # -- parser --------------------------------------------------------------------

@@ -201,23 +201,6 @@ class DirectMechanism:
         return bool(np.all(np.abs(self.p.sum(axis=1) - 1.0) <= atol))
 
 
-@dataclass(frozen=True, eq=False)
-class RandomActionProfile:
-    """One action distribution per principal (no type dependence); compares
-    and hashes by identity."""
-
-    dists: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "dists", tuple(_frozen(d) for d in self.dists))
-
-    def validate(self, atol: float = DIST_ATOL) -> bool:
-        for d in self.dists:
-            if np.any(d < -atol) or abs(d.sum() - 1.0) > atol:
-                return False
-        return True
-
-
 @dataclass
 class ValidationResult:
     ok: bool
@@ -287,14 +270,13 @@ def conditional_prior(g: FiniteGame, agent: int, t) -> np.ndarray:
     """
     if isinstance(t, str):
         t = g.type_spaces[agent].index(t)
-    idxs = g.profiles_with_type(agent, t)
-    mass = float(g.prior[idxs].sum())
-    if mass <= 0.0:
+    _, weights = conditional_weights(g, agent, t)
+    if weights is None:
         raise ValueError(
             f"conditional_prior: type {g.type_spaces[agent][t]!r} of agent {agent} "
             "has zero prior mass"
         )
-    return np.asarray(g.prior[idxs] / mass)
+    return weights
 
 
 def conditional_weights(g: FiniteGame, agent: int, t: int):
@@ -351,47 +333,29 @@ def decompose_separable(g: FiniteGame, joint: np.ndarray):
 
     Returns a list of arrays, one per principal, with shapes (n_profiles,
     |A_k|), summing cell-wise to ``joint``.  The decomposition is pinned by
-    u_k(first action, x) = 0 for every k >= 2.  Raises NotSeparable with the
-    worst-fit cell when the residual exceeds 1e-9.
+    u_k(first action, x) = 0 for every k >= 2.  The table is balanced, so its
+    least-squares additive fit is each principal's one-axis means minus
+    (J - 1) grand means; NotSeparable names the first worst-fit cell, in
+    (profile, action profile) order, when a residual exceeds 1e-9.
     """
     joint = np.asarray(joint, dtype=float)
     shape = (g.num_profiles,) + tuple(len(a) for a in g.action_spaces)
     if joint.shape != shape:
         raise ValueError(f"joint table has shape {joint.shape}, expected {shape}")
-    sizes = [len(a) for a in g.action_spaces]
-    # unknown layout per profile: all of u_1, then u_k[1:] for k >= 2
-    cols = []
-    offset = 0
-    for k, sz in enumerate(sizes):
-        start = 1 if k >= 1 else 0
-        cols.append((offset, start, sz))
-        offset += sz - start
-    n_unknown = offset
-    rows = list(itertools.product(*[range(s) for s in sizes]))
-    design = np.zeros((len(rows), n_unknown))
-    for r, aprof in enumerate(rows):
-        for k, a in enumerate(aprof):
-            off, start, _ = cols[k]
-            if a >= start:
-                design[r, off + a - start] = 1.0
-    comps = [np.zeros((g.num_profiles, sz)) for sz in sizes]
-    worst = (0.0, None, None)
-    for x in range(g.num_profiles):
-        rhs = np.array([joint[(x,) + ap] for ap in rows])
-        sol, *_ = np.linalg.lstsq(design, rhs, rcond=None)
-        resid = design @ sol - rhs
-        r_idx = int(np.argmax(np.abs(resid)))
-        if abs(resid[r_idx]) > worst[0]:
-            worst = (abs(resid[r_idx]), rows[r_idx], x)
-        for k, sz in enumerate(sizes):
-            off, start, _ = cols[k]
-            comps[k][x, start:] = sol[off:off + sz - start]
-    if worst[0] > SEPARABLE_ATOL:
-        aprof, x = worst[1], worst[2]
+    axes = range(1, joint.ndim)
+    others = [tuple(a for a in axes if a != k) for k in axes]     # averaged out per k
+    means = [joint.mean(axis=o) for o in others]
+    comps = [m - m[:, :1] for m in means]
+    comps[0] = means[0] + sum(m[:, :1] for m in means[1:]) \
+        - (len(means) - 1) * joint.mean(axis=tuple(axes))[:, None]
+    fit = sum(np.expand_dims(c, o) for c, o in zip(comps, others))
+    resid = np.abs(fit - joint)
+    cell = np.unravel_index(int(np.argmax(resid)), resid.shape)
+    if resid[cell] > SEPARABLE_ATOL:
         raise NotSeparable(
-            tuple(g.action_spaces[k][a] for k, a in enumerate(aprof)),
-            g.profile_labels(x),
-            worst[0],
+            tuple(g.action_spaces[k][a] for k, a in enumerate(cell[1:])),
+            g.profile_labels(cell[0]),
+            float(resid[cell]),
         )
     return comps
 
@@ -565,8 +529,8 @@ def game_from_dict(doc: dict) -> FiniteGame:
     sizes = tuple(len(ts) for ts in type_spaces)
     n_actions = tuple(len(a) for a in action_spaces)
     n_profiles = math.prod(sizes)
-    # every payoff entry is listed once, so counting rows first bounds the
-    # tables by the file's size
+    # counting rows first bounds the tables by the file's size and, with the
+    # duplicate checks below, proves that every payoff cell is filled
     agent_rows = _array(agent_rows, "agent_payoffs")
     principal_rows = _array(principal_rows, "principal_payoffs")
     for rows, path, need in (
@@ -598,15 +562,6 @@ def game_from_dict(doc: dict) -> FiniteGame:
         _require(np.isnan(agent_utils[i][k][cell]), path, "duplicate entry")
         agent_utils[i][k][cell] = _number(u, f"{path}.u")
     agent_utils = [[t.reshape(n_profiles, -1) for t in per] for per in agent_utils]
-    for i, per in enumerate(agent_utils):
-        for k, tab in enumerate(per):
-            if np.any(np.isnan(tab)):
-                x, a = map(int, np.argwhere(np.isnan(tab))[0])
-                raise GameFormatError(
-                    "agent_payoffs",
-                    f"missing entry: agent {agent_ids[i]}, principal {principal_ids[k]}, "
-                    f"action {action_spaces[k][a]!r}, profile index {x}",
-                )
 
     principal_utils = [np.full(sizes + n_actions, np.nan) for _ in principal_ids]
     for r, row in enumerate(principal_rows):
@@ -618,9 +573,6 @@ def game_from_dict(doc: dict) -> FiniteGame:
                 + _indices(action_spaces, aprof, f"{path}.action_profile", "action"))
         _require(np.isnan(principal_utils[j][cell]), path, "duplicate entry")
         principal_utils[j][cell] = _number(v, f"{path}.v")
-    for j, pid in enumerate(principal_ids):
-        _require(not np.any(np.isnan(principal_utils[j])), "principal_payoffs",
-                 f"missing entries for principal {pid}")
 
     return FiniteGame(
         type_spaces=type_spaces,

@@ -67,16 +67,14 @@ def random_game(rng: np.random.Generator,
                 num_agents: int = 1,
                 type_sizes=None,
                 action_sizes=None,
-                u_scale: float = 1.0,
-                v_range=(0.0, 1.0),
                 zero_agent_payoffs: bool = False) -> FiniteGame:
-    """Draw a game with uniform-ish random tables and a random interior prior.
+    """Draw a game with uniform random tables and a random interior prior.
+
+    Agent components are uniform on [-1, 1], principal payoffs on [0, 1].
 
     Args:
         rng: seeded generator; all randomness flows through it.
         type_sizes / action_sizes: per-agent / per-principal sizes; default 2.
-        u_scale: agent components are uniform on [-u_scale, u_scale].
-        v_range: principal payoffs are uniform on this interval.
         zero_agent_payoffs: make every u_ik identically zero.
     """
     if type_sizes is None:
@@ -99,11 +97,11 @@ def random_game(rng: np.random.Generator,
             if zero_agent_payoffs:
                 per.append(np.zeros((n_profiles, action_sizes[k])))
             else:
-                per.append(rng.uniform(-u_scale, u_scale, size=(n_profiles, action_sizes[k])))
+                per.append(rng.uniform(-1.0, 1.0, size=(n_profiles, action_sizes[k])))
         agent_utils.append(tuple(per))
     shape = (n_profiles,) + tuple(action_sizes)
     principal_utils = tuple(
-        rng.uniform(v_range[0], v_range[1], size=shape) for _ in range(num_principals)
+        rng.uniform(0.0, 1.0, size=shape) for _ in range(num_principals)
     )
     return FiniteGame(
         type_spaces=type_spaces,

@@ -502,6 +502,14 @@ def _require_fit(g: FiniteGame, j: int, mech: GeneralMechanism, what: str) -> No
                          f"agent message sets, the game needs {g.num_agents}")
 
 
+def _require_profile(g: FiniteGame, mechanisms) -> None:
+    """ValueError unless each principal has one mechanism, fitting it."""
+    if len(mechanisms) != g.num_principals:
+        raise ValueError(f"{len(mechanisms)} mechanisms for {g.num_principals} principals")
+    for j, mech in enumerate(mechanisms):
+        _require_fit(g, j, mech, "mechanism")
+
+
 def check_continuation_equilibrium(g: FiniteGame, mechanisms,
                                    strategies: StrategyProfile,
                                    tol: float = EQ_TOL) -> CeVerdict:
@@ -511,12 +519,11 @@ def check_continuation_equilibrium(g: FiniteGame, mechanisms,
     alternative message improves the interim payoff component by more than
     tol (sufficient for all mixed alternatives by linearity).  Principals:
     no alternative own message improves the ex-ante payoff by more than tol.
-    Returns the most profitable deviation found.  A mechanism that is not
-    owned by the principal at its position, or whose action count or number
-    of agent message sets does not fit the game, raises ValueError.
+    Returns the most profitable deviation found.  A mechanism count other
+    than the principals', or a mechanism that does not fit the principal at
+    its position (owner, actions, agent message sets), raises ValueError.
     """
-    for j, mech in enumerate(mechanisms):
-        _require_fit(g, j, mech, "mechanism")
+    _require_profile(g, mechanisms)
     weights = [[np.asarray(strategies.agent_messages[(i, j)], dtype=float)[None]
                 for i in range(g.num_agents)] for j in range(len(mechanisms))]
     worst, witness = 0.0, None
@@ -633,6 +640,7 @@ def _continuation_combos(g: FiniteGame, mechanisms, blocks, tol: float, valued=N
 def enumerate_pure_continuation_equilibria(g: FiniteGame, mechanisms,
                                            tol: float = EQ_TOL):
     """Every pure strategy profile passing the continuation check."""
+    _require_profile(g, mechanisms)
     blocks = [_agent_optimal_blocks(g, mech, tol) for mech in mechanisms]
     ok, _ = _continuation_combos(g, mechanisms, blocks, tol)
     return [_profile_from_blocks(g, mechanisms, combo, blocks) for combo in np.argwhere(ok)]
@@ -777,8 +785,7 @@ def simulate(g: FiniteGame, mechanisms, strategies: StrategyProfile,
     """
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
-    for j, mech in enumerate(mechanisms):
-        _require_fit(g, j, mech, "mechanism")
+    _require_profile(g, mechanisms)
     strategies.validate(g, mechanisms)
     rng = np.random.default_rng(seed)
     x_idx = rng.choice(g.num_profiles, p=g.prior, size=rounds)

@@ -607,63 +607,60 @@ def punishment_profile(g: FiniteGame, principal: int, mode: str = "auto",
 
 @dataclass
 class MembershipVerdict:
-    verdict: str                 # member | non-member | consistent-with-membership | not-established
+    verdict: str                 # member | non-member | not-established
     per_principal: list
     bic_ok: bool
     bic_worst: tuple = None
 
     @property
     def ok(self) -> bool:
-        return self.verdict in ("member", "consistent-with-membership")
+        return self.verdict == "member"
 
 
 def robust_pbe_membership(g: FiniteGame, mechanisms, certs,
                           tol: float = VALUE_TOL) -> MembershipVerdict:
     """Test a direct-mechanism profile against each principal's payoff floor.
 
-    ``certs`` holds one ValueCertificate per principal (their minmax values).
-    A principal's test reports ``ok`` when their expected payoff is at least
-    cert.value - tol.  Exact kinds decide both ways.  A grid certificate's
-    value is a lower bound on the floor, so failing it is definitive, while a
-    pass is definitive only at or above info["witness_value"] - tol (a
-    feasible upper bound); in between nothing is established.  An
-    alternating-upper-bound value is an exact best-response value against a
-    feasible opponent profile, so it bounds the floor from above: passing it
-    is definitive, and a failure against it is 'not-established'.  The
-    alternating (maxmin) kind is a heuristic: a pass against it reports
-    'consistent-with-membership' and a failure 'not-established'.
+    ``certs`` holds one ValueCertificate per principal.  A principal's test
+    reports ``ok`` when their expected payoff is at least cert.value - tol.
+    The verdict reads each certificate as a bracket (lower, upper) on the
+    floor, (-inf, inf) for a kind it does not know: a payoff below lower - tol
+    fails, one at or above upper - tol passes, and one in between is open.  A
+    failure or a profile that is not BIC gives 'non-member', else an open
+    test 'not-established'.
     """
     bic = is_profile_bic(g, mechanisms)
     per = []
-    outcomes = set()   # 'pass' | 'fail' (definitive), 'hedged', 'open'
+    outcomes = set()   # 'pass' | 'fail' | 'open'
     for j in range(g.num_principals):
         cert = certs[j]
         payoff = expected_principal_payoff(g, j, mechanisms)
-        slack = payoff - cert.value
-        ok = slack >= -tol
-        if cert.kind in EXACT_KINDS or (cert.kind == GRID_KIND and not ok):
-            outcomes.add("pass" if ok else "fail")
-        elif cert.kind == GRID_KIND:
-            upper = cert.info.get("witness_value")
-            outcomes.add("pass" if upper is not None and payoff >= upper - tol else "open")
-        elif cert.kind == UPPER_KIND:
-            outcomes.add("pass" if ok else "open")
+        v, witness_value = cert.value, cert.info.get("witness_value")
+        lower, upper = {
+            "exact-lp": (v, v),
+            "vertex-product-exact": (v, np.inf),        # maxmin <= minmax
+            # grid witness and alternating values are attained by feasible opponents
+            GRID_KIND: (v, np.inf if witness_value is None else witness_value),
+            UPPER_KIND: (-np.inf, v),
+            "alternating": (-np.inf, np.inf),           # a heuristic maxmin
+        }.get(cert.kind, (-np.inf, np.inf))
+        if payoff - lower < -tol:
+            outcomes.add("fail")
         else:
-            outcomes.add("hedged" if ok else "open")
+            outcomes.add("pass" if payoff - upper >= -tol else "open")
+        slack = payoff - cert.value
         per.append({
             "principal": g.principal_ids[j],
             "payoff": float(payoff),
             "bound": float(cert.value),
             "slack": float(slack),
-            "ok": bool(ok),
+            "ok": bool(slack >= -tol),
             "kind": cert.kind,
         })
     if not bic.ok or "fail" in outcomes:
         verdict = "non-member"
-    elif "open" in outcomes:
-        verdict = "not-established"
     else:
-        verdict = "consistent-with-membership" if "hedged" in outcomes else "member"
+        verdict = "not-established" if "open" in outcomes else "member"
     return MembershipVerdict(verdict=verdict, per_principal=per,
                              bic_ok=bool(bic.ok), bic_worst=bic.worst_label)
 

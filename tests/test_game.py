@@ -9,7 +9,6 @@ from mechpoly import (
     FiniteGame,
     GameFormatError,
     NotSeparable,
-    RandomActionProfile,
     conditional_prior,
     contract_opponents,
     decompose_separable,
@@ -172,8 +171,19 @@ def test_decompose_separable_rejects_product(mp2):
         decompose_separable(mp2, joint)
     err = exc.value
     assert err.residual == pytest.approx(0.25, abs=1e-9)
-    assert len(err.action_profile) == 2
+    # all four cells tie at 0.25; the first in (profile, action profile) order is named
+    assert err.action_profile == ("H", "H")
     assert err.profile == ("x", "x", "x")
+
+
+def test_decompose_separable_accepts_residuals_up_to_1e_9(mp2):
+    # an interaction eps * [a1 = a2 = T] leaves residual eps / 4 in every cell
+    joint = np.zeros((1, 2, 2))
+    joint[0, 1, 1] = 4 * 0.9e-9
+    decompose_separable(mp2, joint)
+    joint[0, 1, 1] = 4 * 1.1e-9
+    with pytest.raises(NotSeparable):
+        decompose_separable(mp2, joint)
 
 
 def test_decompose_separable_shape_error(mp2):
@@ -295,20 +305,12 @@ def test_direct_mechanism_validate():
     assert not DirectMechanism(owner=0, p=np.array([1.0, 0.0])).validate()
 
 
-def test_random_action_profile_validate():
-    assert RandomActionProfile(dists=(np.array([0.5, 0.5]), np.array([1.0]))).validate()
-    assert not RandomActionProfile(dists=(np.array([0.5, 0.4]),)).validate()
-
-
 def test_mechanisms_compare_and_hash_by_identity():
     # the generated __eq__/__hash__ over array fields used to raise
     a = DirectMechanism(owner=0, p=np.eye(2))
     b = DirectMechanism(owner=0, p=np.eye(2))
     assert a == a and a != b
     assert len({a, b, a}) == 2 and hash(a) == hash(a)
-    r = RandomActionProfile(dists=(np.array([0.5, 0.5]),))
-    assert r == r and r != RandomActionProfile(dists=(np.array([0.5, 0.5]),))
-    assert len({r, r}) == 1
 
 
 def test_mechanism_round_trip_and_errors(screen1):

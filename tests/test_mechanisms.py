@@ -556,6 +556,24 @@ def test_mechanisms_must_fit_the_game(rng):
         check_equilibrium_notion(g, wide, strat, {1: [table(1, 3)]}, notion="robust")
 
 
+def test_profiles_need_one_mechanism_per_principal(mp2):
+    # a one-mechanism profile used to pass the on-path check, enumerate, and
+    # end in IndexError in simulate and check_equilibrium_notion
+    mechs = [_mp_std(mp2, 0, [0.5, 0.5]), _mp_std(mp2, 1, [0.5, 0.5])]
+    strat = truthful_strategies(mp2, mechs)
+    short = mechs[:1]
+    count = "1 mechanisms for 2 principals"
+    with pytest.raises(ValueError, match=count):
+        simulate(mp2, short, strat, seed=1, rounds=5)
+    with pytest.raises(ValueError, match=count):
+        check_continuation_equilibrium(mp2, short, strat)
+    with pytest.raises(ValueError, match=count):
+        enumerate_pure_continuation_equilibria(mp2, short)
+    with pytest.raises(ValueError, match=count):
+        check_equilibrium_notion(mp2, short, strat, {0: [_mp_std(mp2, 0, [1.0, 0.0])]},
+                                 notion="robust")
+
+
 def test_continuation_space_over_cap_raises(mp2, monkeypatch):
     # agents are indifferent, so all 2 * 2**3 = 16 candidates of each message
     # mechanism are blocks and the combo grid holds 256 cells

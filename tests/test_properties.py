@@ -6,8 +6,9 @@ kernel returns the per-candidate loops' blocks, combos and records,
 joint truthfulness separates into the principals' IC rows, the direct HiGHS
 call returns linprog's LP results bit for bit, the batched maxmin cut
 rows are the per-product loop's, the two-principal saddle-LP maxmin is
-the vertex-product maxmin and the exact2 minmax, and ``simulate`` makes the
-per-round oracle's draws."""
+the vertex-product maxmin and the exact2 minmax, ``simulate`` makes the
+per-round oracle's draws, and the closed-form separable fit is the
+per-profile least-squares fit."""
 
 import dataclasses
 import itertools
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 import continuation_oracle as oracle
 import grid_oracle
 import lp_oracle
+import separable_oracle
 import simulate_oracle
 from mechpoly import (
     DirectMechanism,
@@ -33,6 +35,7 @@ from mechpoly import (
     build_type_and_dm_mechanism,
     check_continuation_equilibrium,
     check_equilibrium_notion,
+    decompose_separable,
     enumerate_pure_continuation_equilibria,
     enumerate_vertices,
     expected_principal_payoff,
@@ -48,12 +51,12 @@ from mechpoly import (
     solver,
     standard_from_direct,
 )
-from mechpoly.game import DIST_ATOL, _contract_except
+from mechpoly.game import DIST_ATOL, SEPARABLE_ATOL, NotSeparable, _contract_except
 from mechpoly.mechanisms import NOTIONS, _agent_optimal_blocks, _continuation_combos
 from vertex_oracle import svd_enumerate_vertices
 
 TOL = 1e-7
-RANK = {"non-member": 0, "not-established": 1, "consistent-with-membership": 2, "member": 3}
+RANK = {"non-member": 0, "not-established": 1, "member": 2}
 
 
 @st.composite
@@ -586,3 +589,61 @@ def test_saddle_maxmin_matches_vertex_products_and_exact2(g, j):
     # the witness secures its value against every opponent vertex
     cuts = solver._vertex_product_cuts(g, j, solver.DEFAULT_DIM_CAP)
     assert np.min(cuts @ cert.witness.p.ravel()) >= cert.value - 1e-9
+
+
+def _additive(parts, shape):
+    """The table sum_k parts[k][x, a_k], cell by cell."""
+    out = np.zeros(shape)
+    for cell in itertools.product(*map(range, shape)):
+        out[cell] = sum(p[cell[0], a] for p, a in zip(parts, cell[1:]))
+    return out
+
+
+@st.composite
+def joint_tables(draw):
+    """A game with two to four principals of one to three actions and one or
+    two agents, and a joint agent table that is exactly additive, or
+    additive plus noise of scale 1e-12 or 1e-3."""
+    n_j, n_i = draw(st.integers(2, 4)), draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_game(rng, num_principals=n_j, num_agents=n_i,
+                    type_sizes=[draw(st.integers(1, 2)) for _ in range(n_i)],
+                    action_sizes=[draw(st.integers(1, 3)) for _ in range(n_j)])
+    shape = (g.num_profiles,) + tuple(len(a) for a in g.action_spaces)
+    parts = [rng.uniform(-1.0, 1.0, size=(g.num_profiles, n)) for n in shape[1:]]
+    noise = draw(st.sampled_from([0.0, 1e-12, 1e-3]))
+    return g, _additive(parts, shape) + noise * rng.standard_normal(shape)
+
+
+def _outcome(decompose, g, joint):
+    """The NotSeparable that ``decompose`` raises, or None."""
+    try:
+        decompose(g, joint)
+    except NotSeparable as exc:
+        return exc
+    return None
+
+
+@settings(max_examples=200)
+@given(case=joint_tables())
+def test_decompose_separable_matches_lstsq_oracle(case):
+    g, joint = case
+    # the fits themselves, with no residual bound
+    with mock.patch("mechpoly.game.SEPARABLE_ATOL", np.inf), \
+            mock.patch.object(separable_oracle, "SEPARABLE_ATOL", np.inf):
+        got = decompose_separable(g, joint)
+        want = separable_oracle.decompose_separable(g, joint)
+    for k, (a, b) in enumerate(zip(got, want)):
+        assert np.max(np.abs(a - b)) <= 1e-12
+        assert k == 0 or not a[:, 0].any()
+    resid = np.abs(_additive(want, joint.shape) - joint)
+    assert np.max(np.abs(np.abs(_additive(got, joint.shape) - joint) - resid)) <= 1e-12
+    exc = _outcome(decompose_separable, g, joint)
+    o_exc = _outcome(separable_oracle.decompose_separable, g, joint)
+    top = np.sort(resid.reshape(-1))[::-1]
+    if abs(top[0] - SEPARABLE_ATOL) >= 1e-12:
+        assert (exc is None) == (o_exc is None)
+    if exc is not None and o_exc is not None:
+        assert abs(exc.residual - o_exc.residual) <= 1e-12
+        if len(top) == 1 or top[0] - top[1] > 1e-12:
+            assert (exc.profile, exc.action_profile) == (o_exc.profile, o_exc.action_profile)

@@ -515,6 +515,65 @@ def test_membership_upper_bound_certificates_hedge(mp2):
     assert not verdict.ok
 
 
+def _gap_profile(q2, q3):
+    """GapFamily's seed game with P1 on its second action: P1 is paid
+    1 - q2 * (1 - q3)."""
+    g = GapFamily().candidate(0, np.random.default_rng(0))
+    return g, [DirectMechanism(owner=0, p=np.array([[0.0, 1.0]])),
+               DirectMechanism(owner=1, p=np.array([[q2, 1 - q2]])),
+               DirectMechanism(owner=2, p=np.array([[q3, 1 - q3]]))]
+
+
+def test_membership_reads_a_maxmin_as_a_lower_bound_on_the_floor():
+    # P1's exact maxmin is 0.5 and its grid floor lower bound 0.71: a payoff
+    # of 0.622 passes the maxmin, yet a maxmin only bounds the floor from below
+    g, prof = _gap_profile(0.6, 0.37)
+    assert expected_principal_payoff(g, 0, prof) == pytest.approx(0.622, abs=1e-12)
+    mm = maxmin(g, 0, mode="exact")
+    grids = [minmax(g, j) for j in range(3)]
+    assert mm.kind == "vertex-product-exact" and mm.value == pytest.approx(0.5, abs=1e-9)
+    assert grids[0].value == pytest.approx(0.71, abs=1e-9)
+    verdict = robust_pbe_membership(g, prof, [mm] + grids[1:])
+    assert verdict.verdict == "not-established"
+    assert not verdict.ok
+    assert verdict.per_principal[0]["ok"]     # the per-principal test is unchanged
+    assert robust_pbe_membership(g, prof, grids).verdict == "non-member"
+    # failing a maxmin is definitive
+    g, low = _gap_profile(0.6, 0.0)           # P1 is paid 0.4
+    assert robust_pbe_membership(g, low, [mm] + grids[1:]).verdict == "non-member"
+
+
+def test_membership_alternating_maxmin_and_unknown_kinds_decide_nothing(mp2):
+    certs = [maxmin(mp2, j, mode="alternating", restarts=2, seed=1) for j in range(2)]
+    assert {c.kind for c in certs} == {"alternating"}
+    uniform = [DirectMechanism(owner=j, p=np.array([[0.5, 0.5]])) for j in range(2)]
+    verdict = robust_pbe_membership(mp2, uniform, certs)
+    assert verdict.verdict == "not-established"
+    assert not verdict.ok
+    assert all(row["ok"] for row in verdict.per_principal)
+    unknown = [ValueCertificate(kind="hand-made", value=0.5, witness=None, gap_bound=0.0)] * 2
+    assert robust_pbe_membership(mp2, uniform, unknown).verdict == "not-established"
+
+
+def test_certificate_info_holds_only_json_scalars(mp2):
+    g3 = GapFamily().candidate(0, np.random.default_rng(0))
+    certs = []
+    for g in (mp2, g3):
+        for j in range(g.num_principals):
+            for mode in ("auto", "exact2", "grid", "alternating"):
+                if mode == "exact2" and g.num_principals > 2:
+                    continue
+                certs.append(minmax(g, j, mode=mode, step=0.1, restarts=2))
+            for mode in ("auto", "exact", "alternating"):
+                certs.append(maxmin(g, j, mode=mode, restarts=2))
+    assert {c.kind for c in certs} == {"exact-lp", "vertex-product-exact", "alternating",
+                                       "grid-certified-lower-bound", "alternating-upper-bound"}
+    for cert in certs:
+        assert all(type(k) is str for k in cert.info)
+        assert all(type(v) in (int, float, str, type(None)) for v in cert.info.values()), \
+            (cert.kind, cert.info)
+
+
 def test_membership_requires_bic(screen1):
     certs = [minmax(screen1, j, mode="exact2") for j in range(2)]
     swapped = [
