@@ -56,7 +56,9 @@ def run_once(checkout, workload, seed, side, pair):
     """One perfbench run: its metrics, failed_frac and machine fingerprint.
     A run that exits non-zero ends the script with exit code 1, after
     printing which side and pair it was, its exit code and the end of its
-    stderr."""
+    stderr; so does a run that reports ``correct`` false or failed items,
+    after printing its side, pair and ``failed`` count, so that no run with
+    wrong outputs enters a median."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -66,6 +68,11 @@ def run_once(checkout, workload, seed, side, pair):
         print("\n".join(proc.stderr.splitlines()[-20:]), file=sys.stderr)
         sys.exit(1)
     line = json.loads(proc.stdout.strip().splitlines()[-1])
+    if not line["correct"] or line["failed"] > 0:
+        print(f"{side} run of pair {pair} ({workload}, seed {seed}) reported wrong outputs: "
+              f"correct {line['correct']}, failed {line['failed']} of {line['attempted']}",
+              file=sys.stderr)
+        sys.exit(1)
     record_path = Path(checkout) / ".perfbench_out" / f"result-{workload}-seed{seed}-trace0.json"
     record = json.loads(record_path.read_text(encoding="utf-8"))
     return {"metrics": {k: m["value"] for k, m in line["metrics"].items()},

@@ -1,14 +1,17 @@
 """One LP attempt through the HiGHS binding that ``scipy.optimize.linprog``
 uses, with the settings ``linprog(method="highs")`` passes it.
 
-Each call builds a fresh ``_Highs`` instance, so nothing is warm-started and
-a result does not depend on earlier calls.  The model is column-wise, with
-the rows in the order given (``solver.solve_lp`` stacks them as linprog
-does); statuses go through scipy's own table, and the column duals are split
-into lower and upper bound marginals by basis status, as scipy splits them.
-HiGHS is the dual simplex solver of Huangfu & Hall (Math. Prog. Comp. 2018).
+Each thread reuses two ``_Highs`` instances, one per options object, and an
+attempt passes its model into one; that clears the previous model, basis and
+solution, so nothing is warm-started.  A property test pins every result, in
+drawn solve orders, to a fresh instance's.  The model is column-wise, rows in
+the order given (``solver.solve_lp`` stacks them as linprog does); statuses
+go through scipy's own table, and column duals are split into lower and upper
+bound marginals by basis status, as scipy splits them.  HiGHS is the dual
+simplex solver of Huangfu & Hall (Math. Prog. Comp. 2018).
 """
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +80,7 @@ def _options(**extra):
 # built once and only read afterwards (HiGHS copies options in)
 BASE = _options()
 TIGHT = _options(primal_feasibility_tolerance=1e-10, dual_feasibility_tolerance=1e-10)
+_local = threading.local()      # each thread's instances, by ``_instance``
 
 
 def _failed(highs, model_status):
@@ -86,16 +90,29 @@ def _failed(highs, model_status):
     return HighsResult(status=status, message=message)
 
 
+def _instance(tight):
+    """This thread's instance for ``TIGHT`` (tight) or ``BASE``, made on first use."""
+    key = "tight" if tight else "base"
+    highs = getattr(_local, key, None)
+    if highs is None:
+        highs = _h._Highs()
+        if highs.passOptions(TIGHT if tight else BASE) == _h.HighsStatus.kError:
+            raise RuntimeError("HiGHS rejected linprog's options")
+        setattr(_local, key, highs)
+    return highs
+
+
 def linprog(c, a, row_lo, row_hi, lo, hi, options=None):
     """Minimize c @ x s.t. row_lo <= a @ x <= row_hi, lo <= x <= hi.
 
     ``a`` is a dense (rows, columns) array; infinite entries of the bound
     arrays mean no bound.  ``options`` is ``BASE`` (linprog's settings, also
-    when None) or ``TIGHT`` (the same with 1e-10 feasibility tolerances).
+    when None) or ``TIGHT`` (the same with 1e-10 feasibility tolerances);
+    anything else is a ValueError.
     """
-    highs = _h._Highs()
-    if highs.passOptions(BASE if options is None else options) == _h.HighsStatus.kError:
-        return _failed(highs, highs.getModelStatus())
+    if options is not None and options is not BASE and options is not TIGHT:
+        raise ValueError("options must be None, BASE or TIGHT")
+    highs = _instance(options is TIGHT)
     if highs.passModel(_model(c, a, row_lo, row_hi, lo, hi)) == _h.HighsStatus.kError:
         return _failed(highs, _h.HighsModelStatus.kModelError)
     highs.run()

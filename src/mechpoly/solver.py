@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from ._highs import TIGHT, linprog
 from .bic import (
@@ -411,7 +410,10 @@ def _saddle_lp(g: FiniteGame, principal: int, sense: str):
     # the bilinear form's block rows run over the inner principal's actions:
     # Q_in[(x,a_in),(x,a_out)] = F(x) v_j(x,a)
     v = g.principal_utils[principal]  # (x, A_1, A_2)
-    q_in = block_diag(*[g.prior[x] * (v[x] if inner == 0 else v[x].T) for x in range(n_x)])
+    r, k = v.shape[1 + inner], v.shape[2 - inner]
+    q_in = np.zeros((n_x * r, n_x * k))
+    for x in range(n_x):
+        q_in[x * r:(x + 1) * r, x * k:(x + 1) * k] = g.prior[x] * (v[x] if inner == 0 else v[x].T)
     flip = 1.0 if sense == "min" else -1.0
     a_out, rel_out, b_out = poly_out.lp_system()
     a = np.vstack([np.hstack([-flip * q_in, flip * poly_in.eq.T, -poly_in.ic.T]),

@@ -1,10 +1,16 @@
-"""The LP layer as it was built on ``scipy.optimize.linprog``: the oracle
-that ``mechpoly.solver.solve_lp``, which calls HiGHS directly, must match
-in status, value bits and solution bytes."""
+"""Two oracles for the LP layer.
+
+``solve_lp`` is the LP layer as it was built on ``scipy.optimize.linprog``:
+``mechpoly.solver.solve_lp``, which calls HiGHS directly, must match it in
+status, value bits and solution bytes.  ``fresh_linprog`` is one attempt on
+a ``_Highs`` instance built for it alone: ``mechpoly._highs.linprog``, which
+reuses one instance per thread and options, must match it bit for bit
+whatever attempts came before."""
 
 import numpy as np
 from scipy.optimize import linprog
 
+from mechpoly._highs import _AT_LOWER, _AT_UPPER, BASE, HighsResult, _failed, _h, _model
 from mechpoly.solver import (
     DUALITY_GAP_TOL,
     PRIMAL_RESIDUAL_TOL,
@@ -88,3 +94,36 @@ def solve_lp(prob: LPProblem) -> LPResult:
             continue
         return LPResult(status="optimal", value=float(sign * res.fun), x=x)
     raise NumericalFailure(failure)
+
+
+def fresh_linprog(c, a, row_lo, row_hi, lo, hi, options=None):
+    """``mechpoly._highs.linprog`` with a fresh ``_Highs`` per attempt."""
+    highs = _h._Highs()
+    if highs.passOptions(BASE if options is None else options) == _h.HighsStatus.kError:
+        return _failed(highs, highs.getModelStatus())
+    if highs.passModel(_model(c, a, row_lo, row_hi, lo, hi)) == _h.HighsStatus.kError:
+        return _failed(highs, _h.HighsModelStatus.kModelError)
+    highs.run()
+    status = highs.getModelStatus()
+    if status != _h.HighsModelStatus.kOptimal:
+        return _failed(highs, status)
+    solution = highs.getSolution()
+    col_status = np.array(list(map(int, highs.getBasis().col_status)), dtype=int)
+    col_dual = np.array(solution.col_dual)
+    return HighsResult(
+        status=0,       # scipy's code for kOptimal
+        message="",
+        x=np.array(solution.col_value),
+        fun=highs.getObjectiveValue(),       # info.objective_function_value
+        row_dual=np.array(solution.row_dual),
+        lower=np.where(col_status == _AT_LOWER, col_dual, 0.0),
+        upper=np.where(col_status == _AT_UPPER, col_dual, 0.0),
+    )
+
+
+def attempt_bits(res):
+    """An attempt's status, message, value bits and solution bytes."""
+    if res.status != 0:
+        return (res.status, res.message)
+    return (res.status, res.message, float(res.fun).hex(),
+            *(a.tobytes() for a in (res.x, res.row_dual, res.lower, res.upper)))

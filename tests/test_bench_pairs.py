@@ -1,5 +1,6 @@
 """scripts/bench_pairs.py: a perfbench run that fails stops the script with
-the side, pair, exit code and end of stderr of that run."""
+the side, pair, exit code and end of stderr of that run; a run that exits 0
+but reports wrong outputs stops it with the side, pair and failed count."""
 
 import importlib.util
 from pathlib import Path
@@ -30,3 +31,18 @@ def test_run_once_reports_a_failed_run(tmp_path, capsys):
     assert err[0] == ("parent run of pair 4 (floor_support, seed 101) exited with code 3; "
                       "the last 20 lines of its stderr:")
     assert err[1:] == [f"line {n}" for n in range(10, 30)]
+
+
+@pytest.mark.parametrize("correct, failed", [(False, 0), (False, 2), (True, 1)])
+def test_run_once_rejects_a_run_with_wrong_outputs(tmp_path, capsys, correct, failed):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json\n"
+        f"print(json.dumps({{'correct': {correct}, 'attempted': 40, 'failed': {failed}, "
+        "'metrics': {}}))\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        _bench_pairs().run_once(tmp_path, "values2", 7, "change", 3)
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"change run of pair 3 (values2, seed 7) reported wrong outputs: "
+        f"correct {correct}, failed {failed} of 40"]

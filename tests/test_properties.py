@@ -4,7 +4,9 @@ returns the SVD oracle's tables, the array grid sweep returns the loop
 oracle's certificates bit for bit, the batched continuation-equilibrium
 kernel returns the per-candidate loops' blocks, combos and records,
 joint truthfulness separates into the principals' IC rows, the direct HiGHS
-call returns linprog's LP results bit for bit, the batched maxmin cut
+call returns linprog's LP results bit for bit, the reused HiGHS instances
+return a fresh instance's results bit for bit in any solve order, the
+saddle LP's bilinear blocks are ``block_diag``'s, the batched maxmin cut
 rows are the per-product loop's, the two-principal saddle-LP maxmin is
 the vertex-product maxmin and the exact2 minmax, ``simulate`` makes the
 per-round oracle's draws, and the closed-form separable fit is the
@@ -18,6 +20,7 @@ from unittest import mock
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 import continuation_oracle as oracle
 import grid_oracle
@@ -51,6 +54,7 @@ from mechpoly import (
     solver,
     standard_from_direct,
 )
+from mechpoly import _highs
 from mechpoly.game import DIST_ATOL, SEPARABLE_ATOL, NotSeparable, _contract_except
 from mechpoly.mechanisms import NOTIONS, _agent_optimal_blocks, _continuation_combos
 from vertex_oracle import svd_enumerate_vertices
@@ -556,6 +560,74 @@ def _lp_outcome(solve, prob):
 def test_solve_lp_matches_linprog_oracle(prob):
     # the direct HiGHS call gives linprog's status, value bits and solution bytes
     assert _lp_outcome(solve_lp, prob) == _lp_outcome(lp_oracle.solve_lp, prob)
+
+
+class _Stop(Exception):
+    """Carries the arguments of a call that a test stopped."""
+
+
+def _stop(*args, **kwargs):
+    raise _Stop(*args)
+
+
+def _linprog_args(prob):
+    """The (c, a, row_lo, row_hi, lo, hi) that solve_lp passes to linprog."""
+    with mock.patch.object(solver, "linprog", _stop):
+        try:
+            solve_lp(prob)
+        except _Stop as stop:
+            return stop.args
+    raise AssertionError("solve_lp did not call linprog")
+
+
+# passModel rejects a matrix entry above HiGHS's large_matrix_value (1e15)
+_REJECTED = (np.ones(2), np.array([[1e20, 1.0]]), np.array([1.0]), np.array([2.0]),
+             np.zeros(2), np.full(2, np.inf))
+
+
+@settings(max_examples=60)
+@given(probs=st.lists(st.one_of(dense_lps(), infeasible_or_unbounded_lps(), game_lps()),
+                      min_size=1, max_size=8),
+       data=st.data())
+def test_reused_highs_instances_match_fresh_ones(probs, data):
+    # every attempt through this thread's reused instances, in a drawn order
+    # of options and LPs with one rejected model among them, is bit for bit
+    # the attempt on a fresh instance
+    assert _highs.linprog(*_REJECTED).message == "(HiGHS Status 2: Model error)"
+    attempts = [(args, options) for args in [_linprog_args(p) for p in probs] + [_REJECTED]
+                for options in (_highs.BASE, _highs.TIGHT)]
+    for args, options in data.draw(st.permutations(attempts)):
+        assert (lp_oracle.attempt_bits(_highs.linprog(*args, options=options))
+                == lp_oracle.attempt_bits(lp_oracle.fresh_linprog(*args, options=options)))
+
+
+@st.composite
+def saddle_games(draw):
+    """Two-principal games of one to four type profiles and one to three
+    actions per principal."""
+    type_sizes = draw(st.one_of(st.tuples(st.integers(1, 4)),
+                                st.tuples(st.integers(1, 2), st.integers(1, 2))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_game(rng, num_principals=2, num_agents=len(type_sizes),
+                       type_sizes=list(type_sizes),
+                       action_sizes=[draw(st.integers(1, 3)) for _ in range(2)])
+
+
+@settings(max_examples=60)
+@given(g=saddle_games(), j=st.integers(0, 1), sense=st.sampled_from(["min", "max"]))
+def test_saddle_lp_blocks_match_block_diag(g, j, sense):
+    with mock.patch.object(solver, "solve_lp", _stop):
+        try:
+            solver._saddle_lp(g, j, sense)
+        except _Stop as stop:
+            prob, = stop.args
+    inner = j if sense == "min" else 1 - j
+    v = g.principal_utils[j]
+    q_in = block_diag(*[g.prior[x] * (v[x] if inner == 0 else v[x].T)
+                        for x in range(g.num_profiles)])
+    flip = 1.0 if sense == "min" else -1.0
+    got = prob.a[:q_in.shape[0], :q_in.shape[1]]
+    assert got.dtype == q_in.dtype and got.tobytes() == (-flip * q_in).tobytes()
 
 
 def _loop_vertex_product_cuts(g, j):

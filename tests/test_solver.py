@@ -1,10 +1,15 @@
 import json
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
 import grid_oracle
+import lp_oracle
 from mechpoly import _highs
 from mechpoly import (
     EXACT_KINDS,
@@ -112,6 +117,74 @@ def test_solve_lp_outcome_per_solver_status(monkeypatch, code, outcome):
         assert (_highs.TIGHT.primal_feasibility_tolerance,
                 _highs.TIGHT.dual_feasibility_tolerance) == (1e-10, 1e-10)
         assert _highs.BASE.primal_feasibility_tolerance == 1e-7   # HiGHS's default
+
+
+def _box_lp(cost):
+    """min cost * x over 0 <= x <= 1 with x >= 0.25: its value is cost / 4 for cost > 0."""
+    return (np.array([cost]), np.array([[1.0]]), np.array([0.25]), np.array([np.inf]),
+            np.zeros(1), np.ones(1))
+
+
+def test_linprog_accepts_only_base_and_tight():
+    # an options object equal to BASE is still not BASE
+    for options in (_highs._options(), {"presolve": "on"}, "TIGHT"):
+        with pytest.raises(ValueError, match="options must be None, BASE or TIGHT"):
+            _highs.linprog(*_box_lp(1.0), options=options)
+    # each options value has its own instance, made once with those options
+    tight = _highs.linprog(*_box_lp(2.0), options=_highs.TIGHT)
+    base = _highs.linprog(*_box_lp(1.0), options=_highs.BASE)
+    assert _highs.linprog(*_box_lp(1.0)).fun == base.fun == 0.25 and tight.fun == 0.5
+    assert _highs._instance(True).getObjectiveValue() == 0.5
+    assert _highs._instance(True).getOptions().primal_feasibility_tolerance == 1e-10
+    assert _highs._instance(False).getOptions().primal_feasibility_tolerance == 1e-7
+    assert _highs._instance(True) is _highs._instance(True)
+
+
+def test_linprog_threads_match_serial_run():
+    # the 40 saddle LPs of maxmin on 20 random two-principal games (both
+    # principals), alternately with BASE and TIGHT, solved serially and then
+    # from 4 worker threads
+    rng = np.random.default_rng(20261019)
+    with mock.patch.object(solver, "linprog", wraps=_highs.linprog) as spy:
+        for _ in range(20):
+            g = random_game(rng, type_sizes=[int(rng.integers(1, 3))],
+                            action_sizes=list(rng.integers(2, 4, size=2)))
+            for j in (0, 1):
+                maxmin(g, j, mode="exact")
+    assert len(spy.call_args_list) == 40
+    attempts = [(call.args, (_highs.BASE, _highs.TIGHT)[n % 2])
+                for n, call in enumerate(spy.call_args_list)]
+    serial = [lp_oracle.attempt_bits(_highs.linprog(*args, options=options))
+              for args, options in attempts]
+
+    def solve(attempt):
+        args, options = attempt
+        return (threading.get_ident(), _highs._instance(False), _highs._instance(True),
+                lp_oracle.attempt_bits(_highs.linprog(*args, options=options)))
+
+    started = threading.Barrier(4, timeout=30)
+
+    def arrive(_):
+        started.wait()
+        return threading.get_ident()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            # all four workers exist before the solves start
+            assert len(set(pool.map(arrive, range(4), timeout=60))) == 4
+            threaded = list(pool.map(solve, attempts, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [r[3] for r in threaded] == serial
+    # each thread always gets its own two instances
+    instances = {ident: (base, tight) for ident, base, tight, _ in threaded}
+    assert all(base is instances[ident][0] and tight is instances[ident][1]
+               for ident, base, tight, _ in threaded)
+    owned = [h for pair in instances.values() for h in pair]
+    owned += [_highs._instance(False), _highs._instance(True)]      # the main thread's
+    assert len({id(h) for h in owned}) == len(owned)
 
 
 def test_best_response_matching_pennies(mp2):
