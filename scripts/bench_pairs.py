@@ -13,6 +13,8 @@ The output file keeps one entry per (workload, seed): every run's gated
 metrics and failed_frac, and per metric each side's median, quartiles and
 IQR, the ratio of medians and the number of pairs the change won.  It also
 records both sides' revisions and the machine fingerprint perfbench reports.
+The change side's source digest is taken again after the last pair; if
+``src/`` changed during the runs, the script exits 1 and writes nothing.
 Run from the repository root.
 """
 
@@ -135,6 +137,11 @@ def main(argv=None):
                       f"failed_frac {run['failed_frac']}", flush=True)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
+    digest = working_tree()["src_sha256"]
+    if digest != revisions["change"]["src_sha256"]:
+        print(f"src/ changed during the runs (sha256 {revisions['change']['src_sha256'][:12]} "
+              f"-> {digest[:12]}); {out_path.name} not written", file=sys.stderr)
+        return 1
 
     machine = dict(runs[0]["machine"], git_sha=None)
     for run in runs:

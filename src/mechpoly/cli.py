@@ -265,8 +265,7 @@ def _cmd_maxmin(args):
     g = load_game(args.game)
     j = _resolve_principal(g, args.principal)
     t0 = time.perf_counter()
-    cert = maxmin(g, j, mode=args.mode, dim_cap=args.dim_cap,
-                  restarts=args.restarts, seed=args.seed)
+    cert = maxmin(g, j, mode=args.mode, dim_cap=args.dim_cap)
     payload = solve_report(g, j, cert, args.seed, _ms_since(t0))
     payload["info"] = cert.info
     path = _write_report(args, payload)
@@ -465,9 +464,11 @@ def _add_common(sp, game=True, principal=False, seeded=True):
 
 def _add_solver_flags(sp, modes):
     sp.add_argument("--mode", choices=modes)
-    sp.add_argument("--restarts", "-R", type=int)
     sp.add_argument("--dim-cap", type=int, dest="dim_cap")
-    if "grid" in modes:     # maxmin has no grid, so it takes no flag it never reads
+    # maxmin has no grid and no alternating mode, so it takes no flag it never reads
+    if "alternating" in modes:
+        sp.add_argument("--restarts", "-R", type=int)
+    if "grid" in modes:
         sp.add_argument("--step", type=float, help="grid step delta")
         sp.add_argument("--grid-dim-cap", type=int, dest="grid_dim_cap")
 
@@ -511,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("maxmin", help="maxmin value with certificate")
     _add_common(sp, principal=True)
-    _add_solver_flags(sp, ["auto", "exact", "alternating"])
+    _add_solver_flags(sp, ["auto", "exact"])
     sp.set_defaults(handler=_cmd_maxmin)
 
     sp = sub.add_parser("punish", help="punishment profile and its best-response value")

@@ -8,7 +8,8 @@ per-principal polytopes:
 * ``maxmin``: the largest payoff j can secure.  Exact for two principals
   (the saddle-point LP that minmax shares); for more principals exact via
   the vertex products of the opponents' polytopes, since the functional is
-  multilinear.
+  multilinear, or past their caps a certified lower bound from the same
+  saddle LP with the opponents allowed to correlate.
 * ``minmax``: the lowest payoff the opponents can force on j.  Exact for two
   principals (saddle-point LP); for more principals a certified grid lower
   bound or an alternating-descent upper bound.
@@ -57,11 +58,11 @@ DEFAULT_RESTARTS = 32
 GRID_POINT_CAP = 2_000_000
 GRID_CHUNK = 4096        # grid points per batch of the minmax sweep
 VERTEX_PRODUCT_CAP = 50_000   # opponent vertex products an exact maxmin may cut with
-INNER_MIN_SWEEPS = 20    # block-coordinate sweeps of the alternating inner minimum
 
 EXACT_KINDS = ("exact-lp", "vertex-product-exact")
 GRID_KIND = "grid-certified-lower-bound"
 UPPER_KIND = "alternating-upper-bound"
+RELAXATION_KIND = "relaxation-lower-bound"
 
 
 _ROW_SIGN = {"<=": 1.0, ">=": -1.0, "=": 0.0}
@@ -169,10 +170,12 @@ class ValueCertificate:
 
     kind is one of 'exact-lp' (the two-principal saddle LP, for maxmin and
     minmax alike), 'vertex-product-exact' (maxmin with three or more
-    principals), 'grid-certified-lower-bound', 'alternating-upper-bound',
-    'alternating'.  gap_bound is 0 for exact kinds, the certified slack for
-    grid kind, and -1 (unknown) for the alternating kinds.  witness is the
-    mechanism (maxmin) or opponent profile dict (minmax) attaining the value.
+    principals), 'relaxation-lower-bound' (that maxmin past its caps, from
+    the saddle LP with correlated opponents), 'grid-certified-lower-bound'
+    and 'alternating-upper-bound' (minmax).  gap_bound is 0 for exact kinds,
+    the certified slack for the grid kind, and -1 (unknown) for the
+    relaxation and alternating kinds.  witness is the mechanism (maxmin) or
+    opponent profile dict (minmax) attaining the value.
     """
 
     kind: str
@@ -240,8 +243,7 @@ def _vertex_product_cuts(g: FiniteGame, principal: int, dim_cap: int) -> np.ndar
 
 
 def maxmin(g: FiniteGame, principal: int, mode: str = "auto",
-           dim_cap: int = DEFAULT_DIM_CAP, restarts: int = DEFAULT_RESTARTS,
-           seed: int = 0) -> ValueCertificate:
+           dim_cap: int = DEFAULT_DIM_CAP) -> ValueCertificate:
     """Largest payoff principal j can guarantee against any opponent profile.
 
     With two principals, 'auto' and 'exact' solve the saddle point as one LP
@@ -250,14 +252,13 @@ def maxmin(g: FiniteGame, principal: int, mode: str = "auto",
     more principals the guarantee functional is multilinear in the
     opponents' tables, so its minimum over the product of polytopes is
     attained at a product of vertices; exact mode maximizes, by LP, the worst
-    case over all vertex products, and 'auto' falls back to 'alternating'
-    when the opponents' polytopes exceed dim_cap or the products exceed the
-    cap.  mode='alternating' is a seeded heuristic (exact for two
-    principals, uncertified otherwise; gap_bound is the -1 unknown sentinel).
+    case over all vertex products, and raises DimensionTooLarge when the
+    opponents' polytopes exceed dim_cap or the products exceed the cap.
+    There 'auto' solves the saddle LP with the opponents' product relaxed to
+    one joint table (kind 'relaxation-lower-bound', gap_bound -1): its value
+    is at most the maxmin, and its witness secures that value.
     """
     j = principal
-    if mode == "alternating":
-        return _maxmin_alternating(g, j, restarts, seed)
     if mode not in ("auto", "exact"):
         raise ModeUnsupported(f"maxmin mode {mode!r}")
     if g.num_principals == 2:
@@ -268,7 +269,8 @@ def maxmin(g: FiniteGame, principal: int, mode: str = "auto",
     except DimensionTooLarge:
         if mode == "exact":
             raise
-        return _maxmin_alternating(g, j, restarts, seed)
+    value, witness = _saddle_lp(g, j, "max")
+    return ValueCertificate(kind=RELAXATION_KIND, value=value, witness=witness, gap_bound=-1.0)
 
 
 def _maxmin_vertex_products(g: FiniteGame, principal: int, dim_cap: int) -> ValueCertificate:
@@ -284,65 +286,6 @@ def _maxmin_vertex_products(g: FiniteGame, principal: int, dim_cap: int) -> Valu
         witness=witness,
         gap_bound=0.0,
         info={"n_vertex_products": len(cuts)},
-    )
-
-
-def _sample_bic_rng(g: FiniteGame, principal: int, rng: np.random.Generator) -> DirectMechanism:
-    return sample_bic(g, principal, int(rng.integers(0, 2**31 - 1)))
-
-
-def _inner_min(g: FiniteGame, principal: int, pj: DirectMechanism,
-               rng: np.random.Generator):
-    """Minimize E[v_j] over the opponents for a fixed own mechanism.
-
-    Single LP (exact) with one opponent; block-coordinate descent otherwise.
-    Returns (value, dict of opponent mechanisms).
-    """
-    j = principal
-    opponents = [k for k in range(g.num_principals) if k != j]
-    profile = {j: pj}
-    for k in opponents:
-        profile[k] = _sample_bic_rng(g, k, rng)
-    best = None
-    for _ in range(INNER_MIN_SWEEPS):
-        improved = False
-        for k in opponents:
-            c = _contract_except(g, j, k, profile).reshape(-1)
-            value, profile[k] = _optimize_over(build_bic_polytope(g, k), "min", "inner-min", c=c)
-            if best is None or value < best - 1e-12:
-                best = value
-                improved = True
-        if not improved or len(opponents) == 1:
-            break
-    return best, {k: profile[k] for k in opponents}
-
-
-def _maxmin_alternating(g: FiniteGame, principal: int, restarts: int,
-                        seed: int) -> ValueCertificate:
-    j = principal
-    poly = build_bic_polytope(g, j)
-    best_val, best_witness = -np.inf, None
-    for r in range(restarts):
-        rng = np.random.default_rng(seed + r)
-        pj = _sample_bic_rng(g, j, rng)
-        cuts = []  # own-table coefficients against each opponent profile seen
-        for _ in range(25):
-            val, opp = _inner_min(g, j, pj, rng)
-            cuts.append(_contract_except(g, j, j, opp).reshape(-1))
-            if val > best_val + 1e-12:
-                best_val, best_witness = val, pj
-            # ascend: maximize the worst case over the opponent profiles seen
-            _, new_pj = _optimize_over(poly, "max", "maxmin ascent", cuts=cuts)
-            if np.max(np.abs(new_pj.p - pj.p)) <= 1e-10:
-                break
-            pj = new_pj
-    return ValueCertificate(
-        kind="alternating",
-        value=float(best_val),
-        witness=best_witness,
-        gap_bound=-1.0,
-        info={"restarts": restarts, "seed": seed,
-              "note": "inner minimization exact for two principals only"},
     )
 
 
@@ -392,34 +335,50 @@ def _minmax_exact2(g: FiniteGame, principal: int) -> ValueCertificate:
 
 
 def _saddle_lp(g: FiniteGame, principal: int, sense: str):
-    """Two-principal saddle point of E[v_j] as one LP (sequence-form LP of
-    Koller, Megiddo & von Stengel); returns (value, outer DirectMechanism).
+    """Saddle point of E[v_j] as one LP (sequence-form LP of Koller, Megiddo
+    & von Stengel); returns (value, outer DirectMechanism).
 
-    sense='min' is j's minmax: the outer table is the opponent's q and the
-    inner program j's max over p.  sense='max' is j's maxmin: the outer
-    table is j's p and the inner program the opponent's min over q.
-    Dualizing the inner program over its polytope (E simplex rows, G IC
+    sense='max' is j's maxmin: the outer table is j's p and the inner
+    program the opponents' min over one joint table w(x, a_-j) >= 0 whose
+    marginals meet each opponent's IC rows.  With one opponent w is its q
+    and the value exact; with more, the opponents may correlate (the first
+    level of Sherali & Adams's RLT), so the value is a lower bound on the
+    maxmin that the witness secures.  sense='min', for two principals, is
+    j's minmax: the outer table is the opponent's q and the inner program
+    j's max over p.  Dualizing the inner program (E simplex rows, G IC
     rows) gives variables [outer table, y (n_x), z (inner IC rows)], the
     objective 1^T y, and rows -Q q + E_j^T y - G_j^T z >= 0 (min) or
-    Q^T p - E_k^T y - G_k^T z >= 0 (max), then the outer polytope's rows.
+    Q^T p - E^T y - G^T z >= 0 (max), then the outer polytope's rows.
     """
-    inner = principal if sense == "min" else 1 - principal
-    poly_in = build_bic_polytope(g, inner)
-    poly_out = build_bic_polytope(g, 1 - inner)
-    n_out, n_x, m_in = poly_out.n_vars, g.num_profiles, poly_in.ic.shape[0]
-    # the bilinear form's block rows run over the inner principal's actions:
-    # Q_in[(x,a_in),(x,a_out)] = F(x) v_j(x,a)
-    v = g.principal_utils[principal]  # (x, A_1, A_2)
-    r, k = v.shape[1 + inner], v.shape[2 - inner]
+    outer = principal if sense == "max" else 1 - principal
+    inner = [k for k in range(g.num_principals) if k != outer]
+    poly_out = build_bic_polytope(g, outer)
+    n_out, n_x = poly_out.n_vars, g.num_profiles
+    # the bilinear form's block rows run over the inner side's joint actions
+    # in principal order: Q_in[(x,a_in),(x,a_out)] = F(x) v_j(x,a)
+    v = g.principal_utils[principal].transpose(0, *[1 + o for o in inner], 1 + outer)
+    v = v.reshape(n_x, -1, v.shape[-1])
+    r, k = v.shape[1:]
+    if len(inner) == 1:
+        poly_in = build_bic_polytope(g, inner[0])
+        eq_in, ic_in = poly_in.eq, poly_in.ic
+    else:
+        eq_in = np.repeat(np.eye(n_x), r, axis=1)
+        # each opponent's IC rows act on its marginal of w
+        sizes = [len(g.action_spaces[o]) for o in inner]
+        joint = np.indices(sizes).reshape(len(inner), -1)   # a_o of each joint action
+        ic_in = np.vstack([build_bic_polytope(g, o).ic.reshape(-1, n_x, n_o)[:, :, a_o]
+                           .reshape(-1, n_x * r) for o, n_o, a_o in zip(inner, sizes, joint)])
+    m_in = ic_in.shape[0]
     q_in = np.zeros((n_x * r, n_x * k))
     for x in range(n_x):
-        q_in[x * r:(x + 1) * r, x * k:(x + 1) * k] = g.prior[x] * (v[x] if inner == 0 else v[x].T)
+        q_in[x * r:(x + 1) * r, x * k:(x + 1) * k] = g.prior[x] * v[x]
     flip = 1.0 if sense == "min" else -1.0
     a_out, rel_out, b_out = poly_out.lp_system()
-    a = np.vstack([np.hstack([-flip * q_in, flip * poly_in.eq.T, -poly_in.ic.T]),
+    a = np.vstack([np.hstack([-flip * q_in, flip * eq_in.T, -ic_in.T]),
                    np.hstack([a_out, np.zeros((a_out.shape[0], n_x + m_in))])])
-    rel = [">="] * poly_in.n_vars + rel_out
-    b = np.concatenate([np.zeros(poly_in.n_vars), b_out])
+    rel = [">="] * (n_x * r) + rel_out
+    b = np.concatenate([np.zeros(n_x * r), b_out])
     obj = np.concatenate([np.zeros(n_out), np.ones(n_x), np.zeros(m_in)])
     bounds = [(0.0, None)] * n_out + [(None, None)] * n_x + [(0.0, None)] * m_in
     res = solve_lp(LPProblem(c=obj, a=a, relations=rel, b=b, bounds=bounds, sense=sense))
@@ -553,7 +512,8 @@ def _minmax_alternating(g: FiniteGame, principal: int, restarts: int,
     best_val, best_profile = np.inf, None
     for r in range(restarts):
         rng = np.random.default_rng(seed + r)
-        profile = {k: _sample_bic_rng(g, k, rng) for k in opponents}
+        profile = {k: sample_bic(g, k, int(rng.integers(0, 2**31 - 1)))
+                   for k in opponents}
         cuts = []  # own-mechanism tables active in the epigraph
         for _ in range(25):
             val, br = best_response(g, j, profile)
@@ -641,10 +601,10 @@ def robust_pbe_membership(g: FiniteGame, mechanisms, certs,
         lower, upper = {
             "exact-lp": (v, v),
             "vertex-product-exact": (v, np.inf),        # maxmin <= minmax
+            RELAXATION_KIND: (v, np.inf),               # relaxation <= maxmin
             # grid witness and alternating values are attained by feasible opponents
             GRID_KIND: (v, np.inf if witness_value is None else witness_value),
             UPPER_KIND: (-np.inf, v),
-            "alternating": (-np.inf, np.inf),           # a heuristic maxmin
         }.get(cert.kind, (-np.inf, np.inf))
         if payoff - lower < -tol:
             outcomes.add("fail")

@@ -226,14 +226,20 @@ def test_maxmin_value(tmp_path, mp_files):
 
 
 def test_maxmin_rejects_grid_flags(tmp_path, mp_files, capsys):
-    # maxmin never reads --step or --grid-dim-cap, so argparse refuses them
+    # maxmin never reads --step, --grid-dim-cap or --restarts, so argparse
+    # refuses them, and it has no alternating mode
     _, game, _ = mp_files
-    for flag, value in (("--step", "0.7"), ("--grid-dim-cap", "3")):
+    for flag, value in (("--step", "0.7"), ("--grid-dim-cap", "3"), ("--restarts", "2")):
         with pytest.raises(SystemExit) as exc:
             main(["maxmin", "--game", game, "-j", "P1", flag, value,
                   "--out", str(tmp_path / "r.json")])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["maxmin", "--game", game, "-j", "P1", "--mode", "alternating",
+              "--out", str(tmp_path / "r.json")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'alternating'" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
 
 

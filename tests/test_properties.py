@@ -6,11 +6,14 @@ kernel returns the per-candidate loops' blocks, combos and records,
 joint truthfulness separates into the principals' IC rows, the direct HiGHS
 call returns linprog's LP results bit for bit, the reused HiGHS instances
 return a fresh instance's results bit for bit in any solve order, the
-saddle LP's bilinear blocks are ``block_diag``'s, the batched maxmin cut
+saddle LP's bilinear blocks are ``block_diag``'s, its two-principal LP and
+solution are the two-principal oracle's bit for bit, the batched maxmin cut
 rows are the per-product loop's, the two-principal saddle-LP maxmin is
-the vertex-product maxmin and the exact2 minmax, ``simulate`` makes the
-per-round oracle's draws, and the closed-form separable fit is the
-per-profile least-squares fit."""
+the vertex-product maxmin and the exact2 minmax, with more principals the
+correlated-opponent saddle LP is a lower bound on the vertex-product
+maxmin (equal with one type profile), ``simulate`` makes the per-round
+oracle's draws, and the closed-form separable fit is the per-profile
+least-squares fit."""
 
 import dataclasses
 import itertools
@@ -25,6 +28,7 @@ from scipy.linalg import block_diag
 import continuation_oracle as oracle
 import grid_oracle
 import lp_oracle
+import saddle_oracle
 import separable_oracle
 import simulate_oracle
 from mechpoly import (
@@ -613,21 +617,110 @@ def saddle_games(draw):
                        action_sizes=[draw(st.integers(1, 3)) for _ in range(2)])
 
 
-@settings(max_examples=60)
-@given(g=saddle_games(), j=st.integers(0, 1), sense=st.sampled_from(["min", "max"]))
-def test_saddle_lp_blocks_match_block_diag(g, j, sense):
-    with mock.patch.object(solver, "solve_lp", _stop):
+@st.composite
+def saddle_cases(draw):
+    """(game, principal, sense): a ``saddle_games()`` game with either sense,
+    or a three-principal game of the same sizes with sense 'max'."""
+    if draw(st.booleans()):
+        return draw(saddle_games()), draw(st.integers(0, 1)), draw(st.sampled_from(["min", "max"]))
+    type_sizes = draw(st.one_of(st.tuples(st.integers(1, 4)),
+                                st.tuples(st.integers(1, 2), st.integers(1, 2))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_game(rng, num_principals=3, num_agents=len(type_sizes),
+                    type_sizes=list(type_sizes),
+                    action_sizes=[draw(st.integers(1, 3)) for _ in range(3)])
+    return g, draw(st.integers(0, 2)), "max"
+
+
+def _saddle_problem(module, g, j, sense):
+    """The LPProblem that ``module._saddle_lp`` hands to solve_lp."""
+    with mock.patch.object(module, "solve_lp", _stop):
         try:
-            solver._saddle_lp(g, j, sense)
+            module._saddle_lp(g, j, sense)
         except _Stop as stop:
-            prob, = stop.args
-    inner = j if sense == "min" else 1 - j
+            return stop.args[0]
+    raise AssertionError("the saddle LP did not call solve_lp")
+
+
+@settings(max_examples=60)
+@given(case=saddle_cases())
+def test_saddle_lp_blocks_match_block_diag(case):
+    g, j, sense = case
+    prob = _saddle_problem(solver, g, j, sense)
+    outer = j if sense == "max" else 1 - j
+    inner = [k for k in range(g.num_principals) if k != outer]
     v = g.principal_utils[j]
-    q_in = block_diag(*[g.prior[x] * (v[x] if inner == 0 else v[x].T)
-                        for x in range(g.num_profiles)])
+
+    def cell(x, a_in, a_out):
+        actions = {**dict(zip(inner, a_in)), outer: a_out}
+        return v[(x,) + tuple(actions[k] for k in range(g.num_principals))]
+
+    # per profile, rows run over the inner side's joint actions in product order
+    q_in = block_diag(*[
+        g.prior[x] * np.array([[cell(x, a_in, a_out)
+                                for a_out in range(len(g.action_spaces[outer]))]
+                               for a_in in itertools.product(
+                                   *[range(len(g.action_spaces[k])) for k in inner])])
+        for x in range(g.num_profiles)])
     flip = 1.0 if sense == "min" else -1.0
     got = prob.a[:q_in.shape[0], :q_in.shape[1]]
     assert got.dtype == q_in.dtype and got.tobytes() == (-flip * q_in).tobytes()
+
+
+def _problem_bits(prob):
+    arrays = [np.asarray(arr) for arr in (prob.c, prob.a, prob.b)]
+    return ([(arr.dtype, arr.shape, arr.tobytes()) for arr in arrays],
+            prob.relations, prob.bounds, prob.sense)
+
+
+def _saddle_outcome(saddle_lp, g, j, sense):
+    try:
+        value, witness = saddle_lp(g, j, sense)
+    except NumericalFailure as exc:
+        return ("numerical failure", str(exc))
+    return value.hex(), witness.owner, witness.p.shape, witness.p.tobytes()
+
+
+@settings(max_examples=100)
+@given(g=saddle_games(), j=st.integers(0, 1), sense=st.sampled_from(["min", "max"]))
+def test_saddle_lp_matches_two_principal_oracle(g, j, sense):
+    # with one inner principal the joint table is its table: the same LP
+    # bytes, value bits and witness bytes as the two-principal oracle
+    assert (_problem_bits(_saddle_problem(solver, g, j, sense))
+            == _problem_bits(_saddle_problem(saddle_oracle, g, j, sense)))
+    assert (_saddle_outcome(solver._saddle_lp, g, j, sense)
+            == _saddle_outcome(saddle_oracle._saddle_lp, g, j, sense))
+
+
+@st.composite
+def many_principal_games(draw):
+    """(game, principal): three or four principals with binary actions, and
+    agent types [1], [2] or [2, 1]."""
+    type_sizes = draw(st.sampled_from([[1], [2], [2, 1]]))
+    n_principals = draw(st.integers(3, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_game(rng, num_principals=n_principals, num_agents=len(type_sizes),
+                    type_sizes=type_sizes, action_sizes=[2] * n_principals)
+    return g, draw(st.integers(0, n_principals - 1))
+
+
+@settings(max_examples=40)
+@given(case=many_principal_games())
+def test_correlated_saddle_lp_bounds_vertex_product_maxmin(case):
+    # letting the opponents correlate can only lower the guarantee, and with
+    # one type profile the worst joint table is a pure, hence product, profile
+    g, j = case
+    value, witness = solver._saddle_lp(g, j, "max")
+    exact = solver._maxmin_vertex_products(g, j, solver.DEFAULT_DIM_CAP).value
+    upper = minmax(g, j, mode="alternating", restarts=2).value
+    assert value <= exact + 1e-9
+    assert exact <= upper + 1e-9
+    if g.num_profiles == 1:
+        assert abs(value - exact) <= 1e-9
+    assert is_individually_bic(g, witness, tol=1e-9).ok
+    # the witness secures the value against every opponent vertex product
+    cuts = solver._vertex_product_cuts(g, j, solver.DEFAULT_DIM_CAP)
+    assert np.min(cuts @ witness.p.ravel()) >= value - 1e-9
 
 
 def _loop_vertex_product_cuts(g, j):

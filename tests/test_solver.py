@@ -1,3 +1,4 @@
+import itertools
 import json
 import sys
 import threading
@@ -423,10 +424,19 @@ def test_maxmin_auto_falls_back_when_opponents_too_large(rng):
                     action_sizes=[2, 2, 2])
     with pytest.raises(DimensionTooLarge):
         maxmin(g, 0, mode="exact", dim_cap=3)
-    cert = maxmin(g, 0, mode="auto", dim_cap=3, restarts=1, seed=5)
-    assert cert.kind == "alternating"
+    cert = maxmin(g, 0, mode="auto", dim_cap=3)
+    assert cert.kind == "relaxation-lower-bound"
     assert cert.gap_bound == -1.0
-    assert np.isfinite(cert.value)
+    assert cert.value <= solver._maxmin_vertex_products(g, 0, solver.DEFAULT_DIM_CAP).value + 1e-9
+    assert is_individually_bic(g, cert.witness).ok
+    # the relaxation bounds the floor from below, so a payoff under it fails:
+    # P1 is paid least at some product of the three polytopes' vertices
+    low = min(itertools.product(*[enumerate_vertices(g, k) for k in range(3)]),
+              key=lambda prof: expected_principal_payoff(g, 0, prof))
+    assert expected_principal_payoff(g, 0, low) < cert.value - solver.VALUE_TOL
+    hand_made = ValueCertificate(kind="hand-made", value=0.0, witness=None, gap_bound=0.0)
+    verdict = robust_pbe_membership(g, low, [cert, hand_made, hand_made])
+    assert verdict.bic_ok and verdict.verdict == "non-member"
 
 
 def test_maxmin_two_principals_is_the_saddle_lp_above_dim_cap(rng):
@@ -442,17 +452,6 @@ def test_maxmin_two_principals_is_the_saddle_lp_above_dim_cap(rng):
         assert cert.gap_bound == 0.0
         assert abs(cert.value - exact2) <= 1e-9
         assert is_individually_bic(g, cert.witness).ok
-
-
-def test_maxmin_alternating_matches_exact_for_two_principals(mp2, rng):
-    games = [mp2] + [
-        random_game(rng, num_agents=1, type_sizes=[2], action_sizes=[2, 2])
-        for _ in range(3)
-    ]
-    for g in games:
-        exact = maxmin(g, 0, mode="exact")
-        alt = maxmin(g, 0, mode="alternating", restarts=4, seed=2)
-        assert alt.value == pytest.approx(exact.value, abs=1e-6)
 
 
 def test_sion_equivalence_small_loop(rng):
@@ -617,15 +616,14 @@ def test_membership_reads_a_maxmin_as_a_lower_bound_on_the_floor():
 
 
 def test_membership_alternating_maxmin_and_unknown_kinds_decide_nothing(mp2):
-    certs = [maxmin(mp2, j, mode="alternating", restarts=2, seed=1) for j in range(2)]
-    assert {c.kind for c in certs} == {"alternating"}
+    # 'alternating', the retired heuristic maxmin's kind, is unknown like any other
     uniform = [DirectMechanism(owner=j, p=np.array([[0.5, 0.5]])) for j in range(2)]
-    verdict = robust_pbe_membership(mp2, uniform, certs)
-    assert verdict.verdict == "not-established"
-    assert not verdict.ok
-    assert all(row["ok"] for row in verdict.per_principal)
-    unknown = [ValueCertificate(kind="hand-made", value=0.5, witness=None, gap_bound=0.0)] * 2
-    assert robust_pbe_membership(mp2, uniform, unknown).verdict == "not-established"
+    for kind in ("alternating", "hand-made"):
+        unknown = [ValueCertificate(kind=kind, value=0.5, witness=None, gap_bound=0.0)] * 2
+        verdict = robust_pbe_membership(mp2, uniform, unknown)
+        assert verdict.verdict == "not-established"
+        assert not verdict.ok
+        assert all(row["ok"] for row in verdict.per_principal)
 
 
 def test_certificate_info_holds_only_json_scalars(mp2):
@@ -637,9 +635,11 @@ def test_certificate_info_holds_only_json_scalars(mp2):
                 if mode == "exact2" and g.num_principals > 2:
                     continue
                 certs.append(minmax(g, j, mode=mode, step=0.1, restarts=2))
-            for mode in ("auto", "exact", "alternating"):
-                certs.append(maxmin(g, j, mode=mode, restarts=2))
-    assert {c.kind for c in certs} == {"exact-lp", "vertex-product-exact", "alternating",
+            for mode in ("auto", "exact"):
+                certs.append(maxmin(g, j, mode=mode))
+    certs += [maxmin(g3, j, dim_cap=1) for j in range(g3.num_principals)]
+    assert {c.kind for c in certs} == {"exact-lp", "vertex-product-exact",
+                                       "relaxation-lower-bound",
                                        "grid-certified-lower-bound", "alternating-upper-bound"}
     for cert in certs:
         assert all(type(k) is str for k in cert.info)
