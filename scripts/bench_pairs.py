@@ -21,7 +21,9 @@ Run from the repository root.
 import argparse
 import hashlib
 import json
+import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -63,13 +65,23 @@ def run_once(checkout, workload, seed, side, pair):
     wrong outputs enters a median."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    # its own session, so that its workers go with it however this run ends
+    proc = subprocess.Popen(cmd, cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate()
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
     if proc.returncode != 0:
         print(f"{side} run of pair {pair} ({workload}, seed {seed}) exited with code "
               f"{proc.returncode}; the last 20 lines of its stderr:", file=sys.stderr)
-        print("\n".join(proc.stderr.splitlines()[-20:]), file=sys.stderr)
+        print("\n".join(err.splitlines()[-20:]), file=sys.stderr)
         sys.exit(1)
-    line = json.loads(proc.stdout.strip().splitlines()[-1])
+    line = json.loads(out.strip().splitlines()[-1])
     if not line["correct"] or line["failed"] > 0:
         print(f"{side} run of pair {pair} ({workload}, seed {seed}) reported wrong outputs: "
               f"correct {line['correct']}, failed {line['failed']} of {line['attempted']}",
@@ -159,5 +171,12 @@ def main(argv=None):
     return 0
 
 
+def _exit_on_sigterm(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 if __name__ == "__main__":
+    # SIGTERM unwinds like an exception, so every finally block runs: the
+    # perfbench run's process group is killed and the export is removed
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     sys.exit(main())

@@ -9,6 +9,7 @@ membership queries, enumerates vertices and samples feasible points.
 """
 
 import itertools
+import math
 import weakref
 from dataclasses import dataclass
 
@@ -102,6 +103,8 @@ def build_bic_polytope(g: FiniteGame, principal: int) -> BicPolytope:
     warnings = []
     u = g.agent_utils  # u[i][j][x, a]
     for i in range(g.num_agents):
+        # the last agent's type varies fastest, so agent i's type moves x by stride
+        stride = math.prod(len(ts) for ts in g.type_spaces[i + 1:])
         for t, t_lab in enumerate(g.type_spaces[i]):
             idxs, w = conditional_weights(g, i, t)
             if w is None:
@@ -111,10 +114,10 @@ def build_bic_polytope(g: FiniteGame, principal: int) -> BicPolytope:
                 if r == t:
                     continue
                 row = np.zeros(n_vars)
-                for x, wt in zip(idxs, w):
-                    x_rep = g.replace_type(int(x), i, r)
-                    coeff = wt * u[i][j][int(x)]  # utility at the true profile
-                    row[int(x) * n_a:(int(x) + 1) * n_a] += coeff
+                for x, wt in zip(idxs.tolist(), w):
+                    x_rep = x + (r - t) * stride
+                    coeff = wt * u[i][j][x]  # utility at the true profile
+                    row[x * n_a:(x + 1) * n_a] += coeff
                     row[x_rep * n_a:(x_rep + 1) * n_a] -= coeff
                 rows.append(row)
                 labels.append((i, t_lab, r_lab))
@@ -161,54 +164,59 @@ def is_individually_bic(g: FiniteGame, mech: DirectMechanism,
     )
 
 
+def _require_direct_profile(g: FiniteGame, mechanisms) -> None:
+    """ValueError unless ``mechanisms`` (a list, or a dict keyed 0..J-1) holds
+    at each k principal k's DirectMechanism, of shape (n_profiles, |A_k|)."""
+    keys = list(mechanisms) if isinstance(mechanisms, dict) else list(range(len(mechanisms)))
+    if set(keys) != set(range(g.num_principals)):
+        raise ValueError(f"profile has positions {keys}, "
+                         f"need one per principal 0..{g.num_principals - 1}")
+    for k in range(g.num_principals):
+        mech, want = mechanisms[k], (g.num_profiles, len(g.action_spaces[k]))
+        if not (isinstance(mech, DirectMechanism) and mech.owner == k and mech.p.shape == want):
+            raise ValueError(f"profile[{k}] is not principal {k}'s DirectMechanism "
+                             f"of shape {want}")
+
+
 def is_profile_bic(g: FiniteGame, mechanisms, tol: float = MEMBERSHIP_TOL) -> MembershipResult:
     """Check truthful reporting against joint deviations across principals.
 
-    Enumerates, for every agent and positive-mass type, every vector of
-    reports (one per principal, possibly all different) and compares the
-    interim payoff with truth-telling everywhere.  ok iff no report vector
-    gains more than tol.  The worst witness label is (agent, true type,
-    report vector).
+    Payoffs are separable across principals, so a joint misreport gains the
+    sum of what each of its reports gains with its principal: minus that
+    principal's IC row (agent, true type, report) at its table, and 0 for
+    the truthful report.  A type's joint gain is thus the sum, in principal
+    order, of its worst IC row per principal, negated (0 if none is
+    negative); ok iff no positive-mass type gains more than tol.  The worst
+    label is (agent, true type, report vector) of the first type with the
+    largest joint gain; on float ties the vector names, per principal, the
+    first best report in type order.
+
+    ``mechanisms`` is a list, or a dict keyed 0..J-1, holding principal k's
+    DirectMechanism at k; any other profile raises ValueError.
     """
-    n_j = g.num_principals
-    worst_gain = -np.inf
-    worst_label = None
-    for i in range(g.num_agents):
-        n_t = len(g.type_spaces[i])
-        if n_t == 1:
-            continue
-        for t in range(n_t):
-            idxs, w = conditional_weights(g, i, t)
-            if w is None:
-                continue
-            # truthful per-principal interim payoffs
-            truth = 0.0
-            per_report = []  # per principal: array over reports r of interim payoff
-            for k in range(n_j):
-                mech = mechanisms[k]
-                u = g.agent_utils[i][k]
-                vals = np.zeros(n_t)
-                for r in range(n_t):
-                    tot = 0.0
-                    for x, wt in zip(idxs, w):
-                        x_rep = g.replace_type(int(x), i, r)
-                        tot += wt * float(np.dot(mech.p[x_rep], u[int(x)]))
-                    vals[r] = tot
-                per_report.append(vals)
-                truth += vals[t]
-            for rep in itertools.product(range(n_t), repeat=n_j):
-                gain = sum(per_report[k][rep[k]] for k in range(n_j)) - truth
-                if gain > worst_gain:
-                    worst_gain = gain
-                    worst_label = (i, g.type_spaces[i][t],
-                                   tuple(g.type_spaces[i][r] for r in rep))
+    _require_direct_profile(g, mechanisms)
+    gains = [(-build_bic_polytope(g, k).ic_values(mechanisms[k])).tolist()
+             for k in range(g.num_principals)]
+    labels = build_bic_polytope(g, 0).ic_labels
+    worst_gain, worst_label, s = -np.inf, None, 0
+    while s < len(labels):   # the rows of one (agent, true type), by report
+        i, t_lab, _ = labels[s]
+        types = g.type_spaces[i]
+        t, e = types.index(t_lab), s + len(types) - 1
+        gain, reports = 0.0, []
+        for per_row in gains:
+            by_report = per_row[s:s + t] + [0.0] + per_row[s + t:e]
+            best = max(by_report)
+            gain += best
+            reports.append(types[by_report.index(best)])
+        if gain > worst_gain:
+            worst_gain = gain
+            worst_label = (i, t_lab, tuple(reports))
+        s = e
     if worst_label is None:
-        return MembershipResult(ok=True, worst_value=0.0, worst_label=None)
-    return MembershipResult(
-        ok=bool(worst_gain <= tol),
-        worst_value=float(worst_gain),
-        worst_label=worst_label,
-    )
+        return MembershipResult(ok=True, worst_value=0.0)
+    return MembershipResult(ok=bool(worst_gain <= tol), worst_value=float(worst_gain),
+                            worst_label=worst_label)
 
 
 # -- vertex enumeration -----------------------------------------------------

@@ -160,15 +160,6 @@ class FiniteGame:
             self.type_spaces[i][t] for i, t in enumerate(self._profiles[x])
         )
 
-    def replace_type(self, x: int, agent: int, t: int) -> int:
-        """Flat index of profile x with agent's coordinate replaced by type t."""
-        coords = self._profiles[x].copy()
-        coords[agent] = t
-        idx = 0
-        for i, ti in enumerate(coords):
-            idx = idx * len(self.type_spaces[i]) + int(ti)
-        return idx
-
     def type_marginal(self, agent: int, t: int) -> float:
         """Marginal prior probability that ``agent`` has type index ``t``."""
         mask = self._profiles[:, agent] == t

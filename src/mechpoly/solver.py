@@ -589,7 +589,7 @@ def robust_pbe_membership(g: FiniteGame, mechanisms, certs,
     floor, (-inf, inf) for a kind it does not know: a payoff below lower - tol
     fails, one at or above upper - tol passes, and one in between is open.  A
     failure or a profile that is not BIC gives 'non-member', else an open
-    test 'not-established'.
+    test 'not-established'.  A misaligned profile raises as in is_profile_bic.
     """
     bic = is_profile_bic(g, mechanisms)
     per = []

@@ -1,10 +1,18 @@
 """scripts/bench_pairs.py: a perfbench run that fails stops the script with
 the side, pair, exit code and end of stderr of that run; a run that exits 0
 but reports wrong outputs stops it with the side, pair and failed count; a
-change to ``src/`` during the runs stops it before it writes its file."""
+change to ``src/`` during the runs stops it before it writes its file; a
+SIGTERM kills the perfbench run's processes and removes the parent's
+export."""
 
 import importlib.util
 import json
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -77,3 +85,56 @@ def test_main_rejects_sources_changed_during_the_runs(tmp_path, monkeypatch, cap
     else:
         entry = json.loads(written.read_text(encoding="utf-8"))["entries"]["values2/seed101"]
         assert entry["change"]["src_sha256"] == "a" * 64 and len(entry["runs"]) == 6
+
+
+def _alive(pid):
+    """Whether pid runs and is not a zombie waiting for its parent."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text(encoding="utf-8")
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def test_sigterm_stops_the_perfbench_run_and_removes_the_export(tmp_path):
+    # a repository whose perfbench run starts one child that writes its pid
+    # and sleeps; the script is stopped while that child runs
+    repo, tmp = tmp_path / "repo", tmp_path / "tmp"
+    (repo / "scripts").mkdir(parents=True)
+    (repo / "perfbench").mkdir()
+    tmp.mkdir()
+    shutil.copy(SCRIPT, repo / "scripts" / "bench_pairs.py")
+    (repo / "BENCHMARK.json").write_text('{"end_to_end": []}', encoding="utf-8")
+    pid_file = tmp_path / "child.pid"
+    (repo / "perfbench" / "run.py").write_text(
+        "import subprocess, sys\n"
+        "subprocess.run([sys.executable, 'perfbench/child.py'])\n", encoding="utf-8")
+    (repo / "perfbench" / "child.py").write_text(
+        "import os, pathlib, time\n"
+        f"pathlib.Path({str(pid_file)!r}).write_text(str(os.getpid()))\n"
+        "time.sleep(120)\n", encoding="utf-8")
+    for args in (["init", "-q"], ["add", "-A"],
+                 ["-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "stub"]):
+        subprocess.run(["git", *args], cwd=repo, check=True, capture_output=True)
+    script = subprocess.Popen(
+        [sys.executable, "scripts/bench_pairs.py", "--pr", "99", "--workload", "values2",
+         "--pairs", "1"], cwd=repo, env=dict(os.environ, TMPDIR=str(tmp)),
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not (pid_file.exists() and pid_file.read_text(encoding="utf-8")):
+            assert time.monotonic() < deadline and script.poll() is None
+            time.sleep(0.05)
+        child = int(pid_file.read_text(encoding="utf-8"))
+        assert _alive(child) and any(tmp.glob("bench_pairs_*"))
+        script.send_signal(signal.SIGTERM)
+        assert script.wait(timeout=30) == 128 + signal.SIGTERM
+    finally:
+        script.kill()
+        script.wait(timeout=30)
+    deadline = time.monotonic() + 10
+    while _alive(child) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not _alive(child)
+    assert list(tmp.iterdir()) == []
+    assert not (repo / "BENCH_99.json").exists()

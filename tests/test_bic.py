@@ -90,6 +90,30 @@ def test_profile_bic_joint_witness(screen1):
     assert good.worst_value <= 0.0
 
 
+def test_misaligned_profiles_are_rejected(screen1):
+    g = random_game(np.random.default_rng(3), num_principals=2, num_agents=1, type_sizes=[2],
+                    action_sizes=[2, 2])
+    prof = [sample_bic(g, k, seed=k) for k in range(2)]
+    certs = [minmax(g, k, mode="exact2") for k in range(2)]
+    assert robust_pbe_membership(g, prof, certs).verdict == "member"
+    assert robust_pbe_membership(g, dict(enumerate(prof)), certs).verdict == "member"
+    stub = DirectMechanism(owner=1, p=np.ones((2, 1)))
+    assert is_profile_bic(screen1, {1: stub, 0: DirectMechanism(owner=0, p=TRUTHFUL)}).ok
+    screen_certs = [minmax(screen1, k, mode="exact2") for k in range(2)]
+    for game, bad in [
+        (g, prof[::-1]),                                    # P2's table in P1's slot
+        (g, [prof[0], DirectMechanism(owner=1, p=np.ones((2, 1)))]),
+        (g, {0: prof[0], 2: prof[1]}),
+        (g, prof + prof[1:]),
+        (screen1, [DirectMechanism(owner=0, p=TRUTHFUL)]),
+        (screen1, [TRUTHFUL, stub]),
+    ]:
+        with pytest.raises(ValueError, match="profile"):
+            is_profile_bic(game, bad)
+        with pytest.raises(ValueError, match="profile"):
+            robust_pbe_membership(game, bad, certs if game is g else screen_certs)
+
+
 def test_singleton_types_are_unconstrained(mp2):
     poly = build_bic_polytope(mp2, 0)
     assert poly.ic.shape[0] == 0

@@ -47,8 +47,6 @@ def test_profile_enumeration_order():
     assert [tuple(row) for row in g.profiles] == expect
     assert g.profile_index(("t11", "t22")) == 5
     assert g.profile_labels(5) == ("t11", "t22")
-    assert g.replace_type(5, 0, 0) == 2
-    assert g.replace_type(5, 1, 0) == 3
 
 
 def test_conditional_prior_matches_bayes():

@@ -3,9 +3,11 @@ way, membership verdicts follow the bounds they use, vertex enumeration
 returns the SVD oracle's tables, the array grid sweep returns the loop
 oracle's certificates bit for bit, the batched continuation-equilibrium
 kernel returns the per-candidate loops' blocks, combos and records,
-joint truthfulness separates into the principals' IC rows, the direct HiGHS
-call returns linprog's LP results bit for bit, the reused HiGHS instances
-return a fresh instance's results bit for bit in any solve order, the
+joint truthfulness read from the principals' IC rows is the brute force
+over report vectors, the polytope build's rows are the loop oracle's bit
+for bit, the direct HiGHS call returns linprog's LP results bit for bit,
+the reused HiGHS instances return a fresh instance's results bit for bit
+in any solve order, the
 saddle LP's bilinear blocks are ``block_diag``'s, its two-principal LP and
 solution are the two-principal oracle's bit for bit, the batched maxmin cut
 rows are the per-product loop's, the two-principal saddle-LP maxmin is
@@ -25,6 +27,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
+import bic_oracle
 import continuation_oracle as oracle
 import grid_oracle
 import lp_oracle
@@ -428,23 +431,53 @@ def separability_cases(draw):
 @settings(max_examples=100)
 @given(case=separability_cases(), tol=st.sampled_from([1e-9, 1e-6, 1e-3]))
 def test_profile_bic_separates_by_principal(case, tol):
-    # the best joint misreport of a type is the sum over principals of the
-    # best single misreport to each, and is zero when no misreport gains
+    # the check read from the IC rows agrees with the brute force over every
+    # report vector, up to float noise in the gains and in which of two
+    # equally good report vectors it names
     g, profile = case
     joint = is_profile_bic(g, profile, tol=tol)
-    gains = {}   # (agent, true type) -> summed best gain over principals
-    for k, dm in enumerate(profile):
-        poly = build_bic_polytope(g, k)
-        best = {}
-        for value, (i, t, _) in zip(poly.ic_values(dm), poly.ic_labels):
-            best[(i, t)] = max(best.get((i, t), 0.0), -value)
-        for key, gain in best.items():
-            gains[key] = gains.get(key, 0.0) + gain
-    assert abs(joint.worst_value - max(gains.values(), default=0.0)) <= 1e-12
+    brute = bic_oracle.is_profile_bic(g, profile, tol=tol)
+    if abs(brute.worst_value - tol) > 1e-12:
+        assert joint.ok == brute.ok
+    assert abs(joint.worst_value - brute.worst_value) <= 1e-12
+    assert (joint.worst_label is None) == (brute.worst_label is None)
+    if joint.worst_label is not None:
+        gain = bic_oracle.joint_gain(g, profile, joint.worst_label)
+        assert abs(gain - brute.worst_value) <= 1e-12
     if joint.ok:
         assert all(is_individually_bic(g, dm, tol=tol).ok for dm in profile)
     if all(is_individually_bic(g, dm, tol=tol / (2 * len(profile))).ok for dm in profile):
         assert joint.ok
+
+
+@st.composite
+def polytope_games(draw):
+    """Games with two or three principals of one to three actions and one
+    to three agents of one to three types, where each agent with more than
+    one type may have a drawn type without prior mass."""
+    n_j = draw(st.integers(2, 3))
+    types = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_game(rng, num_principals=n_j, num_agents=len(types), type_sizes=types,
+                    action_sizes=[draw(st.integers(1, 3)) for _ in range(n_j)])
+    keep = np.ones(g.num_profiles, dtype=bool)
+    for i, n_t in enumerate(types):
+        if n_t > 1 and draw(st.booleans()):
+            keep &= g.profiles[:, i] != draw(st.integers(0, n_t - 1))
+    prior = np.where(keep, g.prior, 0.0)
+    return dataclasses.replace(g, prior=prior / prior.sum())
+
+
+@settings(max_examples=100)
+@given(g=polytope_games())
+def test_polytope_build_matches_loop_oracle(g):
+    for k in range(g.num_principals):
+        got, want = build_bic_polytope(g, k), bic_oracle.build_bic_polytope(g, k)
+        assert (got.eq.shape, got.ic.shape) == (want.eq.shape, want.ic.shape)
+        assert got.eq.tobytes() == want.eq.tobytes()
+        assert got.ic.tobytes() == want.ic.tobytes()
+        assert got.ic_labels == want.ic_labels
+        assert got.warnings == want.warnings
 
 
 _BOUND_KINDS = ("nonneg", "free", "box", "upper")
