@@ -10,18 +10,27 @@ membership queries, enumerates vertices and samples feasible points.
 
 import itertools
 import math
-import weakref
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .game import DirectMechanism, FiniteGame, _frozen, conditional_weights
+from .game import (
+    DirectMechanism,
+    FiniteGame,
+    _frozen,
+    _require_profile,
+    conditional_weights,
+)
 
 MEMBERSHIP_TOL = 1e-9
 SNAP_TOL = 1e-9         # vertex coordinates this close to a grid value are snapped
 BLOCK = 1 << 14         # elements per temporary in vertex enumeration
 
 DEFAULT_DIM_CAP = 12
+POLYTOPE_CACHE_SIZE = 64   # polytopes kept; the oldest is dropped past this
 
 
 class DimensionTooLarge(ValueError):
@@ -43,7 +52,8 @@ class BicPolytope:
         ic_labels: per row, (agent, true type label, reported type label).
         warnings: zero-mass types that generated no rows.
 
-    build_bic_polytope makes eq and ic read-only.
+    build_bic_polytope makes eq and ic read-only.  ``vertex_tables`` is
+    computed on first access and then kept.
     """
 
     owner: int
@@ -75,8 +85,17 @@ class BicPolytope:
         b = np.concatenate([np.ones(self.eq.shape[0]), np.zeros(self.ic.shape[0])])
         return a, rel, b
 
+    @cached_property
+    def vertex_tables(self) -> np.ndarray:
+        """Read-only (n_vertices, n_profiles, n_actions) array of the
+        extreme points, in enumerate_vertices's order; no dimension cap."""
+        return _frozen(_vertex_tables(self))
 
-_POLYTOPES = weakref.WeakKeyDictionary()   # game -> {principal: BicPolytope}
+
+# build inputs -> BicPolytope, oldest first; every change holds the lock, and
+# no game is referenced
+_POLYTOPES = OrderedDict()
+_POLYTOPES_LOCK = threading.Lock()
 
 
 def build_bic_polytope(g: FiniteGame, principal: int) -> BicPolytope:
@@ -84,14 +103,28 @@ def build_bic_polytope(g: FiniteGame, principal: int) -> BicPolytope:
 
     Rows are ordered by (agent, true type, reported type) in declaration
     order; types with zero prior mass contribute no rows and are recorded as
-    warnings instead.  Each (game object, principal) is built once, on first
-    request, and released with the game; every caller shares the read-only
-    result.
+    warnings instead.  The result is cached by exactly what the build reads
+    (principal, type labels, |A_j|, prior, every agent's payoffs for j), so
+    games that agree on those share one read-only polytope, and its vertex
+    tables, whatever their principal payoffs.  At most POLYTOPE_CACHE_SIZE
+    polytopes are kept, the oldest dropped first; no game is kept alive.
     """
-    built = _POLYTOPES.setdefault(g, {})
-    if principal in built:
-        return built[principal]
     j = principal
+    key = (j, g.type_spaces, len(g.action_spaces[j]), g.prior.tobytes(),
+           tuple(u[j].tobytes() for u in g.agent_utils))
+    poly = _POLYTOPES.get(key)      # one lookup, atomic on its own
+    if poly is None:
+        poly = _build_polytope(g, j)
+        with _POLYTOPES_LOCK:
+            # a concurrent build of the same key may have landed first
+            poly = _POLYTOPES.setdefault(key, poly)
+            while len(_POLYTOPES) > POLYTOPE_CACHE_SIZE:
+                _POLYTOPES.popitem(last=False)
+    return poly
+
+
+def _build_polytope(g: FiniteGame, j: int) -> BicPolytope:
+    """Principal j's polytope, built anew."""
     n_x = g.num_profiles
     n_a = len(g.action_spaces[j])
     n_vars = n_x * n_a
@@ -122,7 +155,7 @@ def build_bic_polytope(g: FiniteGame, principal: int) -> BicPolytope:
                 rows.append(row)
                 labels.append((i, t_lab, r_lab))
     ic = np.array(rows) if rows else np.zeros((0, n_vars))
-    built[j] = BicPolytope(
+    return BicPolytope(
         owner=j,
         n_profiles=n_x,
         n_actions=n_a,
@@ -131,7 +164,6 @@ def build_bic_polytope(g: FiniteGame, principal: int) -> BicPolytope:
         ic_labels=tuple(labels),
         warnings=tuple(warnings),
     )
-    return built[j]
 
 
 @dataclass
@@ -164,20 +196,6 @@ def is_individually_bic(g: FiniteGame, mech: DirectMechanism,
     )
 
 
-def _require_direct_profile(g: FiniteGame, mechanisms) -> None:
-    """ValueError unless ``mechanisms`` (a list, or a dict keyed 0..J-1) holds
-    at each k principal k's DirectMechanism, of shape (n_profiles, |A_k|)."""
-    keys = list(mechanisms) if isinstance(mechanisms, dict) else list(range(len(mechanisms)))
-    if set(keys) != set(range(g.num_principals)):
-        raise ValueError(f"profile has positions {keys}, "
-                         f"need one per principal 0..{g.num_principals - 1}")
-    for k in range(g.num_principals):
-        mech, want = mechanisms[k], (g.num_profiles, len(g.action_spaces[k]))
-        if not (isinstance(mech, DirectMechanism) and mech.owner == k and mech.p.shape == want):
-            raise ValueError(f"profile[{k}] is not principal {k}'s DirectMechanism "
-                             f"of shape {want}")
-
-
 def is_profile_bic(g: FiniteGame, mechanisms, tol: float = MEMBERSHIP_TOL) -> MembershipResult:
     """Check truthful reporting against joint deviations across principals.
 
@@ -194,7 +212,7 @@ def is_profile_bic(g: FiniteGame, mechanisms, tol: float = MEMBERSHIP_TOL) -> Me
     ``mechanisms`` is a list, or a dict keyed 0..J-1, holding principal k's
     DirectMechanism at k; any other profile raises ValueError.
     """
-    _require_direct_profile(g, mechanisms)
+    _require_profile(g, mechanisms, direct=True)
     gains = [(-build_bic_polytope(g, k).ic_values(mechanisms[k])).tolist()
              for k in range(g.num_principals)]
     labels = build_bic_polytope(g, 0).ic_labels
@@ -310,36 +328,10 @@ def _sorted_distinct(z: np.ndarray) -> np.ndarray:
     return z[keep]
 
 
-def enumerate_vertices(g: FiniteGame, principal: int,
-                       dim_cap: int = DEFAULT_DIM_CAP):
-    """All extreme points of the incentive-compatibility polytope.
-
-    Double description: start from the vertex set of the product of
-    per-profile simplices (the deterministic mechanisms) and insert each IC
-    halfspace in turn.  Vertices with row value >= -1e-9 survive.  Each
-    vertex carries its tight set over nonnegativity and the IC rows inserted
-    so far (value within 1e-9 of zero; the simplex rows are always tight and
-    left out).  A strictly feasible vertex u and a strictly infeasible w
-    (row values vu > 1e-9 > -1e-9 > vw) add their crossing point
-    (vu*w - vw*u)/(vu - vw) when they are adjacent, which is decided
-    combinatorially: no third vertex's tight set contains their common one.
-    No rank or SVD test is made.  A crossing point joins iff it is more than
-    1e-8 in max-norm from every surviving vertex and from every earlier
-    crossing point that joined, taken in (u, w) order.  Every temporary is
-    bounded by BLOCK elements.
-
-    Returns a list of DirectMechanism sorted lexicographically by table
-    (rounded to 12 digits), after snapping coordinates within 1e-9 of 0 or 1
-    and dropping points with an IC row below -1e-9; a point within 1e-8 in
-    max-norm of the last point kept is dropped too.
-    Raises DimensionTooLarge when the variable count exceeds dim_cap.
-    """
-    poly = build_bic_polytope(g, principal)
+def _vertex_tables(poly: BicPolytope) -> np.ndarray:
+    """The extreme points of ``poly`` as (n_vertices, n_profiles, n_actions)
+    tables, computed anew; see enumerate_vertices for the method."""
     n = poly.n_vars
-    if n > dim_cap:
-        raise DimensionTooLarge(
-            f"polytope has {n} variables, cap is {dim_cap}"
-        )
     # deterministic mechanisms: one-hot per profile
     verts = []
     for choice in itertools.product(range(poly.n_actions), repeat=poly.n_profiles):
@@ -371,8 +363,43 @@ def enumerate_vertices(g: FiniteGame, principal: int,
     z = _clean_point(poly, verts)
     if poly.ic.shape[0]:
         z = z[(z @ poly.ic.T).min(axis=1) >= -MEMBERSHIP_TOL]
-    return [DirectMechanism(owner=poly.owner, p=p)
-            for p in _sorted_distinct(z).reshape(-1, poly.n_profiles, poly.n_actions)]
+    return _sorted_distinct(z).reshape(-1, poly.n_profiles, poly.n_actions)
+
+
+def enumerate_vertices(g: FiniteGame, principal: int,
+                       dim_cap: int = DEFAULT_DIM_CAP):
+    """All extreme points of the incentive-compatibility polytope.
+
+    Double description: start from the vertex set of the product of
+    per-profile simplices (the deterministic mechanisms) and insert each IC
+    halfspace in turn.  Vertices with row value >= -1e-9 survive.  Each
+    vertex carries its tight set over nonnegativity and the IC rows inserted
+    so far (value within 1e-9 of zero; the simplex rows are always tight and
+    left out).  A strictly feasible vertex u and a strictly infeasible w
+    (row values vu > 1e-9 > -1e-9 > vw) add their crossing point
+    (vu*w - vw*u)/(vu - vw) when they are adjacent, which is decided
+    combinatorially: no third vertex's tight set contains their common one.
+    No rank or SVD test is made.  A crossing point joins iff it is more than
+    1e-8 in max-norm from every surviving vertex and from every earlier
+    crossing point that joined, taken in (u, w) order.  Every temporary is
+    bounded by BLOCK elements.
+
+    Returns a list of DirectMechanism sorted lexicographically by table
+    (rounded to 12 digits), after snapping coordinates within 1e-9 of 0 or 1
+    and dropping points with an IC row below -1e-9; a point within 1e-8 in
+    max-norm of the last point kept is dropped too.  The tables are
+    enumerated once per cached polytope (``BicPolytope.vertex_tables``), so
+    games sharing a polytope share the work; each call returns fresh
+    DirectMechanisms with read-only copies of them.
+    Raises DimensionTooLarge when the variable count exceeds dim_cap,
+    before any enumeration.
+    """
+    poly = build_bic_polytope(g, principal)
+    if poly.n_vars > dim_cap:
+        raise DimensionTooLarge(
+            f"polytope has {poly.n_vars} variables, cap is {dim_cap}"
+        )
+    return [DirectMechanism(owner=poly.owner, p=p) for p in poly.vertex_tables]
 
 
 def sample_bic(g: FiniteGame, principal: int, seed: int,

@@ -73,8 +73,9 @@ def _frozen(a):
 class FiniteGame:
     """Immutable description of one finite competing-mechanism game.
 
-    The arrays are read-only copies of the inputs.  Games compare and hash by
-    identity, so derived data (the IC polytopes) can be cached per game.
+    The arrays are read-only copies of the inputs, so derived data (the IC
+    polytopes) can be cached by their bytes.  Games compare and hash by
+    identity.
 
     Fields:
         type_spaces: per agent, the ordered tuple of type labels.
@@ -300,20 +301,51 @@ def _contract_except(g: FiniteGame, valued: int, free: int, mechanisms) -> np.nd
     return t
 
 
+def _require_profile(g: FiniteGame, mechanisms, skip: int = None,
+                     direct: bool = False) -> None:
+    """ValueError unless ``mechanisms`` (a list, or a dict keyed 0..J-1, where
+    position ``skip`` may be left out) holds at each other position k a table
+    of shape (n_profiles, |A_k|): principal k's DirectMechanism or, unless
+    ``direct``, an array."""
+    keys = list(mechanisms) if isinstance(mechanisms, dict) else list(range(len(mechanisms)))
+    need = set(range(g.num_principals))
+    if not need - {skip} <= set(keys) <= need:
+        raise ValueError(f"profile has positions {keys}, "
+                         f"need one per principal 0..{g.num_principals - 1}")
+    for k in sorted(need - {skip}):
+        mech, want = mechanisms[k], (g.num_profiles, len(g.action_spaces[k]))
+        if isinstance(mech, DirectMechanism):
+            ok = mech.owner == k and mech.p.shape == want
+        else:
+            ok = not direct and np.shape(mech) == want
+        if not ok:
+            what = "DirectMechanism" if direct else "DirectMechanism or table"
+            raise ValueError(f"profile[{k}] is not principal {k}'s {what} of shape {want}")
+
+
 def contract_opponents(g: FiniteGame, principal: int, mechanisms) -> np.ndarray:
     """Prior-weighted coefficients of v_j against everyone else's mechanisms.
 
-    ``mechanisms`` maps principal index -> DirectMechanism for every k != j
-    (a dict or a full list; entry j is ignored).  Returns an array of shape
-    (n_profiles, |A_j|): the expected payoff of playing a_j at profile x,
-    already weighted by the prior.
+    ``mechanisms`` maps principal index -> DirectMechanism (or raw table) for
+    every k != j (a dict or a full list; entry j is ignored).  Returns an
+    array of shape (n_profiles, |A_j|): the expected payoff of playing a_j
+    at profile x, already weighted by the prior.  Raises ValueError when a
+    position is missing or out of range, a DirectMechanism sits at another
+    principal's position, or a table has the wrong shape.
     """
+    _require_profile(g, mechanisms, skip=principal)
     return _contract_except(g, principal, principal, mechanisms)
 
 
 def expected_principal_payoff(g: FiniteGame, principal: int, mechanisms) -> float:
-    """Ex-ante expected payoff of one principal under a full mechanism profile."""
-    coeff = contract_opponents(g, principal, mechanisms)
+    """Ex-ante expected payoff of one principal under a full mechanism profile.
+
+    ``mechanisms`` holds principal k's DirectMechanism, or a raw table of
+    shape (n_profiles, |A_k|), at position k of a list or dict; any other
+    profile raises ValueError, as in contract_opponents.
+    """
+    _require_profile(g, mechanisms)
+    coeff = _contract_except(g, principal, principal, mechanisms)
     own = mechanisms[principal]
     p = own.p if isinstance(own, DirectMechanism) else np.asarray(own, dtype=float)
     return float(np.sum(coeff * p))

@@ -22,6 +22,7 @@ per-principal polytopes:
 Every routine is deterministic given its inputs and seed.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -44,6 +45,7 @@ from .game import (
     DirectMechanism,
     FiniteGame,
     _contract_except,
+    _frozen,
     expected_principal_payoff,
     game_hash,
     mechanism_to_dict,
@@ -395,9 +397,11 @@ def _free_rows(g: FiniteGame, principal: int):
             for x in range(g.num_profiles)]
 
 
+@functools.lru_cache(maxsize=32)
 def _simplex_grid(n_actions: int, step: float) -> np.ndarray:
     """Grid over a simplex: free coords are multiples of step, sum <= 1.
-    Rows run in lexicographic order of the free coordinates."""
+    Rows run in lexicographic order of the free coordinates.  Memoised per
+    (n_actions, step); the result is read-only."""
     ticks = int(np.floor(1.0 / step + 1e-12))
     vals = np.arange(ticks + 1) * step
     free = [c.reshape(-1) for c in np.meshgrid(*[vals] * (n_actions - 1), indexing="ij")]
@@ -405,7 +409,7 @@ def _simplex_grid(n_actions: int, step: float) -> np.ndarray:
     for c in free:       # the filter and 1 - s depend on how s rounds: add in row order
         s = s + c
     keep = s <= 1.0 + 1e-12
-    return np.column_stack([c[keep] for c in free] + [np.maximum(1.0 - s[keep], 0.0)])
+    return _frozen(np.column_stack([c[keep] for c in free] + [np.maximum(1.0 - s[keep], 0.0)]))
 
 
 def _minmax_grid(g: FiniteGame, principal: int, step: float,

@@ -58,29 +58,38 @@ def test_run_once_rejects_a_run_with_wrong_outputs(tmp_path, capsys, correct, fa
         f"correct {correct}, failed {failed} of 40"]
 
 
-@pytest.mark.parametrize("digests, code", [(["a" * 64, "a" * 64], 0),
-                                           (["a" * 64, "b" * 64], 1)])
+@pytest.mark.parametrize("digests, code", [(["a" * 64] * 4, 0),
+                                           (["a" * 64, "a" * 64, "b" * 64], 1)])
 def test_main_rejects_sources_changed_during_the_runs(tmp_path, monkeypatch, capsys,
                                                       digests, code):
+    # the digest is taken before the first pair and after each of 3 pairs;
+    # in the second case src/ changes during pair 1, so pair 2 never runs
     module = _bench_pairs()
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
         {"name": "items_per_s", "better": "higher"}]}), encoding="utf-8")
     trees = iter(digests)
+    pairs_run = []
     monkeypatch.setattr(module, "ROOT", tmp_path)
     monkeypatch.setattr(module, "git", lambda *args: "0" * 40)
     monkeypatch.setattr(module, "export", lambda rev, dest: None)
     monkeypatch.setattr(module, "working_tree", lambda: {
         "rev": "working tree", "head": "0" * 40, "dirty": True, "src_sha256": next(trees)})
-    monkeypatch.setattr(module, "run_once", lambda checkout, workload, seed, side, pair: {
-        "metrics": {"items_per_s": 10.0}, "failed_frac": 0.0, "items": 5, "correct": True,
-        "inputs_sha256": "c" * 64, "seconds": 1, "machine": {"cpus": 2}})
+
+    def run_once(checkout, workload, seed, side, pair):
+        pairs_run.append(pair)
+        return {"metrics": {"items_per_s": 10.0}, "failed_frac": 0.0, "items": 5,
+                "correct": True, "inputs_sha256": "c" * 64, "seconds": 1,
+                "machine": {"cpus": 2}}
+
+    monkeypatch.setattr(module, "run_once", run_once)
     assert module.main(["--pr", "99", "--workload", "values2", "--pairs", "3"]) == code
-    assert next(trees, None) is None          # the digest was taken before and after
+    assert next(trees, None) is None          # one digest per pair, and one before
+    assert pairs_run == ([0, 0, 1, 1, 2, 2] if code == 0 else [0, 0, 1, 1])
     written = tmp_path / "BENCH_99.json"
     assert written.exists() == (code == 0)
     if code:
         assert capsys.readouterr().err.splitlines() == [
-            "src/ changed during the runs (sha256 aaaaaaaaaaaa -> bbbbbbbbbbbb); "
+            "src/ changed by the end of pair 1 (sha256 aaaaaaaaaaaa -> bbbbbbbbbbbb); "
             "BENCH_99.json not written"]
     else:
         entry = json.loads(written.read_text(encoding="utf-8"))["entries"]["values2/seed101"]

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import weakref
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -260,12 +261,13 @@ def test_sorted_distinct_is_the_sort_and_scan_rule(rng):
 
 def test_vertex_tables_do_not_depend_on_block_size(rng, monkeypatch):
     g = random_game(rng, num_agents=2, type_sizes=[2, 2], action_sizes=[3, 2])
-    want = enumerate_vertices(g, 0)
+    poly = build_bic_polytope(g, 0)
+    # the uncached kernel, so both block sizes really enumerate
+    want = mechpoly.bic._vertex_tables(poly)
     monkeypatch.setattr(mechpoly.bic, "BLOCK", 50)
-    got = enumerate_vertices(g, 0)
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        np.testing.assert_array_equal(a.p, b.p)
+    got = mechpoly.bic._vertex_tables(poly)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.array([m.p for m in enumerate_vertices(g, 0)]), want)
 
 
 def test_dimension_cap_enforced(rng):
@@ -277,20 +279,47 @@ def test_dimension_cap_enforced(rng):
     assert len(verts) >= 1
 
 
-def test_polytope_is_built_once_per_game_and_read_only(rng):
+def test_polytope_is_built_once_per_game_and_read_only(rng, monkeypatch):
+    monkeypatch.setattr(mechpoly.bic, "_POLYTOPES", OrderedDict())
     g = random_game(rng, num_agents=1, type_sizes=[2], action_sizes=[2, 2])
     poly = build_bic_polytope(g, 0)
     assert build_bic_polytope(g, 0) is poly
     assert build_bic_polytope(g, 1) is not poly
-    for arr in (poly.eq, poly.ic):
+    for arr in (poly.eq, poly.ic, poly.vertex_tables):
         with pytest.raises(ValueError, match="read-only"):
             arr[0, 0] = 2.0
-    # a replaced game is another game, with its own polytope
-    g2 = dataclasses.replace(g, prior=g.prior[::-1])
-    assert build_bic_polytope(g2, 0) is not poly
-    # the cache does not keep a game, or its polytopes, alive
-    ref = weakref.ref(poly)
-    del g, poly
+    # games with equal build inputs share one polytope, whatever the
+    # principal payoffs and the other principals' agent payoffs
+    (u0, u1), = g.agent_utils
+    same = [dataclasses.replace(g),
+            dataclasses.replace(g, principal_utils=tuple(1 - v for v in g.principal_utils)),
+            dataclasses.replace(g, agent_utils=((u0, -u1),))]
+    assert all(build_bic_polytope(h, 0) is poly for h in same)
+    # changing any one build input gives another polytope
+    other = [dataclasses.replace(g, prior=g.prior[::-1]),
+             dataclasses.replace(g, agent_utils=((-u0, u1),)),
+             dataclasses.replace(g, type_spaces=(("L", "H"),)),
+             dataclasses.replace(g, action_spaces=(("a", "b", "c"), g.action_spaces[1]),
+                                 agent_utils=((np.hstack([u0, u0[:, :1]]), u1),),
+                                 principal_utils=tuple(np.zeros((2, 3, 2)) for _ in range(2)))]
+    polys = [build_bic_polytope(h, 0) for h in other]
+    assert len({id(p) for p in polys + [poly]}) == len(other) + 1
+    # the map never holds more than its cap and drops the oldest entry first
+    cap = mechpoly.bic.POLYTOPE_CACHE_SIZE
+    games = [random_game(rng, num_agents=1, type_sizes=[2], action_sizes=[2, 2])
+             for _ in range(cap + 2)]
+    kept = []
+    for h in games:
+        kept.append(build_bic_polytope(h, 0))
+        assert len(mechpoly.bic._POLYTOPES) <= cap
+    assert all(build_bic_polytope(h, 0) is p for h, p in zip(games[2:], kept[2:]))
+    assert build_bic_polytope(games[0], 0) is not kept[0]      # drops games[2]'s
+    assert build_bic_polytope(games[2], 0) is not kept[2]      # drops games[3]'s
+    assert all(build_bic_polytope(h, 0) is p for h, p in zip(games[4:], kept[4:]))
+    assert len(mechpoly.bic._POLYTOPES) == cap
+    # the cache keeps no game alive
+    ref = weakref.ref(g)
+    del g, same, other, games
     gc.collect()
     assert ref() is None
 
@@ -308,17 +337,22 @@ def _count_builds(monkeypatch):
 
 
 def test_value_computations_build_each_polytope_once(monkeypatch):
+    monkeypatch.setattr(mechpoly.bic, "_POLYTOPES", OrderedDict())
     builds = _count_builds(monkeypatch)
-    g = GapFamily().candidate(0, np.random.default_rng(5))
-    maxmin(g, 0, mode="exact")
-    minmax(g, 0, mode="grid", step=0.05)
-    assert sorted(builds) == [0, 1, 2]
+    rng = np.random.default_rng(5)
+    for n in range(2):
+        # the candidates differ only in principal payoffs: the second builds nothing
+        g = GapFamily().candidate(n, rng)
+        maxmin(g, 0, mode="exact")
+        minmax(g, 0, mode="grid", step=0.05)
+        assert sorted(builds) == [0, 1, 2]
 
 
 def test_floor_support_builds_each_polytope_once(monkeypatch):
     # the steps of one floor-support item: floors, guarantee tables, a
     # membership verdict, deviator-reporting mechanisms, menu deviations and
     # a simulation, all on one game
+    monkeypatch.setattr(mechpoly.bic, "_POLYTOPES", OrderedDict())
     builds = _count_builds(monkeypatch)
     rng = np.random.default_rng(3)
     g = random_game(rng, num_principals=2, num_agents=3, type_sizes=[2, 1, 1],

@@ -138,6 +138,33 @@ def test_contract_opponents_matches_brute_force(rng):
     assert total == pytest.approx(float(np.sum(coeff * mechs[1].p)), abs=1e-12)
 
 
+def test_misaligned_profiles_are_not_paid():
+    g = random_game(np.random.default_rng(3), num_principals=2, num_agents=1, type_sizes=[2],
+                    action_sizes=[2, 2])
+    prof = [DirectMechanism(owner=0, p=[[1.0, 0.0], [1.0, 0.0]]),
+            DirectMechanism(owner=1, p=[[0.0, 1.0], [0.0, 1.0]])]
+    pay = expected_principal_payoff(g, 0, prof)
+    assert pay == pytest.approx(0.797, abs=1e-3)
+    # raw tables of the right shape, and no entry at the valued position
+    assert expected_principal_payoff(g, 0, [m.p for m in prof]) == pay
+    coeff = contract_opponents(g, 0, prof)
+    assert np.array_equal(contract_opponents(g, 0, {1: prof[1]}), coeff)
+    assert np.array_equal(contract_opponents(g, 0, [None, prof[1].p]), coeff)
+    for bad in [
+        prof[::-1],                                           # P2's table in P1's slot
+        prof[:1],
+        {0: prof[0]},
+        {0: prof[0], 1: prof[1], 2: prof[1]},
+        [prof[0], np.ones((2, 3)) / 3],
+        [prof[0], DirectMechanism(owner=1, p=np.ones((2, 1)))],
+        [prof[0], prof[1].p[:1]],
+    ]:
+        with pytest.raises(ValueError, match="profile"):
+            expected_principal_payoff(g, 0, bad)
+        with pytest.raises(ValueError, match="profile"):
+            contract_opponents(g, 0, bad)
+
+
 def test_expected_payoff_linear_in_each_block(rng):
     g = random_game(rng, num_agents=1, type_sizes=[2], action_sizes=[2, 2])
     p = rng.dirichlet(np.ones(2), size=2)

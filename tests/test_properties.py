@@ -1,6 +1,8 @@
 """Property tests: independent value computations bound each other the right
 way, membership verdicts follow the bounds they use, vertex enumeration
-returns the SVD oracle's tables, the array grid sweep returns the loop
+returns the SVD oracle's tables, also when they are served from a polytope
+shared with a game that differs only in principal payoffs and when 4
+threads share an evicting polytope cache, the array grid sweep returns the loop
 oracle's certificates bit for bit, the batched continuation-equilibrium
 kernel returns the per-candidate loops' blocks, combos and records,
 joint truthfulness read from the principals' IC rows is the brute force
@@ -20,6 +22,9 @@ least-squares fit."""
 import dataclasses
 import itertools
 import math
+import sys
+from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -61,7 +66,7 @@ from mechpoly import (
     solver,
     standard_from_direct,
 )
-from mechpoly import _highs
+from mechpoly import _highs, bic
 from mechpoly.game import DIST_ATOL, SEPARABLE_ATOL, NotSeparable, _contract_except
 from mechpoly.mechanisms import NOTIONS, _agent_optimal_blocks, _continuation_combos
 from vertex_oracle import svd_enumerate_vertices
@@ -246,6 +251,71 @@ def test_vertex_enumeration_matches_svd_oracle_16_variables():
     g = random_game(np.random.default_rng(0), num_principals=1, num_agents=3,
                     type_sizes=[2, 2, 2], action_sizes=[2])
     _same_tables(_zero_agents(g, 2), 0, dim_cap=16)
+
+
+def _control(g, j, field):
+    """The game with one input of principal j's polytope changed."""
+    if field == "prior":
+        prior = g.prior * (1.0 + 0.1 * np.arange(g.num_profiles))
+        return dataclasses.replace(g, prior=prior / prior.sum())
+    if field == "payoffs":
+        return dataclasses.replace(g, agent_utils=tuple(
+            tuple(u + 1.0 if k == j else u for k, u in enumerate(per)) for per in g.agent_utils))
+    types = (tuple("r" + lab for lab in g.type_spaces[0]),) + g.type_spaces[1:]
+    return dataclasses.replace(g, type_spaces=types)
+
+
+@settings(max_examples=50)
+@given(g=two_type_games(), j=st.integers(0, 1), seed=st.integers(0, 2**32 - 1),
+       field=st.sampled_from(["prior", "payoffs", "label"]))
+def test_shared_polytope_serves_the_cold_and_svd_tables(g, j, seed, field):
+    j %= g.num_principals
+    rng = np.random.default_rng(seed)
+    twin = dataclasses.replace(g, principal_utils=tuple(
+        rng.uniform(size=v.shape) for v in g.principal_utils))
+    first = enumerate_vertices(g, j)
+    warm = enumerate_vertices(twin, j)         # served from g's polytope
+    poly = build_bic_polytope(twin, j)
+    assert poly is build_bic_polytope(g, j)
+    cold = bic._vertex_tables(bic_oracle.build_bic_polytope(twin, j))
+    want = svd_enumerate_vertices(twin, j, poly=bic_oracle.build_bic_polytope(twin, j))
+    assert len(warm) == len(first) == len(want) == cold.shape[0]
+    for a, b, c, w in zip(warm, first, cold, want):
+        assert a.owner == w.owner == j
+        assert a.p.tobytes() == c.tobytes() == w.p.tobytes()
+        assert a is not b and not a.p.flags.writeable
+        assert not np.shares_memory(a.p, b.p) and not np.shares_memory(a.p, poly.vertex_tables)
+    assert build_bic_polytope(_control(g, j, field), j) is not poly
+
+
+def test_polytope_cache_threads_match_serial_run():
+    # twelve polytopes, each asked for by two games that differ only in
+    # principal payoffs, from 4 threads through a map of 5: every pass over
+    # them evicts
+    games = [random_game(np.random.default_rng(s), num_agents=2, type_sizes=[2, 2],
+                         action_sizes=[2, 3]) for s in range(6)]
+    games += [dataclasses.replace(h, principal_utils=tuple(1 - v for v in h.principal_utils))
+              for h in games]
+    tasks = [(h, j) for h in games for j in range(2)] * 3
+    np.random.default_rng(0).shuffle(tasks)
+
+    def tables(task):
+        poly = build_bic_polytope(*task)
+        return (poly.ic.tobytes(), poly.ic_labels,
+                [m.p.tobytes() for m in enumerate_vertices(*task)])
+
+    serial = [tables(t) for t in tasks]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)       # switch threads as often as possible
+    try:
+        with mock.patch.object(bic, "_POLYTOPES", OrderedDict()), \
+                mock.patch.object(bic, "POLYTOPE_CACHE_SIZE", 5):
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(tables, tasks, timeout=120))
+            assert len(bic._POLYTOPES) <= 5
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
 
 
 @st.composite
