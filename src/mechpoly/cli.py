@@ -315,12 +315,16 @@ def _cmd_membership(args):
 def _cmd_build_drm(args):
     g = load_game(args.game)
     k = _resolve_principal(g, args.principal)
-    default = mechanism_from_dict(g, _read_json(args.default), path=str(args.default))
-    if default.owner != k:
-        raise GameFormatError(str(args.default), "default table owner mismatch")
-    punishments = {}
-    for jj, p in _principal_files(g, "--punish", args.punish):
-        punishments[jj] = mechanism_from_dict(g, _read_json(p), path=str(p))
+
+    def own_table(path, what):
+        dm = mechanism_from_dict(g, _read_json(path), path=str(path))
+        if dm.owner != k:
+            raise GameFormatError(str(path), f"{what} table owner mismatch")
+        return dm
+
+    default = own_table(args.default, "default")
+    punishments = {jj: own_table(p, "punishment")
+                   for jj, p in _principal_files(g, "--punish", args.punish)}
     t0 = time.perf_counter()
     computed = {}
     for jj in range(g.num_principals):

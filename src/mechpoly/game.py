@@ -125,8 +125,8 @@ class FiniteGame:
             object.__setattr__(self, "principal_ids", tuple(self.principal_ids))
         # flat profile table: row x -> type index of each agent
         sizes = [len(ts) for ts in type_spaces]
-        profiles = np.array(list(itertools.product(*[range(s) for s in sizes])), dtype=int)
-        profiles = profiles.reshape(-1, len(sizes))
+        rows = list(itertools.product(*[range(s) for s in sizes]))
+        profiles = np.array(rows, dtype=int).reshape(len(rows), len(sizes))
         profiles.setflags(write=False)
         object.__setattr__(self, "_profiles", profiles)
 
@@ -301,26 +301,32 @@ def _contract_except(g: FiniteGame, valued: int, free: int, mechanisms) -> np.nd
     return t
 
 
+def _require_table(g: FiniteGame, k: int, table, what: str, direct: bool) -> None:
+    """ValueError, naming ``what``, unless ``table`` is principal k's
+    DirectMechanism of shape (n_profiles, |A_k|) or, unless ``direct``, an
+    array of that shape."""
+    want = (g.num_profiles, len(g.action_spaces[k]))
+    if isinstance(table, DirectMechanism):
+        ok = table.owner == k and table.p.shape == want
+    else:
+        ok = not direct and np.shape(table) == want
+    if not ok:
+        kind = "DirectMechanism" if direct else "DirectMechanism or table"
+        raise ValueError(f"{what} is not principal {k}'s {kind} of shape {want}")
+
+
 def _require_profile(g: FiniteGame, mechanisms, skip: int = None,
                      direct: bool = False) -> None:
     """ValueError unless ``mechanisms`` (a list, or a dict keyed 0..J-1, where
-    position ``skip`` may be left out) holds at each other position k a table
-    of shape (n_profiles, |A_k|): principal k's DirectMechanism or, unless
-    ``direct``, an array."""
+    position ``skip`` may be left out) passes ``_require_table`` at each other
+    position k."""
     keys = list(mechanisms) if isinstance(mechanisms, dict) else list(range(len(mechanisms)))
     need = set(range(g.num_principals))
     if not need - {skip} <= set(keys) <= need:
         raise ValueError(f"profile has positions {keys}, "
                          f"need one per principal 0..{g.num_principals - 1}")
     for k in sorted(need - {skip}):
-        mech, want = mechanisms[k], (g.num_profiles, len(g.action_spaces[k]))
-        if isinstance(mech, DirectMechanism):
-            ok = mech.owner == k and mech.p.shape == want
-        else:
-            ok = not direct and np.shape(mech) == want
-        if not ok:
-            what = "DirectMechanism" if direct else "DirectMechanism or table"
-            raise ValueError(f"profile[{k}] is not principal {k}'s {what} of shape {want}")
+        _require_table(g, k, mechanisms[k], f"profile[{k}]", direct)
 
 
 def contract_opponents(g: FiniteGame, principal: int, mechanisms) -> np.ndarray:

@@ -10,7 +10,8 @@ The two constructions used to support payoff floors are built here: the menu
 mechanism (agents report types, the principal picks an incentive-compatible
 table from a finite menu) and the deviator-reporting mechanism (agents name a
 deviating principal alongside their type; a strict majority triggers the
-matching punishment table, anything else plays the default).
+matching punishment table, anything else plays the default).  Both accept
+only the building principal's own tables, each individually BIC.
 
 Equilibrium checking is exhaustive over pure message strategies: a
 continuation equilibrium requires every agent message optimal at the interim
@@ -44,6 +45,7 @@ from .game import (
     _labels,
     _read_json,
     _require,
+    _require_table,
     _write_json,
     canonical_game_bytes,
     conditional_weights,
@@ -133,12 +135,6 @@ class GeneralMechanism:
     @property
     def n_actions(self) -> int:
         return self.outcome.shape[-1]
-
-    def principal_message_index(self, label) -> int:
-        return self.principal_messages.index(label)
-
-    def agent_message_index(self, agent: int, label) -> int:
-        return self.agent_messages[agent].index(label)
 
 
 @dataclass
@@ -271,29 +267,31 @@ def nest_szentes_contract(h: SetValuedContract) -> GeneralMechanism:
     )
 
 
+def _type_report_mechanism(g: FiniteGame, j: int, tables, labels) -> GeneralMechanism:
+    """Principal j's mechanism in which agents report types and principal
+    message ``labels[n]`` applies ``tables[n]`` to the reports.  Checks
+    nothing beyond GeneralMechanism's own: the callers decide what fits."""
+    shape = (len(tables),) + tuple(len(ts) for ts in g.type_spaces) + (-1,)
+    return GeneralMechanism(owner=j, principal_messages=tuple(labels),
+                            agent_messages=g.type_spaces,
+                            outcome=np.stack([t.p for t in tables]).reshape(shape))
+
+
 def build_type_and_dm_mechanism(g: FiniteGame, principal: int, menu,
                                 labels=None) -> GeneralMechanism:
     """Menu mechanism: the principal's message picks a table from ``menu``,
     agents report types simultaneously, and the chosen table is applied to
-    the reports.  Every menu entry must be individually BIC at 1e-9."""
-    j = principal
+    the reports.  Every menu entry must be the principal's own table
+    (ValueError otherwise) and individually BIC at 1e-9 (MenuEntryNotBIC)."""
+    for idx, entry in enumerate(menu):
+        _require_table(g, principal, entry, f"menu entry {idx}", True)
     for idx, entry in enumerate(menu):
         res = is_individually_bic(g, entry, tol=MEMBERSHIP_TOL)
         if not res.ok:
             raise MenuEntryNotBIC(idx, res.worst_label, res.worst_value)
     if labels is None:
         labels = tuple(f"dm{idx}" for idx in range(len(menu)))
-    n_a = len(g.action_spaces[j])
-    shape = (len(menu),) + tuple(len(ts) for ts in g.type_spaces) + (n_a,)
-    outcome = np.zeros(shape)
-    for idx, entry in enumerate(menu):
-        outcome[idx] = entry.p.reshape(shape[1:])
-    return GeneralMechanism(
-        owner=j,
-        principal_messages=tuple(labels),
-        agent_messages=tuple(tuple(ts) for ts in g.type_spaces),
-        outcome=outcome,
-    )
+    return _type_report_mechanism(g, principal, menu, labels)
 
 
 def deviator_message_label(g: FiniteGame, named_principal: int, type_label) -> str:
@@ -307,8 +305,9 @@ def build_deviator_reporting(g: FiniteGame, principal: int,
 
     If some principal j != owner is named by a strict majority of agents, the
     punishment table for j is applied to the type reports; otherwise (ties
-    included) the default table is.  All tables must be individually BIC; a
-    punishment entry is required for every other principal."""
+    included) the default table is.  A punishment entry is required for
+    every other principal.  Every table must be the owner's own (ValueError
+    otherwise) and individually BIC (NotBIC)."""
     k = principal
     n_i = g.num_agents
     n_j = g.num_principals
@@ -317,58 +316,48 @@ def build_deviator_reporting(g: FiniteGame, principal: int,
     for j in range(n_j):
         if j != k and j not in punishments:
             raise ValueError(f"missing punishment entry for principal index {j}")
-    res = is_individually_bic(g, default, tol=MEMBERSHIP_TOL)
-    if not res.ok:
-        raise NotBIC(f"default table: row {res.worst_label} -> {res.worst_value:.3e}")
-    for j, table in punishments.items():
+    tables = [("default table", default)] + [
+        (f"punishment for principal index {j}", table) for j, table in punishments.items()]
+    for what, table in tables:
+        _require_table(g, k, table, what, True)
+    for what, table in tables:
         res = is_individually_bic(g, table, tol=MEMBERSHIP_TOL)
         if not res.ok:
-            raise NotBIC(
-                f"punishment for principal index {j}: row {res.worst_label} "
-                f"-> {res.worst_value:.3e}"
-            )
-    msg_sets = []
-    for i in range(n_i):
-        labels = tuple(
-            deviator_message_label(g, j, t)
-            for j in range(n_j) for t in g.type_spaces[i]
-        )
-        msg_sets.append(labels)
-    n_a = len(g.action_spaces[k])
-    shape = (1,) + tuple(len(m) for m in msg_sets) + (n_a,)
-    outcome = np.zeros(shape)
+            raise NotBIC(f"{what}: row {res.worst_label} -> {res.worst_value:.3e}")
+    msg_sets = tuple(tuple(deviator_message_label(g, j, t) for j in range(n_j) for t in ts)
+                     for ts in g.type_spaces)
+    outcome = np.zeros((1,) + tuple(len(m) for m in msg_sets) + (len(g.action_spaces[k]),))
     type_sizes = [len(ts) for ts in g.type_spaces]
     for combo in itertools.product(*[range(len(m)) for m in msg_sets]):
         named = [combo[i] // type_sizes[i] for i in range(n_i)]
         reports = [combo[i] % type_sizes[i] for i in range(n_i)]
-        counts = {}
-        for j in named:
-            if j != k:
-                counts[j] = counts.get(j, 0) + 1
-        majority = [j for j, c in counts.items() if c > n_i / 2]
+        majority = [j for j in set(named) - {k} if named.count(j) > n_i / 2]
         table = punishments[majority[0]] if majority else default
         x = int(np.ravel_multi_index(reports, type_sizes))
         outcome[(0,) + combo] = table.p[x]
-    return GeneralMechanism(
-        owner=k,
-        principal_messages=("*",),
-        agent_messages=tuple(msg_sets),
-        outcome=outcome,
-    )
+    return GeneralMechanism(owner=k, principal_messages=("*",), agent_messages=msg_sets,
+                            outcome=outcome)
 
 
 def standard_from_direct(g: FiniteGame, mech: DirectMechanism) -> GeneralMechanism:
-    """Wrap a direct mechanism as a standard message game with type reports."""
-    shape = (1,) + tuple(len(ts) for ts in g.type_spaces) + (mech.p.shape[1],)
-    return GeneralMechanism(
-        owner=mech.owner,
-        principal_messages=("*",),
-        agent_messages=tuple(tuple(ts) for ts in g.type_spaces),
-        outcome=mech.p.reshape(shape),
-    )
+    """Wrap a direct mechanism as a standard message game with type reports.
+    The table is not checked against the game or its owner's polytope."""
+    return _type_report_mechanism(g, mech.owner, [mech], ("*",))
 
 
 # -- canned strategies ---------------------------------------------------------
+
+
+def _pure_profile(g: FiniteGame, mechanisms, m0, maps) -> StrategyProfile:
+    """One-hot strategy profile: principal j sends message index ``m0[j]``,
+    and agent i of type index t sends ``maps[j][i][t]`` to principal j."""
+    pm = {}
+    am = {}
+    for j, mech in enumerate(mechanisms):
+        pm[j] = np.eye(len(mech.principal_messages))[m0[j]]
+        for i in range(g.num_agents):
+            am[(i, j)] = np.eye(len(mech.agent_messages[i]))[maps[j][i]]
+    return StrategyProfile(principal_messages=pm, agent_messages=am)
 
 
 def pure_strategies(g: FiniteGame, mechanisms, principal_choice: dict,
@@ -377,40 +366,18 @@ def pure_strategies(g: FiniteGame, mechanisms, principal_choice: dict,
 
     principal_choice[j] is an m_0 label; agent_choice[(i, j)] maps each type
     label of agent i to a message label of M_ij."""
-    pm = {}
-    am = {}
-    for j, mech in enumerate(mechanisms):
-        c0 = np.zeros(len(mech.principal_messages))
-        c0[mech.principal_message_index(principal_choice[j])] = 1.0
-        pm[j] = c0
-        for i in range(g.num_agents):
-            rows = np.zeros((len(g.type_spaces[i]), len(mech.agent_messages[i])))
-            for ti, t in enumerate(g.type_spaces[i]):
-                rows[ti, mech.agent_message_index(i, agent_choice[(i, j)][t])] = 1.0
-            am[(i, j)] = rows
-    return StrategyProfile(principal_messages=pm, agent_messages=am)
+    m0 = [mech.principal_messages.index(principal_choice[j])
+          for j, mech in enumerate(mechanisms)]
+    maps = [[[mech.agent_messages[i].index(agent_choice[(i, j)][t]) for t in g.type_spaces[i]]
+             for i in range(g.num_agents)] for j, mech in enumerate(mechanisms)]
+    return _pure_profile(g, mechanisms, m0, maps)
 
 
 def truthful_strategies(g: FiniteGame, mechanisms) -> StrategyProfile:
-    """Type reports for mechanisms whose agent message sets are the type
-    spaces; the principal message is the first label."""
-    choice = {}
-    for j, mech in enumerate(mechanisms):
-        for i in range(g.num_agents):
-            if tuple(mech.agent_messages[i]) != tuple(g.type_spaces[i]):
-                raise ValueError(
-                    f"mechanism of principal {j} does not take plain type reports "
-                    f"from agent {i}"
-                )
-            choice[(i, j)] = {t: t for t in g.type_spaces[i]}
-    pc = {j: mech.principal_messages[0] for j, mech in enumerate(mechanisms)}
-    return pure_strategies(g, mechanisms, pc, choice)
-
-
-def deviator_truthful_strategies(g: FiniteGame, mechanisms) -> StrategyProfile:
-    """On-path play for deviator-reporting mechanisms: name the owner, report
-    the true type.  Mechanisms with plain type reports are reported to
-    truthfully as well."""
+    """On-path play: each principal sends its first message, and each agent
+    reports its true type to a mechanism whose message set for it is the
+    type space, and (owner, true type) to a deviator-reporting mechanism.
+    Any other agent message set raises ValueError."""
     pc = {j: mech.principal_messages[0] for j, mech in enumerate(mechanisms)}
     choice = {}
     for j, mech in enumerate(mechanisms):
@@ -422,11 +389,14 @@ def deviator_truthful_strategies(g: FiniteGame, mechanisms) -> StrategyProfile:
             want = {t: deviator_message_label(g, j, t) for t in g.type_spaces[i]}
             if not all(w in labels for w in want.values()):
                 raise ValueError(
-                    f"mechanism of principal {j} has no (owner, type) message "
-                    f"for agent {i}"
+                    f"mechanism of principal {j} takes neither plain type reports nor "
+                    f"(owner, type) messages from agent {i}"
                 )
             choice[(i, j)] = want
     return pure_strategies(g, mechanisms, pc, choice)
+
+
+deviator_truthful_strategies = truthful_strategies
 
 
 # -- continuation equilibrium ---------------------------------------------------
@@ -600,16 +570,6 @@ def _payoffs(g: FiniteGame, j: int, tables) -> np.ndarray:
     return np.moveaxis(pay, -2, j)
 
 
-def _profile_from_blocks(g: FiniteGame, mechanisms, combo, blocks) -> StrategyProfile:
-    pm = {}
-    am = {}
-    for j, (mech, (m0, maps, _)) in enumerate(zip(mechanisms, blocks)):
-        pm[j] = np.eye(len(mech.principal_messages))[m0[combo[j]]]
-        for i in range(g.num_agents):
-            am[(i, j)] = np.eye(len(mech.agent_messages[i]))[maps[i][combo[j]]]
-    return StrategyProfile(principal_messages=pm, agent_messages=am)
-
-
 def _continuation_combos(g: FiniteGame, mechanisms, blocks, tol: float, valued=None):
     """(ok, payoff): given each mechanism's agent-optimal blocks, the boolean
     grid over their cross product of the combos where no principal with a
@@ -643,7 +603,9 @@ def enumerate_pure_continuation_equilibria(g: FiniteGame, mechanisms,
     _require_profile(g, mechanisms)
     blocks = [_agent_optimal_blocks(g, mech, tol) for mech in mechanisms]
     ok, _ = _continuation_combos(g, mechanisms, blocks, tol)
-    return [_profile_from_blocks(g, mechanisms, combo, blocks) for combo in np.argwhere(ok)]
+    return [_pure_profile(g, mechanisms, [b[0][c] for b, c in zip(blocks, combo)],
+                          [[m[c] for m in b[1]] for b, c in zip(blocks, combo)])
+            for combo in np.argwhere(ok)]
 
 
 # -- equilibrium notions ---------------------------------------------------------

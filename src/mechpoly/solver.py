@@ -46,6 +46,7 @@ from .game import (
     FiniteGame,
     _contract_except,
     _frozen,
+    contract_opponents,
     expected_principal_payoff,
     game_hash,
     mechanism_to_dict,
@@ -218,11 +219,11 @@ def _optimize_over(poly: BicPolytope, sense: str, what: str, c=None, cuts=None):
 def best_response(g: FiniteGame, principal: int, mechanisms):
     """Best expected payoff of one principal against fixed opponents.
 
-    ``mechanisms`` must provide a DirectMechanism for every other principal
-    (dict or list; the entry for ``principal`` is ignored).  Returns
-    (value, DirectMechanism witness); the witness is feasible at 1e-9.
+    ``mechanisms`` holds principal k's DirectMechanism at each position k
+    != ``principal`` (dict or list), else ValueError.  Returns (value,
+    DirectMechanism witness); the witness is feasible at 1e-9.
     """
-    coeff = _contract_except(g, principal, principal, mechanisms).reshape(-1)
+    coeff = contract_opponents(g, principal, mechanisms).reshape(-1)
     return _optimize_over(build_bic_polytope(g, principal), "max", "best-response", c=coeff)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -18,6 +19,7 @@ from mechpoly import (
     mechanism_to_dict,
     profile_to_list,
     random_game,
+    sample_bic,
     save_game,
     save_general_mechanism,
     save_strategies,
@@ -340,6 +342,42 @@ def test_build_drm_and_check_eq_round_trip(tmp_path, mp_files):
     assert doc["equilibrium_payoffs"] == pytest.approx([0.5, 0.5])
     assert len(doc["checks"]) == 1
     assert doc["checks"][0]["value"] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("flag", ["--default", "--punish"])
+def test_build_drm_rejects_table_files_of_another_principal(tmp_path, flag, capsys):
+    g = random_game(np.random.default_rng(7), num_principals=2, num_agents=3,
+                    type_sizes=[2, 1, 1], action_sizes=[2, 2])
+    game = tmp_path / "g.json"
+    save_game(g, game)
+    own = _write_json(tmp_path / "own.json", mechanism_to_dict(g, sample_bic(g, 0, 3)))
+    # P2's table, BIC for P2 but not for P1
+    foreign = _write_json(tmp_path / "foreign.json", mechanism_to_dict(g, sample_bic(g, 1, 1)))
+    mech, out = tmp_path / "drm.json", tmp_path / "report.json"
+    default, punish = (foreign, own) if flag == "--default" else (own, foreign)
+    assert main(["build-drm", "--game", str(game), "-j", "P1", "--default", default,
+                 "--punish", f"P2={punish}", "--out-mechanism", str(mech),
+                 "--out", str(out)]) == 2
+    what = "default" if flag == "--default" else "punishment"
+    assert capsys.readouterr().err == f"error: {foreign}: {what} table owner mismatch\n"
+    assert not mech.exists() and not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (lambda f: ["minmax", "--game", f["game"], "-j", "1", "--membership-tol", "0"],
+     "tolerances must be positive"),
+    (lambda f: ["maxmin", "--game", f["game"], "-j", "1", "--value-tol=-1e-6"],
+     "tolerances must be positive"),
+    (lambda f: ["build-drm", "--game", f["game"], "-j", "P1", "--default", f["default"],
+                "--punish", f["default"], "--out-mechanism", f["drm"]],
+     "--punish: expected PRINCIPAL=PATH, got {path!r}"),
+], ids=["membership-tol", "value-tol", "principal-path"])
+def test_bad_flag_values_exit_with_one_error_line(tmp_path, mp_inputs, argv, message, capsys):
+    out = tmp_path / "report.json"
+    assert main(argv(mp_inputs) + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message.format(path=mp_inputs['default'])}\n"
+    assert not out.exists() and not os.path.exists(mp_inputs["drm"])
 
 
 def test_check_eq_rejects_deviation_file_of_another_principal(tmp_path, mp_files, capsys):

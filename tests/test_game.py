@@ -322,6 +322,43 @@ def test_validate_game_catches_structural_problems():
     assert "sums to" in msgs
 
 
+def _plain_game(**fields):
+    """1 agent x 2 types, 2 principals x 2 actions, zero payoffs, with
+    ``fields`` replaced as given (no check is made on construction)."""
+    base = dict(type_spaces=(("L", "H"),), action_spaces=(("a", "b"), ("c", "d")),
+                prior=[0.5, 0.5], agent_utils=((np.zeros((2, 2)), np.zeros((2, 2))),),
+                principal_utils=(np.zeros((2, 2, 2)), np.zeros((2, 2, 2))))
+    return FiniteGame(**{**base, **fields})
+
+
+@pytest.mark.parametrize("fields, violation", [
+    (dict(type_spaces=(), prior=[1.0], agent_utils=(),
+          principal_utils=(np.zeros((1, 2, 2)),) * 2), "agents: need at least 1"),
+    (dict(type_spaces=((),), prior=[], agent_utils=((np.zeros((0, 2)),) * 2,),
+          principal_utils=(np.zeros((0, 2, 2)),) * 2), "agents[0].types: empty"),
+    (dict(type_spaces=(("L", "L"),)), "agents[0].types: duplicate labels"),
+    (dict(action_spaces=((), ("c", "d"))), "principals[0].actions: empty"),
+    (dict(agent_utils=()), "agent_payoffs: wrong number of agents"),
+    (dict(agent_utils=((np.zeros((2, 2)),),)), "agent_payoffs[0]: wrong number of principals"),
+    (dict(agent_utils=((np.zeros((2, 3)), np.zeros((2, 2))),)),
+     "agent_payoffs[0][0]: shape (2, 3), expected (2, 2)"),
+    (dict(agent_utils=((np.zeros((2, 2)), np.full((2, 2), np.nan)),)),
+     "agent_payoffs[0][1]: non-finite entry"),
+    (dict(principal_utils=(np.zeros((2, 2, 2)),)), "principal_payoffs: wrong number of principals"),
+    (dict(principal_utils=(np.zeros((2, 2, 2)), np.zeros((2, 2)))),
+     "principal_payoffs[1]: shape (2, 2), expected (2, 2, 2)"),
+    (dict(principal_utils=(np.full((2, 2, 2), np.inf), np.zeros((2, 2, 2)))),
+     "principal_payoffs[0]: non-finite entry"),
+], ids=["no-agents", "empty-types", "duplicate-types", "empty-actions", "agent-count",
+        "agent-principal-count", "agent-shape", "agent-non-finite", "principal-count",
+        "principal-shape", "principal-non-finite"])
+def test_validate_game_reports_each_structural_violation(fields, violation):
+    assert validate_game(_plain_game()).ok
+    res = validate_game(_plain_game(**fields))
+    assert not res.ok
+    assert violation in res.violations
+
+
 def test_direct_mechanism_validate():
     ok = DirectMechanism(owner=0, p=np.array([[0.25, 0.75], [1.0, 0.0]]))
     assert ok.validate()

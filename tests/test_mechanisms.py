@@ -19,6 +19,7 @@ from mechpoly import (
     SetValuedContract,
     StrategyProfile,
     TooFewAgents,
+    build_bic_polytope,
     build_deviator_reporting,
     build_type_and_dm_mechanism,
     check_continuation_equilibrium,
@@ -37,6 +38,7 @@ from mechpoly import (
     nest_szentes_contract,
     pure_strategies,
     random_game,
+    sample_bic,
     save_general_mechanism,
     save_strategies,
     simulate,
@@ -298,6 +300,45 @@ def test_deviator_reporting_errors(screen1):
         build_deviator_reporting(g, 0, swapped, {1: truthful})
     with pytest.raises(NotBIC, match="punishment for principal index 1"):
         build_deviator_reporting(g, 0, truthful, {1: swapped})
+
+
+@pytest.mark.parametrize("case", ["menu entry", "default table", "punishment"])
+def test_builders_reject_another_principals_table(case):
+    # P2's BIC table passes P2's IC rows but breaks P1's, so building a P1
+    # mechanism around it must fail on its owner before any BIC check
+    agents = 1 if case == "menu entry" else 3
+    g = random_game(np.random.default_rng(7), num_principals=2, num_agents=agents,
+                    type_sizes=[2, 1, 1][:agents], action_sizes=[2, 2])
+    foreign = sample_bic(g, 1, 1)
+    assert is_individually_bic(g, foreign).ok
+    as_p1 = DirectMechanism(owner=0, p=foreign.p)
+    assert build_bic_polytope(g, 0).ic_values(as_p1).min() == pytest.approx(-1.147, abs=1e-3)
+    own = sample_bic(g, 0, 3)
+    with pytest.raises(ValueError, match=f"^{case}.* is not principal 0's DirectMechanism"):
+        if case == "menu entry":
+            build_type_and_dm_mechanism(g, 0, [own, foreign])
+        elif case == "default table":
+            build_deviator_reporting(g, 0, foreign, {1: own})
+        else:
+            build_deviator_reporting(g, 0, own, {1: foreign})
+
+
+def test_truthful_play_reports_types_or_owner_and_type(mp2):
+    assert deviator_truthful_strategies is truthful_strategies
+    uni = [DirectMechanism(owner=j, p=np.array([[0.5, 0.5]])) for j in range(2)]
+    mechs = [build_deviator_reporting(mp2, 0, uni[0], {1: uni[0]}),
+             standard_from_direct(mp2, uni[1])]
+    strat = truthful_strategies(mp2, mechs)
+    for i in range(3):
+        # the message sets are ("P1:x", "P2:x") and ("x",)
+        np.testing.assert_array_equal(strat.agent_messages[(i, 0)], [[1.0, 0.0]])
+        np.testing.assert_array_equal(strat.agent_messages[(i, 1)], [[1.0]])
+    odd = GeneralMechanism(owner=1, principal_messages=("*",),
+                           agent_messages=(("u", "v"), ("x",), ("x",)),
+                           outcome=np.full((1, 2, 1, 1, 2), 0.5))
+    with pytest.raises(ValueError, match=r"principal 1 takes neither plain type reports "
+                                         r"nor \(owner, type\) messages from agent 0"):
+        truthful_strategies(mp2, [mechs[0], odd])
 
 
 def test_general_mechanism_validation():

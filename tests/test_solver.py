@@ -207,6 +207,20 @@ def test_best_response_dominates_feasible_tables(rng):
         assert value >= payoff - 1e-8
 
 
+def test_best_response_rejects_misaligned_profiles():
+    g = random_game(np.random.default_rng(3), num_principals=2, num_agents=1, type_sizes=[2],
+                    action_sizes=[2, 2])
+    prof = [DirectMechanism(owner=0, p=[[1.0, 0.0], [1.0, 0.0]]),
+            DirectMechanism(owner=1, p=[[0.0, 1.0], [0.0, 1.0]])]
+    value, _ = best_response(g, 0, prof)
+    assert value == pytest.approx(0.7975, abs=1e-4)
+    assert best_response(g, 0, {1: prof[1]})[0] == value
+    for bad in [prof[::-1], prof[:1], {0: prof[0]},
+                [prof[0], DirectMechanism(owner=1, p=np.ones((2, 1)))]]:
+        with pytest.raises(ValueError, match="profile"):
+            best_response(g, 0, bad)
+
+
 def test_maxmin_matching_pennies(mp2):
     cert = maxmin(mp2, 0, mode="exact")
     assert cert.kind == "exact-lp"
@@ -437,6 +451,17 @@ def test_maxmin_auto_falls_back_when_opponents_too_large(rng):
     hand_made = ValueCertificate(kind="hand-made", value=0.0, witness=None, gap_bound=0.0)
     verdict = robust_pbe_membership(g, low, [cert, hand_made, hand_made])
     assert verdict.bic_ok and verdict.verdict == "non-member"
+
+
+def test_maxmin_vertex_products_stop_at_their_cap(rng, monkeypatch):
+    g = random_game(rng, num_principals=3, num_agents=1, type_sizes=[1],
+                    action_sizes=[2, 2, 2])
+    count = len(enumerate_vertices(g, 1)) * len(enumerate_vertices(g, 2))
+    assert maxmin(g, 0, mode="exact").info["n_vertex_products"] == count
+    monkeypatch.setattr(solver, "VERTEX_PRODUCT_CAP", count - 1)
+    with pytest.raises(DimensionTooLarge, match=f"{count} opponent vertex products exceed"):
+        maxmin(g, 0, mode="exact")
+    assert maxmin(g, 0, mode="auto").kind == "relaxation-lower-bound"
 
 
 def test_maxmin_two_principals_is_the_saddle_lp_above_dim_cap(rng):
