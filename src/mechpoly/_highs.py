@@ -4,9 +4,10 @@ uses, with the settings ``linprog(method="highs")`` passes it.
 Each thread reuses two ``_Highs`` instances, one per options object, and an
 attempt passes its model into one; that clears the previous model, basis and
 solution, so nothing is warm-started.  A property test pins every result, in
-drawn solve orders, to a fresh instance's.  The model is column-wise, rows in
-the order given (``solver.solve_lp`` stacks them as linprog does); statuses
-go through scipy's own table, and column duals are split into lower and upper
+drawn solve orders, to a fresh instance's.  The model goes in through
+``passModel``'s array form, column-wise, rows in the order given (the
+callers in ``solver`` stack them as linprog does); statuses go through
+scipy's own table, and column duals are split into lower and upper
 bound marginals by basis status, as scipy splits them.  HiGHS is the dual
 simplex solver of Huangfu & Hall (Math. Prog. Comp. 2018).
 """
@@ -20,6 +21,8 @@ from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
 _AT_LOWER = int(_h.HighsBasisStatus.kLower)
 _AT_UPPER = int(_h.HighsBasisStatus.kUpper)
+_COLWISE = int(_h.MatrixFormat.kColwise)
+_MINIMIZE = int(_h.ObjSense.kMinimize)
 
 
 @dataclass
@@ -36,29 +39,14 @@ class HighsResult:
     upper: np.ndarray = None      # column duals of variables at their upper bound
 
 
-def _model(c, a, row_lo, row_hi, lo, hi):
-    """A column-wise HighsLp; explicit zeros are dropped, rows ascend in
-    each column (the layout of scipy's dense-to-CSC conversion).  Arrays go
-    in as lists, which the binding copies faster than numpy arrays."""
-    n_row, n_col = a.shape
-    nz = a.T != 0
-    start = np.zeros(n_col + 1, dtype=np.int64)
-    np.cumsum(nz.sum(axis=1), out=start[1:])
-    lp = _h.HighsLp()
-    lp.num_col_ = n_col
-    lp.num_row_ = n_row
-    lp.a_matrix_.num_col_ = n_col
-    lp.a_matrix_.num_row_ = n_row
-    lp.a_matrix_.format_ = _h.MatrixFormat.kColwise
-    lp.col_cost_ = c.tolist()
-    lp.col_lower_ = lo.tolist()
-    lp.col_upper_ = hi.tolist()
-    lp.row_lower_ = row_lo.tolist()
-    lp.row_upper_ = row_hi.tolist()
-    lp.a_matrix_.start_ = start.tolist()
-    lp.a_matrix_.index_ = np.nonzero(nz)[1].tolist()
-    lp.a_matrix_.value_ = a.T[nz].tolist()
-    return lp
+def _csc(a):
+    """Column-wise (start, index, value) of a dense array; explicit zeros
+    are dropped, rows ascend in each column (the layout of scipy's
+    dense-to-CSC conversion).  start and index are int32, as passModel
+    takes them."""
+    col, row = np.nonzero(a.T)      # column-major order
+    start = np.searchsorted(col, np.arange(a.shape[1] + 1)).astype(np.int32)
+    return start, row.astype(np.int32), a[row, col]
 
 
 def _options(**extra):
@@ -108,12 +96,23 @@ def linprog(c, a, row_lo, row_hi, lo, hi, options=None):
     ``a`` is a dense (rows, columns) array; infinite entries of the bound
     arrays mean no bound.  ``options`` is ``BASE`` (linprog's settings, also
     when None) or ``TIGHT`` (the same with 1e-10 feasibility tolerances);
-    anything else is a ValueError.
+    anything else is a ValueError, and so are arrays whose sizes do not
+    match ``a``, since HiGHS reads as many entries as ``a`` has columns or
+    rows from each.
     """
     if options is not None and options is not BASE and options is not TIGHT:
         raise ValueError("options must be None, BASE or TIGHT")
+    n_row, n_col = a.shape
+    if not (np.shape(c) == np.shape(lo) == np.shape(hi) == (n_col,)
+            and np.shape(row_lo) == np.shape(row_hi) == (n_row,)):
+        raise ValueError("LP arrays do not match the matrix's columns and rows")
     highs = _instance(options is TIGHT)
-    if highs.passModel(_model(c, a, row_lo, row_hi, lo, hi)) == _h.HighsStatus.kError:
+    start, index, value = _csc(a)
+    # passModel's array form; integrality must hold n_col entries, since
+    # HiGHS reads them whenever the pointer is not null
+    if highs.passModel(n_col, n_row, value.size, _COLWISE, _MINIMIZE, 0.0, c, lo, hi,
+                       row_lo, row_hi, start, index, value,
+                       np.zeros(n_col, dtype=np.int32)) == _h.HighsStatus.kError:
         return _failed(highs, _h.HighsModelStatus.kModelError)
     highs.run()
     status = highs.getModelStatus()

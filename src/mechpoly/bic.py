@@ -52,8 +52,8 @@ class BicPolytope:
         ic_labels: per row, (agent, true type label, reported type label).
         warnings: zero-mass types that generated no rows.
 
-    build_bic_polytope makes eq and ic read-only.  ``vertex_tables`` is
-    computed on first access and then kept.
+    build_bic_polytope makes eq and ic read-only.  ``lp_block`` and
+    ``vertex_tables`` are computed on first access and then kept.
     """
 
     owner: int
@@ -78,12 +78,15 @@ class BicPolytope:
             return np.zeros(0)
         return self.ic @ self.flatten(mech)
 
-    def lp_system(self):
-        """(a, relations, b) for LP assembly: eq rows '= 1', then ic rows '>= 0'."""
-        a = np.vstack([self.eq, self.ic]) if self.ic.shape[0] else self.eq
-        rel = ["="] * self.eq.shape[0] + [">="] * self.ic.shape[0]
-        b = np.concatenate([np.ones(self.eq.shape[0]), np.zeros(self.ic.shape[0])])
-        return a, rel, b
+    @cached_property
+    def lp_block(self) -> tuple:
+        """The polytope's rows as HiGHS takes them: (rows, row_lo, row_hi),
+        the ic rows negated into '<= -0.0' rows before the eq rows '= 1',
+        as ``solver.solve_lp`` stacks 'eq = 1, ic >= 0'.  Read-only."""
+        m = self.ic.shape[0]
+        return (_frozen(np.vstack([-self.ic, self.eq])),
+                _frozen(np.concatenate([np.full(m, -np.inf), np.ones(self.n_profiles)])),
+                _frozen(np.concatenate([np.full(m, -0.0), np.ones(self.n_profiles)])))
 
     @cached_property
     def vertex_tables(self) -> np.ndarray:

@@ -306,8 +306,9 @@ def build_deviator_reporting(g: FiniteGame, principal: int,
     If some principal j != owner is named by a strict majority of agents, the
     punishment table for j is applied to the type reports; otherwise (ties
     included) the default table is.  A punishment entry is required for
-    every other principal.  Every table must be the owner's own (ValueError
-    otherwise) and individually BIC (NotBIC)."""
+    every other principal, and a key that is the owner or no principal is a
+    ValueError.  Every table must be the owner's own (ValueError otherwise)
+    and individually BIC (NotBIC)."""
     k = principal
     n_i = g.num_agents
     n_j = g.num_principals
@@ -316,6 +317,10 @@ def build_deviator_reporting(g: FiniteGame, principal: int,
     for j in range(n_j):
         if j != k and j not in punishments:
             raise ValueError(f"missing punishment entry for principal index {j}")
+    for j in punishments:
+        if j == k or j not in range(n_j):
+            raise ValueError(f"punishment entry for principal index {j!r}, "
+                             f"which is not another principal")
     tables = [("default table", default)] + [
         (f"punishment for principal index {j}", table) for j, table in punishments.items()]
     for what, table in tables:

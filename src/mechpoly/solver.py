@@ -103,6 +103,33 @@ class LPResult:
     x: np.ndarray = None
 
 
+@dataclass
+class _Assembled(LPProblem):
+    """An LPProblem its builder has put in the form solve_lp hands HiGHS:
+    a holds '<=' rows, then '=' rows, b their right-hand sides, and every
+    bound is (0, None) or (None, None).  highs is that form, ``(sign * c,
+    a, row_lo, b, lo, hi)``, which solve_lp takes unconverted.  Made by
+    ``_assembled``."""
+
+    highs: tuple = None
+
+
+def _assembled(sense: str, c, rows, row_lo, row_hi, n_eq: int, columns) -> _Assembled:
+    """The LP 'sense c @ x' subject to row_lo <= rows @ x <= row_hi: rows
+    end in their n_eq '=' rows (row_lo equal to row_hi), the rest are '<='
+    rows (row_lo -inf).  columns holds (count, free) runs of variables in
+    order; free ones are unbounded, the others nonnegative."""
+    sign = -1.0 if sense == "max" else 1.0
+    bounds = []
+    for count, free in columns:
+        bounds += [(None, None) if free else (0.0, None)] * count
+    lo = np.concatenate([np.full(count, -np.inf if free else 0.0) for count, free in columns])
+    return _Assembled(
+        c=c, a=rows, relations=["<="] * (len(row_hi) - n_eq) + ["="] * n_eq, b=row_hi,
+        bounds=bounds, sense=sense,
+        highs=(sign * c, rows, row_lo, row_hi, lo, np.full(lo.size, np.inf)))
+
+
 def solve_lp(prob: LPProblem) -> LPResult:
     """Solve an LP deterministically; checks residuals on optimal solves.
 
@@ -110,6 +137,50 @@ def solve_lp(prob: LPProblem) -> LPResult:
     fail the primal residual (1e-9) or duality gap (1e-7) check are refined
     once with tighter solver tolerances; NumericalFailure only after that.
     """
+    sign = -1.0 if prob.sense == "max" else 1.0
+    if isinstance(prob, _Assembled):
+        lp, bounds0 = prob.highs, None
+    else:
+        lp, bounds0 = _highs_form(prob, sign)
+    cost, rows, row_lo, row_hi, lo, hi = lp
+    if not (np.isfinite(cost).all() and np.isfinite(rows).all()):
+        raise ValueError("LP data must be finite")
+    failure = "LP did not run"
+    for options in (None, TIGHT):
+        res = linprog(*lp, options=options)
+        if res.status == 2:
+            return LPResult(status="infeasible")
+        if res.status == 3:
+            return LPResult(status="unbounded")
+        if res.status != 0:
+            failure = f"LP solver status {res.status}: {res.message}"
+            continue
+        x = np.asarray(res.x)
+        # primal feasibility residual over rows and bounds; a nan fails it
+        ax = rows @ x
+        resid = float(np.max(np.concatenate([ax - row_hi, row_lo - ax, lo - x, x - hi]),
+                             initial=0.0))
+        if not resid <= PRIMAL_RESIDUAL_TOL:
+            failure = f"primal residual {resid:.3e} exceeds {PRIMAL_RESIDUAL_TOL}"
+            continue
+        # duality gap from the reported marginals; bounds0 None is all 0
+        dual_obj = res.row_dual @ row_hi
+        if bounds0 is not None:
+            dual_obj = dual_obj + res.lower @ bounds0[:, 0] + res.upper @ bounds0[:, 1]
+        gap = abs(float(res.fun) - float(dual_obj))
+        if gap > DUALITY_GAP_TOL * max(1.0, abs(float(res.fun))):
+            failure = f"duality gap {gap:.3e} exceeds {DUALITY_GAP_TOL}"
+            continue
+        return LPResult(status="optimal", value=float(sign * res.fun), x=x)
+    raise NumericalFailure(failure)
+
+
+def _highs_form(prob: LPProblem, sign: float):
+    """(lp, bounds0) of an LPProblem: lp is (sign * c, rows, row_lo, row_hi,
+    lo, hi) as ``linprog`` takes it, '>=' rows negated into '<=' rows before
+    the '=' rows; bounds0 holds the (lo, hi) pairs with None as 0, as the
+    duality gap reads them.  ValueError on malformed shapes, relations or
+    bounds, and on a right-hand side that is not finite."""
     c = np.asarray(prob.c, dtype=float)
     a = np.asarray(prob.a, dtype=float) if len(prob.a) else np.zeros((0, c.size))
     b = np.asarray(prob.b, dtype=float) if len(prob.b) else np.zeros(0)
@@ -117,9 +188,8 @@ def solve_lp(prob: LPProblem) -> LPResult:
     if c.ndim != 1 or a.shape != (n_rows, c.size) or b.shape != (n_rows,):
         raise ValueError(f"LP shapes do not match: c {c.shape}, a {a.shape}, b {b.shape} "
                          f"for {n_rows} relations")
-    if not (np.isfinite(c).all() and np.isfinite(a).all() and np.isfinite(b).all()):
+    if not np.isfinite(b).all():
         raise ValueError("LP data must be finite")
-    sign = -1.0 if prob.sense == "max" else 1.0
     try:
         row_sign = np.array([_ROW_SIGN[rel] for rel in prob.relations], dtype=float)
     except KeyError as exc:
@@ -137,34 +207,7 @@ def solve_lp(prob: LPProblem) -> LPResult:
                          f"shape {bounds.shape} for {c.size} variables")
     free = np.isnan(bounds)
     lo, hi = np.where(free, _NO_BOUND, bounds).T
-    bounds0 = np.where(free, 0.0, bounds)       # the duality gap reads None as 0
-    failure = "LP did not run"
-    for options in (None, TIGHT):
-        res = linprog(sign * c, rows, row_lo, row_hi, lo, hi, options=options)
-        if res.status == 2:
-            return LPResult(status="infeasible")
-        if res.status == 3:
-            return LPResult(status="unbounded")
-        if res.status != 0:
-            failure = f"LP solver status {res.status}: {res.message}"
-            continue
-        x = np.asarray(res.x)
-        # primal feasibility residual over rows and bounds; a nan fails it
-        ax = rows @ x
-        resid = float(np.max(np.concatenate([ax - row_hi, row_lo - ax, lo - x, x - hi]),
-                             initial=0.0))
-        if not resid <= PRIMAL_RESIDUAL_TOL:
-            failure = f"primal residual {resid:.3e} exceeds {PRIMAL_RESIDUAL_TOL}"
-            continue
-        # duality gap from the reported marginals
-        dual_obj = float(res.row_dual @ row_hi + res.lower @ bounds0[:, 0]
-                         + res.upper @ bounds0[:, 1])
-        gap = abs(float(res.fun) - dual_obj)
-        if gap > DUALITY_GAP_TOL * max(1.0, abs(float(res.fun))):
-            failure = f"duality gap {gap:.3e} exceeds {DUALITY_GAP_TOL}"
-            continue
-        return LPResult(status="optimal", value=float(sign * res.fun), x=x)
-    raise NumericalFailure(failure)
+    return (sign * c, rows, row_lo, row_hi, lo, hi), np.where(free, 0.0, bounds)
 
 
 @dataclass
@@ -196,22 +239,42 @@ def _optimize_over(poly: BicPolytope, sense: str, what: str, c=None, cuts=None):
     cuts . p - t >= 0 for 'max' (t is the worst piece), <= 0 for 'min' (the
     best).  The witness is cleaned to exact row sums.
     """
-    a, rel, b = poly.lp_system()
+    rows, row_lo, row_hi = poly.lp_block
     n = poly.n_vars
-    bounds = [(0.0, None)] * n
-    if cuts is not None:
-        cuts = np.array(cuts)
-        a = np.vstack([np.hstack([a, np.zeros((a.shape[0], 1))]),
-                       np.hstack([cuts, np.full((cuts.shape[0], 1), -1.0)])])
-        rel = rel + [">=" if sense == "max" else "<="] * cuts.shape[0]
-        b = np.concatenate([b, np.zeros(cuts.shape[0])])
-        c = np.zeros(n + 1)
-        c[-1] = 1.0
-        bounds = bounds + [(None, None)]
-    res = solve_lp(LPProblem(c=c, a=a, relations=rel, b=b, bounds=bounds, sense=sense))
+    if cuts is None:
+        prob = _assembled(sense, np.asarray(c, dtype=float), rows, row_lo, row_hi,
+                          poly.n_profiles, [(n, False)])
+    else:
+        # the cut rows, negated for 'max', go between the IC and simplex rows
+        sign = -1.0 if sense == "max" else 1.0
+        cuts = np.asarray(cuts, dtype=float)
+        m, k = poly.ic.shape[0], cuts.shape[0]
+        prob = _assembled(
+            sense, np.append(np.zeros(n), 1.0),
+            np.insert(_widened(poly, 1), m, sign * np.hstack([cuts, np.full((k, 1), -1.0)]),
+                      axis=0),
+            np.insert(row_lo, m, np.full(k, -np.inf)),
+            np.insert(row_hi, m, np.full(k, 0.0 * sign)),
+            poly.n_profiles, [(n, False), (1, True)])
+    return _solve_for_table(poly, prob, what)
+
+
+def _widened(poly: BicPolytope, k: int) -> np.ndarray:
+    """``poly.lp_block``'s rows with k zero columns appended: -0.0 in the
+    negated IC rows, as solve_lp's negation writes them."""
+    rows = poly.lp_block[0]
+    pad = np.zeros((rows.shape[0], k))
+    pad[:poly.ic.shape[0]] = -0.0
+    return np.hstack([rows, pad])
+
+
+def _solve_for_table(poly: BicPolytope, prob: LPProblem, what: str):
+    """(value, DirectMechanism) of an LP whose first columns are a table of
+    ``poly``, cleaned to exact row sums; NumericalFailure unless optimal."""
+    res = solve_lp(prob)
     if res.status != "optimal":
         raise NumericalFailure(f"{what} LP {res.status}")
-    z = _clean_point(poly, res.x[:n])
+    z = _clean_point(poly, res.x[:poly.n_vars])
     return float(res.value), DirectMechanism(
         owner=poly.owner, p=z.reshape(poly.n_profiles, poly.n_actions))
 
@@ -376,20 +439,16 @@ def _saddle_lp(g: FiniteGame, principal: int, sense: str):
     q_in = np.zeros((n_x * r, n_x * k))
     for x in range(n_x):
         q_in[x * r:(x + 1) * r, x * k:(x + 1) * k] = g.prior[x] * v[x]
-    flip = 1.0 if sense == "min" else -1.0
-    a_out, rel_out, b_out = poly_out.lp_system()
-    a = np.vstack([np.hstack([-flip * q_in, flip * eq_in.T, -ic_in.T]),
-                   np.hstack([a_out, np.zeros((a_out.shape[0], n_x + m_in))])])
-    rel = [">="] * (n_x * r) + rel_out
-    b = np.concatenate([np.zeros(n_x * r), b_out])
+    sign = -1.0 if sense == "max" else 1.0
+    # the dual rows, negated into '<= 0' rows, over the outer polytope's rows
+    rows = np.vstack([np.hstack([sign * q_in, -sign * eq_in.T, ic_in.T]),
+                      _widened(poly_out, n_x + m_in)])
+    _, out_lo, out_hi = poly_out.lp_block
     obj = np.concatenate([np.zeros(n_out), np.ones(n_x), np.zeros(m_in)])
-    bounds = [(0.0, None)] * n_out + [(None, None)] * n_x + [(0.0, None)] * m_in
-    res = solve_lp(LPProblem(c=obj, a=a, relations=rel, b=b, bounds=bounds, sense=sense))
-    if res.status != "optimal":
-        raise NumericalFailure(f"saddle LP {res.status}")
-    z = _clean_point(poly_out, res.x[:n_out])
-    return float(res.value), DirectMechanism(
-        owner=poly_out.owner, p=z.reshape(poly_out.n_profiles, poly_out.n_actions))
+    prob = _assembled(sense, obj, rows, np.concatenate([np.full(n_x * r, -np.inf), out_lo]),
+                      np.concatenate([np.full(n_x * r, -0.0), out_hi]),
+                      poly_out.n_profiles, [(n_out, False), (n_x, True), (m_in, False)])
+    return _solve_for_table(poly_out, prob, "saddle")
 
 
 def _free_rows(g: FiniteGame, principal: int):

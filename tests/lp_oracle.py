@@ -1,16 +1,20 @@
-"""Two oracles for the LP layer.
+"""Oracles for the LP layer.
 
 ``solve_lp`` is the LP layer as it was built on ``scipy.optimize.linprog``:
 ``mechpoly.solver.solve_lp``, which calls HiGHS directly, must match it in
 status, value bits and solution bytes.  ``fresh_linprog`` is one attempt on
-a ``_Highs`` instance built for it alone: ``mechpoly._highs.linprog``, which
-reuses one instance per thread and options, must match it bit for bit
-whatever attempts came before."""
+a ``_Highs`` instance built for it alone, its model passed as a ``HighsLp``:
+``mechpoly._highs.linprog``, which reuses one instance per thread and
+options and passes arrays, must match it bit for bit whatever attempts came
+before.  ``optimize_over_problem`` is the ``LPProblem`` that
+``solver._optimize_over`` once built: the arrays that ``_optimize_over``
+now assembles itself must be the ones ``solve_lp`` makes of it, byte for
+byte."""
 
 import numpy as np
 from scipy.optimize import linprog
 
-from mechpoly._highs import _AT_LOWER, _AT_UPPER, BASE, HighsResult, _failed, _h, _model
+from mechpoly._highs import _AT_LOWER, _AT_UPPER, BASE, HighsResult, _failed, _h
 from mechpoly.solver import (
     DUALITY_GAP_TOL,
     PRIMAL_RESIDUAL_TOL,
@@ -94,6 +98,57 @@ def solve_lp(prob: LPProblem) -> LPResult:
             continue
         return LPResult(status="optimal", value=float(sign * res.fun), x=x)
     raise NumericalFailure(failure)
+
+
+def lp_system(poly):
+    """(a, relations, b) of a polytope: eq rows '= 1', then ic rows '>= 0'."""
+    a = np.vstack([poly.eq, poly.ic]) if poly.ic.shape[0] else poly.eq
+    rel = ["="] * poly.eq.shape[0] + [">="] * poly.ic.shape[0]
+    b = np.concatenate([np.ones(poly.eq.shape[0]), np.zeros(poly.ic.shape[0])])
+    return a, rel, b
+
+
+def optimize_over_problem(poly, sense, c=None, cuts=None):
+    """The LP of ``solver._optimize_over``: maximize or minimize c . p over
+    the polytope, or with ``cuts`` the epigraph variable t over [p, t], rows
+    cuts . p - t >= 0 for 'max' and <= 0 for 'min'."""
+    a, rel, b = lp_system(poly)
+    n = poly.n_vars
+    bounds = [(0.0, None)] * n
+    if cuts is not None:
+        cuts = np.array(cuts)
+        a = np.vstack([np.hstack([a, np.zeros((a.shape[0], 1))]),
+                       np.hstack([cuts, np.full((cuts.shape[0], 1), -1.0)])])
+        rel = rel + [">=" if sense == "max" else "<="] * cuts.shape[0]
+        b = np.concatenate([b, np.zeros(cuts.shape[0])])
+        c = np.zeros(n + 1)
+        c[-1] = 1.0
+        bounds = bounds + [(None, None)]
+    return LPProblem(c=c, a=a, relations=rel, b=b, bounds=bounds, sense=sense)
+
+
+def _model(c, a, row_lo, row_hi, lo, hi):
+    """A column-wise HighsLp; explicit zeros are dropped, rows ascend in
+    each column (the layout of scipy's dense-to-CSC conversion)."""
+    n_row, n_col = a.shape
+    nz = a.T != 0
+    start = np.zeros(n_col + 1, dtype=np.int64)
+    np.cumsum(nz.sum(axis=1), out=start[1:])
+    lp = _h.HighsLp()
+    lp.num_col_ = n_col
+    lp.num_row_ = n_row
+    lp.a_matrix_.num_col_ = n_col
+    lp.a_matrix_.num_row_ = n_row
+    lp.a_matrix_.format_ = _h.MatrixFormat.kColwise
+    lp.col_cost_ = c.tolist()
+    lp.col_lower_ = lo.tolist()
+    lp.col_upper_ = hi.tolist()
+    lp.row_lower_ = row_lo.tolist()
+    lp.row_upper_ = row_hi.tolist()
+    lp.a_matrix_.start_ = start.tolist()
+    lp.a_matrix_.index_ = np.nonzero(nz)[1].tolist()
+    lp.a_matrix_.value_ = a.T[nz].tolist()
+    return lp
 
 
 def fresh_linprog(c, a, row_lo, row_hi, lo, hi, options=None):

@@ -9,6 +9,7 @@ joint-table code with the library.
 
 import numpy as np
 
+from lp_oracle import lp_system
 from mechpoly.bic import _clean_point, build_bic_polytope
 from mechpoly.game import DirectMechanism, FiniteGame
 from mechpoly.solver import LPProblem, NumericalFailure, solve_lp
@@ -38,7 +39,7 @@ def _saddle_lp(g: FiniteGame, principal: int, sense: str):
     for x in range(n_x):
         q_in[x * r:(x + 1) * r, x * k:(x + 1) * k] = g.prior[x] * (v[x] if inner == 0 else v[x].T)
     flip = 1.0 if sense == "min" else -1.0
-    a_out, rel_out, b_out = poly_out.lp_system()
+    a_out, rel_out, b_out = lp_system(poly_out)
     a = np.vstack([np.hstack([-flip * q_in, flip * poly_in.eq.T, -poly_in.ic.T]),
                    np.hstack([a_out, np.zeros((a_out.shape[0], n_x + m_in))])])
     rel = [">="] * poly_in.n_vars + rel_out

@@ -363,6 +363,21 @@ def test_build_drm_rejects_table_files_of_another_principal(tmp_path, flag, caps
     assert not mech.exists() and not out.exists()
 
 
+def test_build_drm_rejects_a_punishment_for_the_building_principal(tmp_path, capsys):
+    g = random_game(np.random.default_rng(7), num_principals=2, num_agents=3,
+                    type_sizes=[2, 1, 1], action_sizes=[2, 2])
+    game = tmp_path / "g.json"
+    save_game(g, game)
+    own = _write_json(tmp_path / "own.json", mechanism_to_dict(g, sample_bic(g, 0, 3)))
+    mech, out = tmp_path / "drm.json", tmp_path / "report.json"
+    assert main(["build-drm", "--game", str(game), "-j", "P1", "--default", own,
+                 "--punish", f"P1={own}", "--out-mechanism", str(mech),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: punishment entry for principal index 0, "
+                                       "which is not another principal\n")
+    assert not mech.exists() and not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (lambda f: ["minmax", "--game", f["game"], "-j", "1", "--membership-tol", "0"],
      "tolerances must be positive"),

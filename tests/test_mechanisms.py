@@ -302,6 +302,17 @@ def test_deviator_reporting_errors(screen1):
         build_deviator_reporting(g, 0, truthful, {1: swapped})
 
 
+@pytest.mark.parametrize("key", [0, 7, -1])
+def test_deviator_reporting_rejects_punishment_keys_of_no_other_principal(key):
+    # an entry for the owner or for no principal would be read and never used
+    g = random_game(np.random.default_rng(7), num_principals=2, num_agents=3,
+                    type_sizes=[2, 1, 1], action_sizes=[2, 2])
+    own = sample_bic(g, 0, 3)
+    with pytest.raises(ValueError, match=f"^punishment entry for principal index {key}, "
+                                         "which is not another principal$"):
+        build_deviator_reporting(g, 0, own, {1: own, key: own})
+
+
 @pytest.mark.parametrize("case", ["menu entry", "default table", "punishment"])
 def test_builders_reject_another_principals_table(case):
     # P2's BIC table passes P2's IC rows but breaks P1's, so building a P1

@@ -9,9 +9,10 @@ joint truthfulness read from the principals' IC rows is the brute force
 over report vectors, the polytope build's rows are the loop oracle's bit
 for bit, the direct HiGHS call returns linprog's LP results bit for bit,
 the reused HiGHS instances return a fresh instance's results bit for bit
-in any solve order, the
-saddle LP's bilinear blocks are ``block_diag``'s, its two-principal LP and
-solution are the two-principal oracle's bit for bit, the batched maxmin cut
+in any solve order, the arrays that ``_optimize_over`` and the saddle LP
+hand HiGHS are, byte for byte, what ``solve_lp`` makes of their oracles'
+``LPProblem``s and of the ``LPProblem``s they pass to ``solve_lp``, the saddle LP's bilinear blocks are ``block_diag``'s, its
+two-principal solution is the two-principal oracle's bit for bit, the batched maxmin cut
 rows are the per-product loop's, the two-principal saddle-LP maxmin is
 the vertex-product maxmin and the exact2 minmax, with more principals the
 correlated-opponent saddle LP is a lower bound on the vertex-product
@@ -621,8 +622,9 @@ def infeasible_or_unbounded_lps(draw):
 
 
 @st.composite
-def game_lps(draw):
-    """IC-polytope LPs from random games (``lp_system()``): a linear
+def optimize_over_cases(draw):
+    """(polytope, sense, c, cuts) of an LP that ``solver._optimize_over``
+    solves, from a random game of two or three principals: a linear
     objective, or an epigraph over cut rows (the opponents' vertex products,
     as maxmin builds them, or random rows)."""
     n_j = draw(st.integers(2, 3))
@@ -634,22 +636,20 @@ def game_lps(draw):
                     action_sizes=actions, zero_agent_payoffs=draw(st.booleans()))
     j = draw(st.integers(0, n_j - 1))
     poly = build_bic_polytope(g, j)
-    a, rel, b = poly.lp_system()
-    n = poly.n_vars
     sense = draw(st.sampled_from(["max", "min"]))
     shape = draw(st.sampled_from(["linear", "vertex cuts", "random cuts"]))
     if shape == "linear":
-        return LPProblem(c=rng.normal(size=n), a=a, relations=rel, b=b,
-                         bounds=[(0.0, None)] * n, sense=sense)
+        return poly, sense, rng.normal(size=poly.n_vars), None
     cuts = (solver._vertex_product_cuts(g, j, solver.DEFAULT_DIM_CAP) if shape == "vertex cuts"
-            else rng.normal(size=(draw(st.integers(1, 6)), n)))
-    a = np.vstack([np.hstack([a, np.zeros((a.shape[0], 1))]),
-                   np.hstack([cuts, np.full((cuts.shape[0], 1), -1.0)])])
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    return LPProblem(c=c, a=a, relations=rel + [">=" if sense == "max" else "<="] * len(cuts),
-                     b=np.concatenate([b, np.zeros(len(cuts))]),
-                     bounds=[(0.0, None)] * n + [(None, None)], sense=sense)
+            else rng.normal(size=(draw(st.integers(1, 6)), poly.n_vars)))
+    return poly, sense, None, cuts
+
+
+@st.composite
+def game_lps(draw):
+    """IC-polytope LPs from random games, as ``_optimize_over`` solves them."""
+    poly, sense, c, cuts = draw(optimize_over_cases())
+    return lp_oracle.optimize_over_problem(poly, sense, c=c, cuts=cuts)
 
 
 def _lp_outcome(solve, prob):
@@ -677,14 +677,30 @@ def _stop(*args, **kwargs):
     raise _Stop(*args)
 
 
-def _linprog_args(prob):
-    """The (c, a, row_lo, row_hi, lo, hi) that solve_lp passes to linprog."""
+def _linprog_args(solve, *args):
+    """The (c, a, row_lo, row_hi, lo, hi) that ``solve(*args)`` passes to
+    linprog first."""
     with mock.patch.object(solver, "linprog", _stop):
         try:
-            solve_lp(prob)
+            solve(*args)
         except _Stop as stop:
             return stop.args
-    raise AssertionError("solve_lp did not call linprog")
+    raise AssertionError(f"{solve.__name__} did not call linprog")
+
+
+def _args_bits(args):
+    return [(arr.dtype, arr.shape, arr.tobytes()) for arr in args]
+
+
+@settings(max_examples=150)
+@given(case=optimize_over_cases())
+def test_optimize_over_hands_linprog_what_solve_lp_makes_of_its_problem(case):
+    # the arrays _optimize_over assembles itself are, byte for byte, what
+    # solve_lp makes of the LPProblem that _optimize_over once built
+    poly, sense, c, cuts = case
+    got = _linprog_args(solver._optimize_over, poly, sense, "test", c, cuts)
+    want = _linprog_args(solve_lp, lp_oracle.optimize_over_problem(poly, sense, c=c, cuts=cuts))
+    assert _args_bits(got) == _args_bits(want)
 
 
 # passModel rejects a matrix entry above HiGHS's large_matrix_value (1e15)
@@ -701,7 +717,8 @@ def test_reused_highs_instances_match_fresh_ones(probs, data):
     # of options and LPs with one rejected model among them, is bit for bit
     # the attempt on a fresh instance
     assert _highs.linprog(*_REJECTED).message == "(HiGHS Status 2: Model error)"
-    attempts = [(args, options) for args in [_linprog_args(p) for p in probs] + [_REJECTED]
+    attempts = [(args, options) for args in [_linprog_args(solve_lp, p) for p in probs]
+                + [_REJECTED]
                 for options in (_highs.BASE, _highs.TIGHT)]
     for args, options in data.draw(st.permutations(attempts)):
         assert (lp_oracle.attempt_bits(_highs.linprog(*args, options=options))
@@ -735,21 +752,11 @@ def saddle_cases(draw):
     return g, draw(st.integers(0, 2)), "max"
 
 
-def _saddle_problem(module, g, j, sense):
-    """The LPProblem that ``module._saddle_lp`` hands to solve_lp."""
-    with mock.patch.object(module, "solve_lp", _stop):
-        try:
-            module._saddle_lp(g, j, sense)
-        except _Stop as stop:
-            return stop.args[0]
-    raise AssertionError("the saddle LP did not call solve_lp")
-
-
 @settings(max_examples=60)
 @given(case=saddle_cases())
 def test_saddle_lp_blocks_match_block_diag(case):
     g, j, sense = case
-    prob = _saddle_problem(solver, g, j, sense)
+    rows = _linprog_args(solver._saddle_lp, g, j, sense)[1]
     outer = j if sense == "max" else 1 - j
     inner = [k for k in range(g.num_principals) if k != outer]
     v = g.principal_utils[j]
@@ -766,14 +773,37 @@ def test_saddle_lp_blocks_match_block_diag(case):
                                    *[range(len(g.action_spaces[k])) for k in inner])])
         for x in range(g.num_profiles)])
     flip = 1.0 if sense == "min" else -1.0
-    got = prob.a[:q_in.shape[0], :q_in.shape[1]]
-    assert got.dtype == q_in.dtype and got.tobytes() == (-flip * q_in).tobytes()
+    # the '>= 0' dual rows -flip * Q ..., negated into '<=' rows
+    got = rows[:q_in.shape[0], :q_in.shape[1]]
+    assert got.dtype == q_in.dtype and got.tobytes() == (-(-flip * q_in)).tobytes()
 
 
-def _problem_bits(prob):
-    arrays = [np.asarray(arr) for arr in (prob.c, prob.a, prob.b)]
-    return ([(arr.dtype, arr.shape, arr.tobytes()) for arr in arrays],
-            prob.relations, prob.bounds, prob.sense)
+def _solve_lp_arg(solve, *args):
+    """The LPProblem that ``solve(*args)`` passes to solve_lp first."""
+    with mock.patch.object(solver, "solve_lp", _stop):
+        try:
+            solve(*args)
+        except _Stop as stop:
+            return stop.args[0]
+    raise AssertionError(f"{solve.__name__} did not call solve_lp")
+
+
+@settings(max_examples=80)
+@given(call=st.one_of(
+    optimize_over_cases().map(lambda case: (solver._optimize_over, case[:2] + ("test",)
+                                            + case[2:])),
+    saddle_cases().map(lambda case: (solver._saddle_lp, case))))
+def test_assembled_problems_state_the_lp_they_hand_highs(call):
+    # the value solvers' LPs go through solve_lp as LPProblems whose fields,
+    # converted as any LPProblem is, give the arrays they assembled
+    solve, args = call
+    prob = _solve_lp_arg(solve, *args)
+    plain = LPProblem(c=prob.c, a=prob.a, relations=prob.relations, b=prob.b,
+                      bounds=prob.bounds, sense=prob.sense)
+    assert type(plain) is not type(prob)
+    assert len(prob.relations) == prob.a.shape[0] and len(prob.c) == prob.a.shape[1]
+    assert (_args_bits(_linprog_args(solve_lp, plain))
+            == _args_bits(_linprog_args(solve_lp, prob)))
 
 
 def _saddle_outcome(saddle_lp, g, j, sense):
@@ -787,10 +817,11 @@ def _saddle_outcome(saddle_lp, g, j, sense):
 @settings(max_examples=100)
 @given(g=saddle_games(), j=st.integers(0, 1), sense=st.sampled_from(["min", "max"]))
 def test_saddle_lp_matches_two_principal_oracle(g, j, sense):
-    # with one inner principal the joint table is its table: the same LP
-    # bytes, value bits and witness bytes as the two-principal oracle
-    assert (_problem_bits(_saddle_problem(solver, g, j, sense))
-            == _problem_bits(_saddle_problem(saddle_oracle, g, j, sense)))
+    # with one inner principal the joint table is its table: HiGHS gets the
+    # bytes that solve_lp makes of the oracle's LPProblem, and the value bits
+    # and witness bytes are the oracle's
+    assert (_args_bits(_linprog_args(solver._saddle_lp, g, j, sense))
+            == _args_bits(_linprog_args(saddle_oracle._saddle_lp, g, j, sense)))
     assert (_saddle_outcome(solver._saddle_lp, g, j, sense)
             == _saddle_outcome(saddle_oracle._saddle_lp, g, j, sense))
 

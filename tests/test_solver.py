@@ -66,9 +66,10 @@ def test_solve_lp_basics():
     with pytest.raises(ValueError, match="unknown relation"):
         solve_lp(LPProblem(c=[1.0], a=[[1.0]], relations=["!"], b=[0.0],
                            bounds=[(0.0, None)]))
-    with pytest.raises(ValueError, match="finite"):
-        solve_lp(LPProblem(c=[np.nan], a=[[1.0]], relations=["<="], b=[0.0],
-                           bounds=[(0.0, None)]))
+    for c, a, b in [([np.nan], [[1.0]], [0.0]), ([1.0], [[np.inf]], [0.0]),
+                    ([1.0], [[1.0]], [-np.inf])]:
+        with pytest.raises(ValueError, match="LP data must be finite"):
+            solve_lp(LPProblem(c=c, a=a, relations=[">="], b=b, bounds=[(0.0, None)]))
     # shapes are checked, as linprog's input cleaning checked them
     for a, rel, b in [([[1.0, 1.0]], ["<="], [1.0]),      # a has a column too many
                       ([[1.0]], ["<="], [1.0, 2.0]),       # b has an entry too many
@@ -80,6 +81,15 @@ def test_solve_lp_basics():
         with pytest.raises(ValueError, match="one \\(lo, hi\\) pair per variable"):
             solve_lp(LPProblem(c=[1.0, 1.0], a=[[1.0, 1.0]], relations=["<="], b=[1.0],
                                bounds=bounds))
+
+
+def test_assembled_lps_are_checked_for_finite_data(mp2):
+    # the solvers' assembled LPs skip the conversion, but not the finiteness check
+    poly = build_bic_polytope(mp2, 0)
+    with pytest.raises(ValueError, match="LP data must be finite"):
+        solver._optimize_over(poly, "max", "test", c=np.full(poly.n_vars, np.nan))
+    with pytest.raises(ValueError, match="LP data must be finite"):
+        solver._optimize_over(poly, "min", "test", cuts=[np.full(poly.n_vars, np.inf)])
 
 
 def test_highs_model_statuses_map_as_scipy_table():
@@ -124,6 +134,15 @@ def _box_lp(cost):
     """min cost * x over 0 <= x <= 1 with x >= 0.25: its value is cost / 4 for cost > 0."""
     return (np.array([cost]), np.array([[1.0]]), np.array([0.25]), np.array([np.inf]),
             np.zeros(1), np.ones(1))
+
+
+def test_linprog_rejects_arrays_that_do_not_match_the_matrix():
+    # passModel reads as many entries as the matrix has columns or rows
+    c, a, row_lo, row_hi, lo, hi = _box_lp(1.0)
+    for bad in ((c[:-1], a, row_lo, row_hi, lo, hi), (c, a, row_lo[:0], row_hi, lo, hi),
+                (c, a, row_lo, row_hi, lo, np.append(hi, 1.0))):
+        with pytest.raises(ValueError, match="do not match the matrix"):
+            _highs.linprog(*bad)
 
 
 def test_linprog_accepts_only_base_and_tight():
