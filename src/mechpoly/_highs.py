@@ -7,9 +7,10 @@ solution, so nothing is warm-started.  A property test pins every result, in
 drawn solve orders, to a fresh instance's.  The model goes in through
 ``passModel``'s array form, column-wise, rows in the order given (the
 callers in ``solver`` stack them as linprog does); statuses go through
-scipy's own table, and column duals are split into lower and upper
-bound marginals by basis status, as scipy splits them.  HiGHS is the dual
-simplex solver of Huangfu & Hall (Math. Prog. Comp. 2018).
+scipy's own table.  A result holds the column duals with the basis, which
+``solver.solve_lp`` splits into bound marginals only for the LPs whose
+bounds it reads, as scipy splits them.  HiGHS is the dual simplex solver
+of Huangfu & Hall (Math. Prog. Comp. 2018).
 """
 
 import threading
@@ -35,8 +36,8 @@ class HighsResult:
     x: np.ndarray = None
     fun: float = None
     row_dual: np.ndarray = None   # one marginal per row, in row order
-    lower: np.ndarray = None      # column duals of variables at their lower bound
-    upper: np.ndarray = None      # column duals of variables at their upper bound
+    col_dual: np.ndarray = None   # one marginal per column
+    basis: object = None          # getBasis()'s HighsBasis, a copy that later runs leave alone
 
 
 def _csc(a):
@@ -119,14 +120,12 @@ def linprog(c, a, row_lo, row_hi, lo, hi, options=None):
     if status != _h.HighsModelStatus.kOptimal:
         return _failed(highs, status)
     solution = highs.getSolution()
-    col_status = np.array(list(map(int, highs.getBasis().col_status)), dtype=int)
-    col_dual = np.array(solution.col_dual)
     return HighsResult(
         status=0,       # scipy's code for kOptimal
         message="",
         x=np.array(solution.col_value),
         fun=highs.getObjectiveValue(),       # info.objective_function_value
         row_dual=np.array(solution.row_dual),
-        lower=np.where(col_status == _AT_LOWER, col_dual, 0.0),
-        upper=np.where(col_status == _AT_UPPER, col_dual, 0.0),
+        col_dual=np.array(solution.col_dual),
+        basis=highs.getBasis(),
     )

@@ -241,7 +241,7 @@ def _cmd_best_response(args):
     opponents = _load_profile(g, args.profile)
     t0 = time.perf_counter()
     value, witness = best_response(g, j, opponents)
-    cert = ValueCertificate(kind="exact-lp", value=value, witness=witness, gap_bound=0.0)
+    cert = ValueCertificate(kind="best-response", value=value, witness=witness, gap_bound=0.0)
     payload = solve_report(g, j, cert, args.seed, _ms_since(t0))
     path = _write_report(args, payload)
     print(f"best-response: {g.principal_ids[j]} value={value:.6f} -> {path}")
@@ -281,10 +281,10 @@ def _cmd_punish(args):
     if cert.witness is None:
         raise NumericalFailure("minmax run produced no feasible witness; try a finer step")
     value, _ = best_response(g, j, cert.witness)
-    out_cert = ValueCertificate(kind=cert.kind, value=float(value),
-                                witness=cert.witness, gap_bound=cert.gap_bound)
+    out_cert = ValueCertificate(kind="best-response", value=float(value),
+                                witness=cert.witness, gap_bound=0.0)
     payload = solve_report(g, j, out_cert, args.seed, _ms_since(t0))
-    payload["minmax_value"] = float(cert.value)
+    payload.update(minmax_value=float(cert.value), minmax_kind=cert.kind)
     path = _write_report(args, payload)
     print(f"punish: {g.principal_ids[j]} best-response value={value:.6f} "
           f"({cert.kind}) -> {path}")

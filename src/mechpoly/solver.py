@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._highs import TIGHT, linprog
+from ._highs import _AT_LOWER, _AT_UPPER, TIGHT, linprog
 from .bic import (
     DEFAULT_DIM_CAP,
     MEMBERSHIP_TOL,
@@ -64,8 +64,6 @@ VERTEX_PRODUCT_CAP = 50_000   # opponent vertex products an exact maxmin may cut
 
 EXACT_KINDS = ("exact-lp", "vertex-product-exact")
 GRID_KIND = "grid-certified-lower-bound"
-UPPER_KIND = "alternating-upper-bound"
-RELAXATION_KIND = "relaxation-lower-bound"
 
 
 _ROW_SIGN = {"<=": 1.0, ">=": -1.0, "=": 0.0}
@@ -163,10 +161,12 @@ def solve_lp(prob: LPProblem) -> LPResult:
         if not resid <= PRIMAL_RESIDUAL_TOL:
             failure = f"primal residual {resid:.3e} exceeds {PRIMAL_RESIDUAL_TOL}"
             continue
-        # duality gap from the reported marginals; bounds0 None is all 0
+        # duality gap; bounds0 None is all 0, else column duals split by basis as scipy does
         dual_obj = res.row_dual @ row_hi
         if bounds0 is not None:
-            dual_obj = dual_obj + res.lower @ bounds0[:, 0] + res.upper @ bounds0[:, 1]
+            at = np.array(list(map(int, res.basis.col_status)), dtype=int)
+            dual_obj = (dual_obj + np.where(at == _AT_LOWER, res.col_dual, 0.0) @ bounds0[:, 0]
+                        + np.where(at == _AT_UPPER, res.col_dual, 0.0) @ bounds0[:, 1])
         gap = abs(float(res.fun) - float(dual_obj))
         if gap > DUALITY_GAP_TOL * max(1.0, abs(float(res.fun))):
             failure = f"duality gap {gap:.3e} exceeds {DUALITY_GAP_TOL}"
@@ -221,7 +221,12 @@ class ValueCertificate:
     and 'alternating-upper-bound' (minmax).  gap_bound is 0 for exact kinds,
     the certified slack for the grid kind, and -1 (unknown) for the
     relaxation and alternating kinds.  witness is the mechanism (maxmin) or
-    opponent profile dict (minmax) attaining the value.
+    opponent profile dict (minmax) attaining the value.  lower and upper are
+    the bracket the producer proves on the principal's payoff floor (the
+    minmax): (value, value) for 'exact-lp', (value, inf) for the other
+    maxmin kinds, (value, the witness's best-response value) for the grid
+    and (-inf, value) for the alternating kind.  A certificate made without
+    them brackets nothing.
     """
 
     kind: str
@@ -229,6 +234,8 @@ class ValueCertificate:
     witness: object
     gap_bound: float
     info: dict = field(default_factory=dict)
+    lower: float = -math.inf
+    upper: float = math.inf
 
 
 def _optimize_over(poly: BicPolytope, sense: str, what: str, c=None, cuts=None):
@@ -329,14 +336,16 @@ def maxmin(g: FiniteGame, principal: int, mode: str = "auto",
         raise ModeUnsupported(f"maxmin mode {mode!r}")
     if g.num_principals == 2:
         value, witness = _saddle_lp(g, j, "max")
-        return ValueCertificate(kind="exact-lp", value=value, witness=witness, gap_bound=0.0)
+        return ValueCertificate(kind="exact-lp", value=value, witness=witness, gap_bound=0.0,
+                                lower=value, upper=value)
     try:
         return _maxmin_vertex_products(g, j, dim_cap)
     except DimensionTooLarge:
         if mode == "exact":
             raise
     value, witness = _saddle_lp(g, j, "max")
-    return ValueCertificate(kind=RELAXATION_KIND, value=value, witness=witness, gap_bound=-1.0)
+    return ValueCertificate(kind="relaxation-lower-bound", value=value, witness=witness,
+                            gap_bound=-1.0, lower=value)      # relaxation <= maxmin <= minmax
 
 
 def _maxmin_vertex_products(g: FiniteGame, principal: int, dim_cap: int) -> ValueCertificate:
@@ -352,6 +361,7 @@ def _maxmin_vertex_products(g: FiniteGame, principal: int, dim_cap: int) -> Valu
         witness=witness,
         gap_bound=0.0,
         info={"n_vertex_products": len(cuts)},
+        lower=value,      # maxmin <= minmax
     )
 
 
@@ -392,12 +402,8 @@ def _minmax_exact2(g: FiniteGame, principal: int) -> ValueCertificate:
     if g.num_principals != 2:
         raise ModeUnsupported("exact2 needs exactly two principals")
     value, witness = _saddle_lp(g, principal, "min")
-    return ValueCertificate(
-        kind="exact-lp",
-        value=value,
-        witness={witness.owner: witness},
-        gap_bound=0.0,
-    )
+    return ValueCertificate(kind="exact-lp", value=value, witness={witness.owner: witness},
+                            gap_bound=0.0, lower=value, upper=value)
 
 
 def _saddle_lp(g: FiniteGame, principal: int, sense: str):
@@ -552,9 +558,10 @@ def _minmax_grid(g: FiniteGame, principal: int, step: float,
             best_feasible_profile = {
                 k: DirectMechanism(owner=k, p=tables[k][..., bi]) for k in opp
             }
+    value = best_overall - slack
     return ValueCertificate(
         kind=GRID_KIND,
-        value=best_overall - slack,
+        value=value,
         witness=best_feasible_profile,
         gap_bound=slack,
         info={
@@ -564,6 +571,8 @@ def _minmax_grid(g: FiniteGame, principal: int, step: float,
             "n_points": n_points,
             "free_dim": free_dim,
         },
+        # the witness is feasible, so its value (inf when there is none) bounds the floor
+        lower=value, upper=best_feasible,
     )
 
 
@@ -598,11 +607,12 @@ def _minmax_alternating(g: FiniteGame, principal: int, restarts: int,
             if moved <= 1e-12:
                 break
     return ValueCertificate(
-        kind=UPPER_KIND,
+        kind="alternating-upper-bound",
         value=float(best_val),
         witness=best_profile,
         gap_bound=-1.0,
         info={"restarts": restarts, "seed": seed},
+        upper=float(best_val),      # attained against feasible opponents
     )
 
 
@@ -649,11 +659,11 @@ def robust_pbe_membership(g: FiniteGame, mechanisms, certs,
 
     ``certs`` holds one ValueCertificate per principal.  A principal's test
     reports ``ok`` when their expected payoff is at least cert.value - tol.
-    The verdict reads each certificate as a bracket (lower, upper) on the
-    floor, (-inf, inf) for a kind it does not know: a payoff below lower - tol
-    fails, one at or above upper - tol passes, and one in between is open.  A
-    failure or a profile that is not BIC gives 'non-member', else an open
-    test 'not-established'.  A misaligned profile raises as in is_profile_bic.
+    The verdict reads each certificate's bracket (cert.lower, cert.upper) on
+    the floor, whatever its kind: a payoff below lower - tol fails, one at or
+    above upper - tol passes, and one in between is open.  A failure or a
+    profile that is not BIC gives 'non-member', else an open test
+    'not-established'.  A misaligned profile raises as in is_profile_bic.
     """
     bic = is_profile_bic(g, mechanisms)
     per = []
@@ -661,19 +671,10 @@ def robust_pbe_membership(g: FiniteGame, mechanisms, certs,
     for j in range(g.num_principals):
         cert = certs[j]
         payoff = expected_principal_payoff(g, j, mechanisms)
-        v, witness_value = cert.value, cert.info.get("witness_value")
-        lower, upper = {
-            "exact-lp": (v, v),
-            "vertex-product-exact": (v, np.inf),        # maxmin <= minmax
-            RELAXATION_KIND: (v, np.inf),               # relaxation <= maxmin
-            # grid witness and alternating values are attained by feasible opponents
-            GRID_KIND: (v, np.inf if witness_value is None else witness_value),
-            UPPER_KIND: (-np.inf, v),
-        }.get(cert.kind, (-np.inf, np.inf))
-        if payoff - lower < -tol:
+        if payoff - cert.lower < -tol:
             outcomes.add("fail")
         else:
-            outcomes.add("pass" if payoff - upper >= -tol else "open")
+            outcomes.add("pass" if payoff - cert.upper >= -tol else "open")
         slack = payoff - cert.value
         per.append({
             "principal": g.principal_ids[j],

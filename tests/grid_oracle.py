@@ -6,9 +6,10 @@ batches drawn from an ``itertools.islice`` over the product of grid indices,
 opponent tables held with the batch axis first, and the cell products built
 by outer products per profile.  They share no indexing or table-assembly
 code with the library, so property tests can require the library's
-certificates to equal theirs bit for bit.  The one change from the library's
-old loop is the ``chunk`` keyword (it was fixed at 4096), so that both
-sweeps can be split into the same batches.
+certificates to equal theirs bit for bit.  Two things changed from the
+library's old loop: the ``chunk`` keyword (it was fixed at 4096), so that
+both sweeps can be split into the same batches, and the bracket (lower,
+upper) that certificates now carry.
 """
 
 import itertools
@@ -28,14 +29,15 @@ from mechpoly.solver import (
 
 def certificate_bits(cert):
     """Every field of a grid certificate that a sweep computes: floats by
-    ``float.hex``, counts as they are and witness tables by shape and bytes."""
+    ``float.hex``, counts as they are and witness tables by shape and bytes.
+    The bracket (lower, upper) is among the floats."""
     def hexed(v):
         return None if v is None else float(v).hex()
     witness = None if cert.witness is None else {
         k: (m.owner, m.p.shape, m.p.tobytes()) for k, m in cert.witness.items()}
     return (cert.kind, hexed(cert.value), hexed(cert.gap_bound), hexed(cert.info["grid_min"]),
             hexed(cert.info["witness_value"]), cert.info["n_points"], cert.info["free_dim"],
-            witness)
+            hexed(cert.lower), hexed(cert.upper), witness)
 
 
 def _simplex_grid(n_actions: int, step: float) -> np.ndarray:
@@ -151,4 +153,7 @@ def _minmax_grid(g, principal: int, step: float,
             "n_points": n_points,
             "free_dim": free_dim,
         },
+        # a lower bound, and the feasible witness's value (inf without one)
+        lower=best_overall - slack,
+        upper=best_feasible,
     )

@@ -14,7 +14,7 @@ byte."""
 import numpy as np
 from scipy.optimize import linprog
 
-from mechpoly._highs import _AT_LOWER, _AT_UPPER, BASE, HighsResult, _failed, _h
+from mechpoly._highs import BASE, HighsResult, _failed, _h
 from mechpoly.solver import (
     DUALITY_GAP_TOL,
     PRIMAL_RESIDUAL_TOL,
@@ -163,22 +163,23 @@ def fresh_linprog(c, a, row_lo, row_hi, lo, hi, options=None):
     if status != _h.HighsModelStatus.kOptimal:
         return _failed(highs, status)
     solution = highs.getSolution()
-    col_status = np.array(list(map(int, highs.getBasis().col_status)), dtype=int)
-    col_dual = np.array(solution.col_dual)
     return HighsResult(
         status=0,       # scipy's code for kOptimal
         message="",
         x=np.array(solution.col_value),
         fun=highs.getObjectiveValue(),       # info.objective_function_value
         row_dual=np.array(solution.row_dual),
-        lower=np.where(col_status == _AT_LOWER, col_dual, 0.0),
-        upper=np.where(col_status == _AT_UPPER, col_dual, 0.0),
+        col_dual=np.array(solution.col_dual),
+        basis=highs.getBasis(),
     )
 
 
 def attempt_bits(res):
-    """An attempt's status, message, value bits and solution bytes."""
+    """An attempt's status, message, value bits, solution bytes and basis
+    (validity and every column and row status)."""
     if res.status != 0:
         return (res.status, res.message)
+    basis = res.basis
     return (res.status, res.message, float(res.fun).hex(),
-            *(a.tobytes() for a in (res.x, res.row_dual, res.lower, res.upper)))
+            *(a.tobytes() for a in (res.x, res.row_dual, res.col_dual)),
+            basis.valid, tuple(map(int, basis.col_status)), tuple(map(int, basis.row_status)))

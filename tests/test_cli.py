@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from mechpoly import (
     DirectMechanism,
+    GapFamily,
     build_type_and_dm_mechanism,
     deviator_truthful_strategies,
     game_hash,
@@ -26,6 +27,7 @@ from mechpoly import (
     standard_from_direct,
     truthful_strategies,
 )
+import mechpoly.cli
 import mechpoly.solver
 from mechpoly.cli import EXIT_NUMERIC, main
 
@@ -160,7 +162,7 @@ def test_best_response_value(tmp_path, mp_files):
     assert main(["best-response", "--game", game, "-j", "P1",
                  "--profile", profile, "--out", str(out)]) == 0
     doc = _read_json(out)
-    assert doc["kind"] == "exact-lp"
+    assert doc["kind"] == "best-response"
     assert doc["value"] == pytest.approx(0.5)
     assert doc["gap_bound"] == 0.0
 
@@ -253,6 +255,39 @@ def test_punish_reports_both_values(tmp_path, mp_files):
     assert doc["value"] == pytest.approx(0.5, abs=1e-9)
     assert doc["minmax_value"] == pytest.approx(0.5, abs=1e-9)
     assert doc["witness"]["P2"]["owner"] == "P2"
+    assert (doc["kind"], doc["gap_bound"], doc["minmax_kind"]) == ("best-response", 0.0,
+                                                                   "exact-lp")
+    # the grid's best-response value 0.75 lies above its certified lower
+    # bound 0.71, so it takes the best response's label, not the grid's
+    gap = tmp_path / "gap.json"
+    save_game(GapFamily().candidate(0, np.random.default_rng(42)), gap)
+    assert main(["punish", "--game", str(gap), "-j", "1", "--mode", "grid",
+                 "--out", str(out)]) == 0
+    doc = _read_json(out)
+    assert doc["value"] == pytest.approx(0.75, abs=1e-9)
+    assert doc["minmax_value"] == pytest.approx(0.71, abs=1e-9)
+    assert (doc["kind"], doc["gap_bound"], doc["minmax_kind"]) == (
+        "best-response", 0.0, "grid-certified-lower-bound")
+
+
+@pytest.mark.parametrize("argv", [
+    ["punish", "-j", "P1"],
+    ["build-drm", "-j", "P1", "--default", "{default}", "--out-mechanism", "{drm}"]],
+    ids=["punish", "build-drm"])
+def test_minmax_without_witness_exits_with_code_3(tmp_path, mp_inputs, monkeypatch, capsys,
+                                                  argv):
+    # every minmax mode finds a feasible witness on its own, so it is stubbed
+    bare = mechpoly.solver.ValueCertificate(kind="grid-certified-lower-bound", value=0.5,
+                                            witness=None, gap_bound=0.0)
+    monkeypatch.setattr(mechpoly.cli, "minmax", lambda *args, **kwargs: bare)
+    out = tmp_path / "r.json"
+    argv = [a.format(**mp_inputs) for a in argv]
+    assert main(argv[:1] + ["--game", mp_inputs["game"], *argv[1:], "--out", str(out)]) \
+        == EXIT_NUMERIC
+    message = {"punish": "minmax run produced no feasible witness; try a finer step",
+               "build-drm": "no punishment witness for P2"}[argv[0]]
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+    assert not out.exists() and not os.path.exists(mp_inputs["drm"])
 
 
 def test_membership_verdicts(tmp_path, mp_files):

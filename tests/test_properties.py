@@ -88,14 +88,34 @@ def two_principal_games(draw):
                        action_sizes=action_sizes, zero_agent_payoffs=draw(st.booleans()))
 
 
+@st.composite
+def small_three_principal_games(draw):
+    """Three-principal games with binary actions and one agent of one or
+    two types, so the grid sweeps at most four free opponent coordinates."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_game(rng, num_principals=3, num_agents=1, type_sizes=[draw(st.integers(1, 2))],
+                       action_sizes=[2, 2, 2], zero_agent_payoffs=draw(st.booleans()))
+
+
 @settings(max_examples=100)
-@given(g=two_principal_games(), j=st.integers(0, 1))
-def test_grid_brackets_exact_value(g, j):
+@given(g=st.one_of(two_principal_games(), small_three_principal_games()), j=st.integers(0, 2),
+       seed=st.integers(0, 1000))
+def test_grid_brackets_exact_value(g, j, seed):
+    # every producer's bracket (lower, upper) on the floor holds the floor:
+    # with two principals each contains the exact2 value, with three they overlap
+    j %= g.num_principals
     grid = minmax(g, j, mode="grid", step=0.1)
-    exact = minmax(g, j, mode="exact2").value
-    assert grid.value <= exact + TOL
     assert grid.info["witness_value"] is not None
-    assert exact <= grid.info["witness_value"] + TOL
+    certs = [grid, minmax(g, j, mode="alternating", restarts=2, seed=seed),
+             maxmin(g, j, mode="exact"), maxmin(g, j, dim_cap=1),
+             solver._maxmin_vertex_products(g, j, solver.DEFAULT_DIM_CAP)]
+    if g.num_principals == 2:
+        exact = minmax(g, j, mode="exact2")
+        for cert in certs + [exact]:
+            assert cert.lower - TOL <= exact.value <= cert.upper + TOL, cert.kind
+    else:
+        assert certs[3].kind == "relaxation-lower-bound"
+        assert max(c.lower for c in certs) <= min(c.upper for c in certs) + TOL
 
 
 @settings(max_examples=50)
@@ -107,12 +127,10 @@ def test_alternating_upper_bound_is_above_exact_value(g, j, seed):
 
 
 def _shifted(cert, d):
-    """The certificate with every bound lowered by d: the same test as
-    raising the payoff it is compared with by d."""
-    info = dict(cert.info)
-    if info.get("witness_value") is not None:
-        info["witness_value"] -= d
-    return dataclasses.replace(cert, value=cert.value - d, info=info)
+    """The certificate with its value and bracket lowered by d: the same test
+    as raising the payoff it is compared with by d."""
+    return dataclasses.replace(cert, value=cert.value - d, lower=cert.lower - d,
+                               upper=cert.upper - d)
 
 
 @settings(max_examples=60)
@@ -715,14 +733,17 @@ _REJECTED = (np.ones(2), np.array([[1e20, 1.0]]), np.array([1.0]), np.array([2.0
 def test_reused_highs_instances_match_fresh_ones(probs, data):
     # every attempt through this thread's reused instances, in a drawn order
     # of options and LPs with one rejected model among them, is bit for bit
-    # the attempt on a fresh instance
+    # the attempt on a fresh instance, also when compared only after every
+    # attempt has run: later runs leave a result and its basis as they were
     assert _highs.linprog(*_REJECTED).message == "(HiGHS Status 2: Model error)"
     attempts = [(args, options) for args in [_linprog_args(solve_lp, p) for p in probs]
                 + [_REJECTED]
                 for options in (_highs.BASE, _highs.TIGHT)]
-    for args, options in data.draw(st.permutations(attempts)):
-        assert (lp_oracle.attempt_bits(_highs.linprog(*args, options=options))
-                == lp_oracle.attempt_bits(lp_oracle.fresh_linprog(*args, options=options)))
+    results = [(_highs.linprog(*args, options=options),
+                lp_oracle.fresh_linprog(*args, options=options))
+               for args, options in data.draw(st.permutations(attempts))]
+    for got, want in results:
+        assert lp_oracle.attempt_bits(got) == lp_oracle.attempt_bits(want)
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import sys
@@ -90,6 +91,33 @@ def test_assembled_lps_are_checked_for_finite_data(mp2):
         solver._optimize_over(poly, "max", "test", c=np.full(poly.n_vars, np.nan))
     with pytest.raises(ValueError, match="LP data must be finite"):
         solver._optimize_over(poly, "min", "test", cuts=[np.full(poly.n_vars, np.inf)])
+
+
+def test_solve_lp_rejects_a_duality_gap_after_refinement(monkeypatch):
+    # a reported objective 1e-3 off its marginals fails the gap check on both
+    # attempts; the LP has a binding upper bound, so the gap reads the upper
+    # bound marginals split from the column duals
+    real = solver.linprog
+    calls = []
+
+    def off_objective(*args, options=None):
+        calls.append(options)
+        res = real(*args, options=options)
+        return dataclasses.replace(res, fun=res.fun + 1e-3)
+
+    prob = LPProblem(c=[1.0], a=[[1.0]], relations=[">="], b=[0.5], bounds=[(0.0, 2.0)])
+    assert solve_lp(prob).value == 2.0
+    monkeypatch.setattr(solver, "linprog", off_objective)
+    with pytest.raises(NumericalFailure, match="duality gap 1.000e-03 exceeds"):
+        solve_lp(prob)
+    assert calls == [None, _highs.TIGHT]
+
+
+def test_value_lps_that_are_not_optimal_raise(mp2):
+    # with no cut rows the epigraph variable of a 'max' LP is unbounded
+    poly = build_bic_polytope(mp2, 0)
+    with pytest.raises(NumericalFailure, match="test LP unbounded"):
+        solver._optimize_over(poly, "max", "test", cuts=np.zeros((0, poly.n_vars)))
 
 
 def test_highs_model_statuses_map_as_scipy_table():
@@ -537,7 +565,7 @@ def test_gap3_structural_candidate_values():
     assert br_value - lo.value <= lo.gap_bound + 1e-9
 
 
-def test_punishment_profile(mp2):
+def test_punishment_profile(mp2, monkeypatch):
     profile, value = punishment_profile(mp2, 0, mode="exact2")
     assert value == pytest.approx(0.5, abs=1e-7)
     np.testing.assert_allclose(profile[1].p, [[0.5, 0.5]], atol=1e-7)
@@ -545,6 +573,13 @@ def test_punishment_profile(mp2):
 
     profile_g, value_g = punishment_profile(mp2, 0, mode="grid", step=0.01)
     assert value_g == pytest.approx(0.5, abs=1e-9)
+
+    # a minmax without a feasible witness; every mode finds one, so it is stubbed
+    bare = ValueCertificate(kind="grid-certified-lower-bound", value=0.5, witness=None,
+                            gap_bound=0.0)
+    monkeypatch.setattr(solver, "minmax", lambda *args, **kwargs: bare)
+    with pytest.raises(NumericalFailure, match="minmax run produced no feasible witness"):
+        punishment_profile(mp2, 0, mode="grid")
 
 
 def test_punishment_profile_random(rng):
@@ -686,6 +721,7 @@ def test_certificate_info_holds_only_json_scalars(mp2):
                                        "relaxation-lower-bound",
                                        "grid-certified-lower-bound", "alternating-upper-bound"}
     for cert in certs:
+        assert cert.lower <= cert.upper and cert.value in (cert.lower, cert.upper), cert.kind
         assert all(type(k) is str for k in cert.info)
         assert all(type(v) in (int, float, str, type(None)) for v in cert.info.values()), \
             (cert.kind, cert.info)
