@@ -16,7 +16,11 @@ module's code objects names) that never ran, as ranges::
 It stands in for a coverage tool where none is installed.  Lines that run
 only in a subprocess (CLI tests that start ``python -m mechpoly``, the demo
 scripts, perfbench workers) are not seen, because the tracer lives in this
-process alone; they are listed as never run.  The exit status is pytest's.
+process alone; they are listed as never run.  Each module's source is read
+before pytest starts, so the line numbers are those of the code the tests
+ran; if a file of the package changes during the run, the script prints an
+error naming it instead of the lists and exits with status 1.  Otherwise
+the exit status is pytest's.
 """
 
 import sys
@@ -27,11 +31,11 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "mechpoly"
 
 
-def executable_lines(path: Path) -> set:
-    """Every line number that some code object compiled from ``path`` maps
-    an instruction to, nested functions, classes and comprehensions
-    included."""
-    lines, stack = set(), [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+def executable_lines(source: bytes, path: Path) -> set:
+    """Every line number that some code object compiled from ``source``, the
+    bytes of ``path``, maps an instruction to, nested functions, classes and
+    comprehensions included."""
+    lines, stack = set(), [compile(source, str(path), "exec")]
     while stack:
         code = stack.pop()
         lines.update(line for _, _, line in code.co_lines() if line)
@@ -50,9 +54,16 @@ def ranges(lines) -> str:
     return ", ".join(f"{a}-{b}" if b > a else f"{a}" for a, b in spans)
 
 
+def sources() -> dict:
+    """The bytes of each module of the package, by path."""
+    return {path: path.read_bytes() for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def main(argv) -> int:
     import pytest
 
+    before = sources()
+    lines = {path: executable_lines(source, path) for path, source in before.items()}
     ran = {}          # resolved path -> lines run, for files in the package
     paths = {}        # co_filename -> resolved path if in the package, else None
 
@@ -78,8 +89,15 @@ def main(argv) -> int:
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    for path in sorted(PACKAGE.glob("*.py")):
-        missed = executable_lines(path) - ran.get(path, set())
+    after = sources()
+    changed = sorted(path for path in before.keys() | after.keys()
+                     if before.get(path) != after.get(path))
+    if changed:
+        names = ", ".join(str(path.relative_to(ROOT)) for path in changed)
+        print(f"error: {names} changed during the run; no lines listed", file=sys.stderr)
+        return 1
+    for path, executable in lines.items():
+        missed = executable - ran.get(path, set())
         if missed:
             print(f"{path.relative_to(ROOT)}: {ranges(missed)}")
     return int(status)

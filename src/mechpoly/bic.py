@@ -98,7 +98,27 @@ class BicPolytope:
 # build inputs -> BicPolytope, oldest first; every change holds the lock, and
 # no game is referenced
 _POLYTOPES = OrderedDict()
-_POLYTOPES_LOCK = threading.Lock()
+_CACHE_LOCK = threading.Lock()
+
+
+def _memoized(cache: OrderedDict, key, build):
+    """cache[key], made by build() on a miss.  At most POLYTOPE_CACHE_SIZE
+    entries are kept, the oldest dropped first; every change holds the lock."""
+    value = cache.get(key)      # one lookup, atomic on its own
+    if value is None:
+        value = build()
+        with _CACHE_LOCK:
+            # a concurrent build of the same key may have landed first
+            value = cache.setdefault(key, value)
+            while len(cache) > POLYTOPE_CACHE_SIZE:
+                cache.popitem(last=False)
+    return value
+
+
+def _polytope_key(g: FiniteGame, j: int) -> tuple:
+    """What principal j's polytope build reads."""
+    return (j, g.type_spaces, len(g.action_spaces[j]), g.prior.tobytes(),
+            tuple(u[j].tobytes() for u in g.agent_utils))
 
 
 def build_bic_polytope(g: FiniteGame, principal: int) -> BicPolytope:
@@ -112,18 +132,8 @@ def build_bic_polytope(g: FiniteGame, principal: int) -> BicPolytope:
     tables, whatever their principal payoffs.  At most POLYTOPE_CACHE_SIZE
     polytopes are kept, the oldest dropped first; no game is kept alive.
     """
-    j = principal
-    key = (j, g.type_spaces, len(g.action_spaces[j]), g.prior.tobytes(),
-           tuple(u[j].tobytes() for u in g.agent_utils))
-    poly = _POLYTOPES.get(key)      # one lookup, atomic on its own
-    if poly is None:
-        poly = _build_polytope(g, j)
-        with _POLYTOPES_LOCK:
-            # a concurrent build of the same key may have landed first
-            poly = _POLYTOPES.setdefault(key, poly)
-            while len(_POLYTOPES) > POLYTOPE_CACHE_SIZE:
-                _POLYTOPES.popitem(last=False)
-    return poly
+    return _memoized(_POLYTOPES, _polytope_key(g, principal),
+                     lambda: _build_polytope(g, principal))
 
 
 def _build_polytope(g: FiniteGame, j: int) -> BicPolytope:

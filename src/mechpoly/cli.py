@@ -62,6 +62,7 @@ from .solver import (
     GapFamily,
     NumericalFailure,
     ValueCertificate,
+    _punished,
     best_response,
     maxmin,
     minmax,
@@ -248,28 +249,19 @@ def _cmd_best_response(args):
     return EXIT_OK
 
 
-def _cmd_minmax(args):
+def _cmd_value(args):
     g = load_game(args.game)
     j = _resolve_principal(g, args.principal)
     t0 = time.perf_counter()
-    cert = _minmax(g, j, args)
+    if args.cmd == "minmax":
+        cert = _minmax(g, j, args)
+    else:
+        cert = maxmin(g, j, mode=args.mode, dim_cap=args.dim_cap)
     payload = solve_report(g, j, cert, args.seed, _ms_since(t0))
     payload["info"] = cert.info
     path = _write_report(args, payload)
-    print(f"minmax: {g.principal_ids[j]} {cert.kind} value={cert.value:.6f} "
-          f"gap_bound={cert.gap_bound:.6f} -> {path}")
-    return EXIT_OK
-
-
-def _cmd_maxmin(args):
-    g = load_game(args.game)
-    j = _resolve_principal(g, args.principal)
-    t0 = time.perf_counter()
-    cert = maxmin(g, j, mode=args.mode, dim_cap=args.dim_cap)
-    payload = solve_report(g, j, cert, args.seed, _ms_since(t0))
-    payload["info"] = cert.info
-    path = _write_report(args, payload)
-    print(f"maxmin: {g.principal_ids[j]} {cert.kind} value={cert.value:.6f} -> {path}")
+    gap = f" gap_bound={cert.gap_bound:.6f}" if args.cmd == "minmax" else ""
+    print(f"{args.cmd}: {g.principal_ids[j]} {cert.kind} value={cert.value:.6f}{gap} -> {path}")
     return EXIT_OK
 
 
@@ -278,9 +270,7 @@ def _cmd_punish(args):
     j = _resolve_principal(g, args.principal)
     t0 = time.perf_counter()
     cert = _minmax(g, j, args)
-    if cert.witness is None:
-        raise NumericalFailure("minmax run produced no feasible witness; try a finer step")
-    value, _ = best_response(g, j, cert.witness)
+    value = _punished(g, j, cert)
     out_cert = ValueCertificate(kind="best-response", value=float(value),
                                 witness=cert.witness, gap_bound=0.0)
     payload = solve_report(g, j, out_cert, args.seed, _ms_since(t0))
@@ -512,12 +502,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("minmax", help="minmax value with certificate")
     _add_common(sp, principal=True)
     _add_solver_flags(sp, ["auto", "exact2", "grid", "alternating"])
-    sp.set_defaults(handler=_cmd_minmax)
+    sp.set_defaults(handler=_cmd_value)
 
     sp = sub.add_parser("maxmin", help="maxmin value with certificate")
     _add_common(sp, principal=True)
     _add_solver_flags(sp, ["auto", "exact"])
-    sp.set_defaults(handler=_cmd_maxmin)
+    sp.set_defaults(handler=_cmd_value)
 
     sp = sub.add_parser("punish", help="punishment profile and its best-response value")
     _add_common(sp, principal=True)

@@ -25,6 +25,7 @@ Every routine is deterministic given its inputs and seed.
 import functools
 import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,8 @@ from .bic import (
     BicPolytope,
     DimensionTooLarge,
     _clean_point,
+    _memoized,
+    _polytope_key,
     build_bic_polytope,
     enumerate_vertices,
     is_profile_bic,
@@ -99,6 +102,7 @@ class LPResult:
     status: str          # 'optimal' | 'infeasible' | 'unbounded'
     value: float = None
     x: np.ndarray = None
+    row_dual: np.ndarray = None     # HiGHS's row multipliers, in its row order
 
 
 @dataclass
@@ -110,21 +114,21 @@ class _Assembled(LPProblem):
     ``_assembled``."""
 
     highs: tuple = None
+    accept: object = None       # (value, row duals) -> failure message, or None to accept
 
 
-def _assembled(sense: str, c, rows, row_lo, row_hi, n_eq: int, columns) -> _Assembled:
+def _assembled(sense: str, c, rows, row_lo, row_hi, n_eq: int, columns,
+               accept=None) -> _Assembled:
     """The LP 'sense c @ x' subject to row_lo <= rows @ x <= row_hi: rows
     end in their n_eq '=' rows (row_lo equal to row_hi), the rest are '<='
     rows (row_lo -inf).  columns holds (count, free) runs of variables in
     order; free ones are unbounded, the others nonnegative."""
     sign = -1.0 if sense == "max" else 1.0
-    bounds = []
-    for count, free in columns:
-        bounds += [(None, None) if free else (0.0, None)] * count
+    bounds = [(None if free else 0.0, None) for count, free in columns for _ in range(count)]
     lo = np.concatenate([np.full(count, -np.inf if free else 0.0) for count, free in columns])
     return _Assembled(
         c=c, a=rows, relations=["<="] * (len(row_hi) - n_eq) + ["="] * n_eq, b=row_hi,
-        bounds=bounds, sense=sense,
+        bounds=bounds, sense=sense, accept=accept,
         highs=(sign * c, rows, row_lo, row_hi, lo, np.full(lo.size, np.inf)))
 
 
@@ -132,14 +136,15 @@ def solve_lp(prob: LPProblem) -> LPResult:
     """Solve an LP deterministically; checks residuals on optimal solves.
 
     Infeasible and unbounded are distinct outcomes, not errors.  Solves that
-    fail the primal residual (1e-9) or duality gap (1e-7) check are refined
-    once with tighter solver tolerances; NumericalFailure only after that.
+    fail the primal residual (1e-9) or duality gap (1e-7) check, or an
+    assembled problem's accept, are refined once with tighter solver
+    tolerances; NumericalFailure only after that.
     """
     sign = -1.0 if prob.sense == "max" else 1.0
     if isinstance(prob, _Assembled):
-        lp, bounds0 = prob.highs, None
+        lp, bounds0, accept = prob.highs, None, prob.accept
     else:
-        lp, bounds0 = _highs_form(prob, sign)
+        (lp, bounds0), accept = _highs_form(prob, sign), None
     cost, rows, row_lo, row_hi, lo, hi = lp
     if not (np.isfinite(cost).all() and np.isfinite(rows).all()):
         raise ValueError("LP data must be finite")
@@ -171,7 +176,11 @@ def solve_lp(prob: LPProblem) -> LPResult:
         if gap > DUALITY_GAP_TOL * max(1.0, abs(float(res.fun))):
             failure = f"duality gap {gap:.3e} exceeds {DUALITY_GAP_TOL}"
             continue
-        return LPResult(status="optimal", value=float(sign * res.fun), x=x)
+        value = float(sign * res.fun)
+        failure = accept and accept(value, res.row_dual)
+        if failure:
+            continue
+        return LPResult(status="optimal", value=value, x=x, row_dual=res.row_dual)
     raise NumericalFailure(failure)
 
 
@@ -320,8 +329,9 @@ def maxmin(g: FiniteGame, principal: int, mode: str = "auto",
     """Largest payoff principal j can guarantee against any opponent profile.
 
     With two principals, 'auto' and 'exact' solve the saddle point as one LP
-    by dualizing the opponent's inner minimum (kind 'exact-lp', as minmax's
-    exact2); this never enumerates vertices, so dim_cap does not apply.  With
+    by dualizing the opponent's inner minimum (kind 'exact-lp'); this never
+    enumerates vertices, so dim_cap does not apply, and minmax's exact2 reads
+    its answer from the same memoised solve.  With
     more principals the guarantee functional is multilinear in the
     opponents' tables, so its minimum over the product of polytopes is
     attained at a product of vertices; exact mode maximizes, by LP, the worst
@@ -335,7 +345,7 @@ def maxmin(g: FiniteGame, principal: int, mode: str = "auto",
     if mode not in ("auto", "exact"):
         raise ModeUnsupported(f"maxmin mode {mode!r}")
     if g.num_principals == 2:
-        value, witness = _saddle_lp(g, j, "max")
+        value, witness, _ = _saddle_point(g, j)
         return ValueCertificate(kind="exact-lp", value=value, witness=witness, gap_bound=0.0,
                                 lower=value, upper=value)
     try:
@@ -343,7 +353,7 @@ def maxmin(g: FiniteGame, principal: int, mode: str = "auto",
     except DimensionTooLarge:
         if mode == "exact":
             raise
-    value, witness = _saddle_lp(g, j, "max")
+    value, witness, _ = _saddle_lp(g, j)
     return ValueCertificate(kind="relaxation-lower-bound", value=value, witness=witness,
                             gap_bound=-1.0, lower=value)      # relaxation <= maxmin <= minmax
 
@@ -375,8 +385,9 @@ def minmax(g: FiniteGame, principal: int, mode: str = "auto",
     """Lowest payoff the opponents can force on principal j.
 
     Modes:
-        exact2: two principals only; solves the saddle point as one LP by
-            dualizing the inner best-response program.  gap_bound 0.
+        exact2: two principals only; maxmin's saddle LP (one solve, memoised
+            for both), whose value is the minmax and whose duals give the
+            witness, an optimal opponent table.  gap_bound 0.
         grid: certified lower bound.  Evaluates the best-response value on a
             step-delta grid over the free coordinates of the opponents'
             tables and subtracts a Lipschitz slack; the witness is the best
@@ -390,7 +401,11 @@ def minmax(g: FiniteGame, principal: int, mode: str = "auto",
     if mode == "auto":
         mode = "exact2" if g.num_principals == 2 else "grid"
     if mode == "exact2":
-        return _minmax_exact2(g, j)
+        if g.num_principals != 2:
+            raise ModeUnsupported("exact2 needs exactly two principals")
+        value, _, punisher = _saddle_point(g, j)
+        return ValueCertificate(kind="exact-lp", value=value, witness={punisher.owner: punisher},
+                                gap_bound=0.0, lower=value, upper=value)
     if mode == "grid":
         return _minmax_grid(g, j, step, grid_dim_cap, dim_cap)
     if mode == "alternating":
@@ -398,63 +413,70 @@ def minmax(g: FiniteGame, principal: int, mode: str = "auto",
     raise ModeUnsupported(f"minmax mode {mode!r}")
 
 
-def _minmax_exact2(g: FiniteGame, principal: int) -> ValueCertificate:
-    if g.num_principals != 2:
-        raise ModeUnsupported("exact2 needs exactly two principals")
-    value, witness = _saddle_lp(g, principal, "min")
-    return ValueCertificate(kind="exact-lp", value=value, witness={witness.owner: witness},
-                            gap_bound=0.0, lower=value, upper=value)
+_SADDLES = OrderedDict()    # what a two-principal saddle LP reads -> (value, p*, q*)
 
 
-def _saddle_lp(g: FiniteGame, principal: int, sense: str):
-    """Saddle point of E[v_j] as one LP (sequence-form LP of Koller, Megiddo
-    & von Stengel); returns (value, outer DirectMechanism).
+def _saddle_point(g: FiniteGame, principal: int):
+    """``_saddle_lp`` of a two-principal game, memoised as polytopes are."""
+    key = (principal, _polytope_key(g, 0), _polytope_key(g, 1),
+           g.principal_utils[principal].tobytes())
+    return _memoized(_SADDLES, key, lambda: _saddle_lp(g, principal))
 
-    sense='max' is j's maxmin: the outer table is j's p and the inner
-    program the opponents' min over one joint table w(x, a_-j) >= 0 whose
-    marginals meet each opponent's IC rows.  With one opponent w is its q
-    and the value exact; with more, the opponents may correlate (the first
-    level of Sherali & Adams's RLT), so the value is a lower bound on the
-    maxmin that the witness secures.  sense='min', for two principals, is
-    j's minmax: the outer table is the opponent's q and the inner program
-    j's max over p.  Dualizing the inner program (E simplex rows, G IC
-    rows) gives variables [outer table, y (n_x), z (inner IC rows)], the
-    objective 1^T y, and rows -Q q + E_j^T y - G_j^T z >= 0 (min) or
-    Q^T p - E^T y - G^T z >= 0 (max), then the outer polytope's rows.
+
+def _saddle_lp(g: FiniteGame, principal: int):
+    """j's maxmin as one LP (sequence-form LP of Koller, Megiddo & von
+    Stengel); returns (value, j's DirectMechanism p*, punishment q*).
+
+    Dualizing the opponents' min over one joint table w(x, a_-j) >= 0, whose
+    marginals meet their IC rows (E simplex rows, G IC rows), gives columns
+    [p, y (n_x), z], objective 1^T y and rows Q^T p - E^T y - G^T z >= 0,
+    then j's polytope's rows.  With one opponent w is its table, the value
+    exact and q* the first rows' multipliers (von Stengel 1996), accepted if
+    IC at MEMBERSHIP_TOL with the Lagrangian bound sum_x max_a (c(q*) + G_j^T
+    mu)[x, a] (mu: j's IC multipliers) within VALUE_TOL of the value.  With
+    more, the opponents may correlate (Sherali & Adams's RLT, level 1): the
+    value is a lower bound on the maxmin that p* secures, and q* is None.
     """
-    outer = principal if sense == "max" else 1 - principal
-    inner = [k for k in range(g.num_principals) if k != outer]
-    poly_out = build_bic_polytope(g, outer)
-    n_out, n_x = poly_out.n_vars, g.num_profiles
-    # the bilinear form's block rows run over the inner side's joint actions
-    # in principal order: Q_in[(x,a_in),(x,a_out)] = F(x) v_j(x,a)
-    v = g.principal_utils[principal].transpose(0, *[1 + o for o in inner], 1 + outer)
+    j = principal
+    inner = [k for k in range(g.num_principals) if k != j]
+    poly_out = build_bic_polytope(g, j)
+    n_out, n_x, m_out = poly_out.n_vars, g.num_profiles, poly_out.ic.shape[0]
+    # the bilinear form's block rows run over the opponents' joint actions
+    # in principal order: Q_in[(x,a_in),(x,a_j)] = F(x) v_j(x,a)
+    v = g.principal_utils[j].transpose(0, *[1 + o for o in inner], 1 + j)
     v = v.reshape(n_x, -1, v.shape[-1])
     r, k = v.shape[1:]
-    if len(inner) == 1:
-        poly_in = build_bic_polytope(g, inner[0])
-        eq_in, ic_in = poly_in.eq, poly_in.ic
-    else:
-        eq_in = np.repeat(np.eye(n_x), r, axis=1)
-        # each opponent's IC rows act on its marginal of w
-        sizes = [len(g.action_spaces[o]) for o in inner]
-        joint = np.indices(sizes).reshape(len(inner), -1)   # a_o of each joint action
-        ic_in = np.vstack([build_bic_polytope(g, o).ic.reshape(-1, n_x, n_o)[:, :, a_o]
-                           .reshape(-1, n_x * r) for o, n_o, a_o in zip(inner, sizes, joint)])
+    eq_in = np.repeat(np.eye(n_x), r, axis=1)
+    # each opponent's IC rows act on its marginal of w
+    sizes = [len(g.action_spaces[o]) for o in inner]
+    joint = np.indices(sizes).reshape(len(inner), -1)   # a_o of each joint action
+    ic_in = np.vstack([build_bic_polytope(g, o).ic.reshape(-1, n_x, n_o)[:, :, a_o]
+                       .reshape(-1, n_x * r) for o, n_o, a_o in zip(inner, sizes, joint)])
     m_in = ic_in.shape[0]
     q_in = np.zeros((n_x * r, n_x * k))
     for x in range(n_x):
         q_in[x * r:(x + 1) * r, x * k:(x + 1) * k] = g.prior[x] * v[x]
-    sign = -1.0 if sense == "max" else 1.0
-    # the dual rows, negated into '<= 0' rows, over the outer polytope's rows
-    rows = np.vstack([np.hstack([sign * q_in, -sign * eq_in.T, ic_in.T]),
-                      _widened(poly_out, n_x + m_in)])
+    punisher = [None]
+
+    def accept(value, row_dual):
+        q = _clean_point(build_bic_polytope(g, inner[0]), -row_dual[:n_x * r])
+        mu = np.clip(-row_dual[n_x * r:n_x * r + m_out], 0.0, None)
+        bound = (_contract_except(g, j, j, {inner[0]: q.reshape(n_x, r)})
+                 + (poly_out.ic.T @ mu).reshape(n_x, k)).max(axis=1).sum()
+        worst, gap = np.min(ic_in @ q, initial=0.0), abs(float(bound) - value)
+        if not (worst >= -MEMBERSHIP_TOL and gap <= VALUE_TOL):
+            return f"saddle duals: punishment IC row {worst:.3e}, bound gap {gap:.3e}"
+        punisher[0] = DirectMechanism(owner=inner[0], p=q.reshape(n_x, r))
+
+    # the dual rows, negated into '<= 0' rows, over j's polytope's rows
+    rows = np.vstack([np.hstack([-q_in, eq_in.T, ic_in.T]), _widened(poly_out, n_x + m_in)])
     _, out_lo, out_hi = poly_out.lp_block
     obj = np.concatenate([np.zeros(n_out), np.ones(n_x), np.zeros(m_in)])
-    prob = _assembled(sense, obj, rows, np.concatenate([np.full(n_x * r, -np.inf), out_lo]),
-                      np.concatenate([np.full(n_x * r, -0.0), out_hi]),
-                      poly_out.n_profiles, [(n_out, False), (n_x, True), (m_in, False)])
-    return _solve_for_table(poly_out, prob, "saddle")
+    prob = _assembled("max", obj, rows, np.concatenate([np.full(n_x * r, -np.inf), out_lo]),
+                      np.concatenate([np.full(n_x * r, -0.0), out_hi]), poly_out.n_profiles,
+                      [(n_out, False), (n_x, True), (m_in, False)],
+                      accept if len(inner) == 1 else None)
+    return _solve_for_table(poly_out, prob, "saddle") + (punisher[0],)
 
 
 def _free_rows(g: FiniteGame, principal: int):
@@ -630,12 +652,14 @@ def punishment_profile(g: FiniteGame, principal: int, mode: str = "auto",
     """
     cert = minmax(g, principal, mode=mode, step=step, grid_dim_cap=grid_dim_cap,
                   dim_cap=dim_cap, restarts=restarts, seed=seed)
+    return cert.witness, _punished(g, principal, cert)
+
+
+def _punished(g: FiniteGame, principal: int, cert: ValueCertificate) -> float:
+    """Best-response value against a minmax witness; NumericalFailure if none."""
     if cert.witness is None:
-        raise NumericalFailure(
-            "minmax run produced no feasible witness; try a finer grid step"
-        )
-    value, _ = best_response(g, principal, cert.witness)
-    return cert.witness, float(value)
+        raise NumericalFailure("minmax run produced no feasible witness; try a finer grid step")
+    return float(best_response(g, principal, cert.witness)[0])
 
 
 # -- membership ---------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -196,6 +197,8 @@ def test_numerical_failure_exits_with_code_3(tmp_path, mp_files, monkeypatch, ca
         return res
 
     monkeypatch.setattr(mechpoly.solver, "linprog", off_tolerance)
+    # an earlier minmax of this game would be served from the saddle memo
+    monkeypatch.setattr(mechpoly.solver, "_SADDLES", OrderedDict())
     _, game, _ = mp_files
     out = tmp_path / "r.json"
     assert main(["minmax", "--game", game, "-j", "1", "--out", str(out)]) == EXIT_NUMERIC
@@ -284,7 +287,7 @@ def test_minmax_without_witness_exits_with_code_3(tmp_path, mp_inputs, monkeypat
     argv = [a.format(**mp_inputs) for a in argv]
     assert main(argv[:1] + ["--game", mp_inputs["game"], *argv[1:], "--out", str(out)]) \
         == EXIT_NUMERIC
-    message = {"punish": "minmax run produced no feasible witness; try a finer step",
+    message = {"punish": "minmax run produced no feasible witness; try a finer grid step",
                "build-drm": "no punishment witness for P2"}[argv[0]]
     assert capsys.readouterr().err == f"numerical failure: {message}\n"
     assert not out.exists() and not os.path.exists(mp_inputs["drm"])

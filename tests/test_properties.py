@@ -2,7 +2,7 @@
 way, membership verdicts follow the bounds they use, vertex enumeration
 returns the SVD oracle's tables, also when they are served from a polytope
 shared with a game that differs only in principal payoffs and when 4
-threads share an evicting polytope cache, the array grid sweep returns the loop
+threads share an evicting polytope cache (and saddle memo), the array grid sweep returns the loop
 oracle's certificates bit for bit, the batched continuation-equilibrium
 kernel returns the per-candidate loops' blocks, combos and records,
 joint truthfulness read from the principals' IC rows is the brute force
@@ -14,7 +14,8 @@ hand HiGHS are, byte for byte, what ``solve_lp`` makes of their oracles'
 ``LPProblem``s and of the ``LPProblem``s they pass to ``solve_lp``, the saddle LP's bilinear blocks are ``block_diag``'s, its
 two-principal solution is the two-principal oracle's bit for bit, the batched maxmin cut
 rows are the per-product loop's, the two-principal saddle-LP maxmin is
-the vertex-product maxmin and the exact2 minmax, with more principals the
+the vertex-product maxmin and the oracle's minmax LP, the exact2 punishment
+read from its duals is an IC table that holds j to that minmax, with more principals the
 correlated-opponent saddle LP is a lower bound on the vertex-product
 maxmin (equal with one type profile), ``simulate`` makes the per-round
 oracle's draws, and the closed-form separable fit is the per-profile
@@ -310,7 +311,8 @@ def test_shared_polytope_serves_the_cold_and_svd_tables(g, j, seed, field):
 def test_polytope_cache_threads_match_serial_run():
     # twelve polytopes, each asked for by two games that differ only in
     # principal payoffs, from 4 threads through a map of 5: every pass over
-    # them evicts
+    # them evicts; so does every pass over the 24 two-principal saddle
+    # solves that maxmin and exact2 minmax share through a map of 5
     games = [random_game(np.random.default_rng(s), num_agents=2, type_sizes=[2, 2],
                          action_sizes=[2, 3]) for s in range(6)]
     games += [dataclasses.replace(h, principal_utils=tuple(1 - v for v in h.principal_utils))
@@ -320,18 +322,23 @@ def test_polytope_cache_threads_match_serial_run():
 
     def tables(task):
         poly = build_bic_polytope(*task)
+        g, j = task
+        hi, lo = maxmin(g, j), minmax(g, j, mode="exact2")
         return (poly.ic.tobytes(), poly.ic_labels,
-                [m.p.tobytes() for m in enumerate_vertices(*task)])
+                [m.p.tobytes() for m in enumerate_vertices(*task)],
+                hi.value.hex(), hi.witness.p.tobytes(), lo.value.hex(),
+                lo.witness[1 - j].p.tobytes())
 
     serial = [tables(t) for t in tasks]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)       # switch threads as often as possible
     try:
         with mock.patch.object(bic, "_POLYTOPES", OrderedDict()), \
+                mock.patch.object(solver, "_SADDLES", OrderedDict()), \
                 mock.patch.object(bic, "POLYTOPE_CACHE_SIZE", 5):
             with ThreadPoolExecutor(max_workers=4) as pool:
                 threaded = list(pool.map(tables, tasks, timeout=120))
-            assert len(bic._POLYTOPES) <= 5
+            assert len(bic._POLYTOPES) <= 5 and len(solver._SADDLES) <= 5
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
@@ -760,25 +767,25 @@ def saddle_games(draw):
 
 @st.composite
 def saddle_cases(draw):
-    """(game, principal, sense): a ``saddle_games()`` game with either sense,
-    or a three-principal game of the same sizes with sense 'max'."""
+    """(game, principal): a ``saddle_games()`` game or a three-principal game
+    of the same sizes."""
     if draw(st.booleans()):
-        return draw(saddle_games()), draw(st.integers(0, 1)), draw(st.sampled_from(["min", "max"]))
+        return draw(saddle_games()), draw(st.integers(0, 1))
     type_sizes = draw(st.one_of(st.tuples(st.integers(1, 4)),
                                 st.tuples(st.integers(1, 2), st.integers(1, 2))))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     g = random_game(rng, num_principals=3, num_agents=len(type_sizes),
                     type_sizes=list(type_sizes),
                     action_sizes=[draw(st.integers(1, 3)) for _ in range(3)])
-    return g, draw(st.integers(0, 2)), "max"
+    return g, draw(st.integers(0, 2))
 
 
 @settings(max_examples=60)
 @given(case=saddle_cases())
 def test_saddle_lp_blocks_match_block_diag(case):
-    g, j, sense = case
-    rows = _linprog_args(solver._saddle_lp, g, j, sense)[1]
-    outer = j if sense == "max" else 1 - j
+    g, j = case
+    rows = _linprog_args(solver._saddle_lp, g, j)[1]
+    outer = j
     inner = [k for k in range(g.num_principals) if k != outer]
     v = g.principal_utils[j]
 
@@ -793,10 +800,9 @@ def test_saddle_lp_blocks_match_block_diag(case):
                                for a_in in itertools.product(
                                    *[range(len(g.action_spaces[k])) for k in inner])])
         for x in range(g.num_profiles)])
-    flip = 1.0 if sense == "min" else -1.0
-    # the '>= 0' dual rows -flip * Q ..., negated into '<=' rows
+    # the '>= 0' dual rows Q ..., negated into '<=' rows
     got = rows[:q_in.shape[0], :q_in.shape[1]]
-    assert got.dtype == q_in.dtype and got.tobytes() == (-(-flip * q_in)).tobytes()
+    assert got.dtype == q_in.dtype and got.tobytes() == (-q_in).tobytes()
 
 
 def _solve_lp_arg(solve, *args):
@@ -827,24 +833,38 @@ def test_assembled_problems_state_the_lp_they_hand_highs(call):
             == _args_bits(_linprog_args(solve_lp, prob)))
 
 
-def _saddle_outcome(saddle_lp, g, j, sense):
+def _saddle_outcome(solve):
     try:
-        value, witness = saddle_lp(g, j, sense)
+        value, witness = solve()[:2]
     except NumericalFailure as exc:
         return ("numerical failure", str(exc))
     return value.hex(), witness.owner, witness.p.shape, witness.p.tobytes()
 
 
 @settings(max_examples=100)
-@given(g=saddle_games(), j=st.integers(0, 1), sense=st.sampled_from(["min", "max"]))
-def test_saddle_lp_matches_two_principal_oracle(g, j, sense):
+@given(g=saddle_games(), j=st.integers(0, 1))
+def test_saddle_lp_matches_two_principal_oracle(g, j):
     # with one inner principal the joint table is its table: HiGHS gets the
-    # bytes that solve_lp makes of the oracle's LPProblem, and the value bits
-    # and witness bytes are the oracle's
-    assert (_args_bits(_linprog_args(solver._saddle_lp, g, j, sense))
-            == _args_bits(_linprog_args(saddle_oracle._saddle_lp, g, j, sense)))
-    assert (_saddle_outcome(solver._saddle_lp, g, j, sense)
-            == _saddle_outcome(saddle_oracle._saddle_lp, g, j, sense))
+    # bytes that solve_lp makes of the oracle's maxmin LPProblem, and the
+    # value bits and witness bytes are the oracle's
+    assert (_args_bits(_linprog_args(solver._saddle_lp, g, j))
+            == _args_bits(_linprog_args(saddle_oracle._saddle_lp, g, j, "max")))
+    assert (_saddle_outcome(lambda: solver._saddle_lp(g, j))
+            == _saddle_outcome(lambda: saddle_oracle._saddle_lp(g, j, "max")))
+
+
+@settings(max_examples=100)
+@given(g=saddle_games(), j=st.integers(0, 1))
+def test_exact2_punishment_from_duals_meets_the_min_lp_oracle(g, j):
+    # the opponent table read from the maxmin LP's duals is an optimal
+    # punishment: the oracle's own minmax LP gives the value, and the table
+    # is IC and holds j's best response to that value
+    cert = minmax(g, j, mode="exact2")
+    want, _ = saddle_oracle._saddle_lp(g, j, "min")
+    punisher = cert.witness[1 - j]
+    assert abs(cert.value - want) <= 1e-9
+    assert is_individually_bic(g, punisher, tol=1e-9).ok
+    assert abs(solver.best_response(g, j, cert.witness)[0] - want) <= 1e-9
 
 
 @st.composite
@@ -865,7 +885,8 @@ def test_correlated_saddle_lp_bounds_vertex_product_maxmin(case):
     # letting the opponents correlate can only lower the guarantee, and with
     # one type profile the worst joint table is a pure, hence product, profile
     g, j = case
-    value, witness = solver._saddle_lp(g, j, "max")
+    value, witness, punisher = solver._saddle_lp(g, j)
+    assert punisher is None
     exact = solver._maxmin_vertex_products(g, j, solver.DEFAULT_DIM_CAP).value
     upper = minmax(g, j, mode="alternating", restarts=2).value
     assert value <= exact + 1e-9
@@ -904,7 +925,7 @@ def test_saddle_maxmin_matches_vertex_products_and_exact2(g, j):
     assert cert.kind == "exact-lp" and cert.info == {}
     vp = solver._maxmin_vertex_products(g, j, solver.DEFAULT_DIM_CAP)
     assert abs(cert.value - vp.value) <= 1e-9
-    assert abs(cert.value - minmax(g, j, mode="exact2").value) <= 1e-9
+    assert abs(cert.value - saddle_oracle._saddle_lp(g, j, "min")[0]) <= 1e-9
     assert is_individually_bic(g, cert.witness, tol=1e-9).ok
     # the witness secures its value against every opponent vertex
     cuts = solver._vertex_product_cuts(g, j, solver.DEFAULT_DIM_CAP)

@@ -1,8 +1,11 @@
 import dataclasses
+import gc
 import itertools
 import json
 import sys
 import threading
+import weakref
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -12,7 +15,9 @@ from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
 import grid_oracle
 import lp_oracle
+import saddle_oracle
 from mechpoly import _highs
+from mechpoly import bic as mechpoly_bic
 from mechpoly import (
     EXACT_KINDS,
     DimensionTooLarge,
@@ -517,13 +522,89 @@ def test_maxmin_two_principals_is_the_saddle_lp_above_dim_cap(rng):
     g = random_game(rng, num_agents=3, type_sizes=[2, 2, 2], action_sizes=[2, 2])
     with pytest.raises(DimensionTooLarge):
         solver._maxmin_vertex_products(g, 0, solver.DEFAULT_DIM_CAP)
-    exact2 = minmax(g, 0, mode="exact2").value
+    exact2 = saddle_oracle._saddle_lp(g, 0, "min")[0]
     for mode in ("exact", "auto"):
         cert = maxmin(g, 0, mode=mode)
         assert cert.kind == "exact-lp"
         assert cert.gap_bound == 0.0
         assert abs(cert.value - exact2) <= 1e-9
         assert is_individually_bic(g, cert.witness).ok
+
+
+def test_one_saddle_solve_serves_minmax_and_maxmin(rng, monkeypatch):
+    monkeypatch.setattr(solver, "_SADDLES", OrderedDict())
+    g = random_game(rng, num_agents=1, type_sizes=[2], action_sizes=[2, 3])
+    v0, v1 = g.principal_utils
+    with mock.patch.object(solver, "linprog", wraps=_highs.linprog) as spy:
+        lo = minmax(g, 0, mode="exact2")
+        hi = maxmin(g, 0)
+        assert spy.call_count == 1
+        assert lo.value == hi.value and lo.witness[1].owner == 1 and hi.witness.owner == 0
+        # the memo is keyed by what the LP reads: the other principal's
+        # payoffs are not read, j's payoffs and the principal are
+        assert maxmin(dataclasses.replace(g, principal_utils=(v0, 1 - v1)), 0).value == hi.value
+        assert spy.call_count == 1
+        minmax(dataclasses.replace(g, principal_utils=(v0 + 0.5, v1)), 0, mode="exact2")
+        assert spy.call_count == 2
+        maxmin(g, 1)
+        assert spy.call_count == 3
+
+
+def test_saddle_memo_holds_its_cap_drops_the_oldest_and_keeps_no_game(rng, monkeypatch):
+    monkeypatch.setattr(solver, "_SADDLES", OrderedDict())
+    monkeypatch.setattr(mechpoly_bic, "POLYTOPE_CACHE_SIZE", 3)
+    games = [random_game(rng, num_agents=1, type_sizes=[2], action_sizes=[2, 2])
+             for _ in range(5)]
+    with mock.patch.object(solver, "linprog", wraps=_highs.linprog) as spy:
+        for g in games:
+            maxmin(g, 0)
+            assert len(solver._SADDLES) <= 3
+        assert spy.call_count == 5
+        for g in games[2:]:
+            minmax(g, 0, mode="exact2")
+        assert spy.call_count == 5
+        minmax(games[0], 0, mode="exact2")       # dropped first; drops games[2]'s
+        assert spy.call_count == 6
+        minmax(games[2], 0, mode="exact2")
+        assert spy.call_count == 7
+    assert len(solver._SADDLES) == 3
+    ref = weakref.ref(games[0])
+    del g, games
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize("flaw", ["not IC", "not optimal"])
+def test_saddle_duals_that_fail_their_check_refine_then_raise(rng, monkeypatch, flaw):
+    # the opponent-cell row duals are replaced by a pure table: one that
+    # breaks an IC row, or a pooled one (IC rows 0) whose best response is
+    # above the value; both attempts fail, and nothing is memoised
+    monkeypatch.setattr(solver, "_SADDLES", OrderedDict())
+    g = random_game(rng, num_agents=1, type_sizes=[3], action_sizes=[2, 2])
+    poly = build_bic_polytope(g, 1)
+    value = maxmin(g, 0).value
+    pure = [np.eye(2)[list(rows)] for rows in itertools.product(range(2), repeat=3)]
+    if flaw == "not IC":
+        table = next(t for t in pure if poly.ic_values(t).min() < -1e-3)
+    else:
+        table = next(t for t in pure if (t == t[0]).all()
+                     and best_response(g, 0, {1: t})[0] > value + 1e-3)
+        assert poly.ic_values(table).min() == 0.0
+    monkeypatch.setattr(solver, "_SADDLES", OrderedDict())
+    real, calls = solver.linprog, []
+
+    def corrupted(*args, options=None):
+        calls.append(options)
+        res = real(*args, options=options)
+        row_dual = res.row_dual.copy()
+        row_dual[:table.size] = -table.reshape(-1)
+        return dataclasses.replace(res, row_dual=row_dual)
+
+    monkeypatch.setattr(solver, "linprog", corrupted)
+    with pytest.raises(NumericalFailure, match="saddle duals: punishment IC row"):
+        minmax(g, 0, mode="exact2")
+    assert calls == [None, _highs.TIGHT]
+    assert not solver._SADDLES
 
 
 def test_sion_equivalence_small_loop(rng):
