@@ -5,12 +5,12 @@ Each thread reuses two ``_Highs`` instances, one per options object, and an
 attempt passes its model into one; that clears the previous model, basis and
 solution, so nothing is warm-started.  A property test pins every result, in
 drawn solve orders, to a fresh instance's.  The model goes in through
-``passModel``'s array form, column-wise, rows in the order given (the
-callers in ``solver`` stack them as linprog does); statuses go through
-scipy's own table.  A result holds the column duals with the basis, which
-``solver.solve_lp`` splits into bound marginals only for the LPs whose
-bounds it reads, as scipy splits them.  HiGHS is the dual simplex solver
-of Huangfu & Hall (Math. Prog. Comp. 2018).
+``passModel``'s array form, column-wise, rows in the order given
+(``solver.solve_lp`` gives its '<=' rows, then its '=' rows); statuses go
+through scipy's own table.  A result holds the primal solution, the
+objective and the row duals; every column bound that ``solver`` sets is 0
+or none, so it reads no column dual.  HiGHS is the dual simplex solver of
+Huangfu & Hall (Math. Prog. Comp. 2018).
 """
 
 import threading
@@ -20,8 +20,6 @@ import numpy as np
 from scipy.optimize._highspy import _core as _h
 from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
-_AT_LOWER = int(_h.HighsBasisStatus.kLower)
-_AT_UPPER = int(_h.HighsBasisStatus.kUpper)
 _COLWISE = int(_h.MatrixFormat.kColwise)
 _MINIMIZE = int(_h.ObjSense.kMinimize)
 
@@ -36,8 +34,6 @@ class HighsResult:
     x: np.ndarray = None
     fun: float = None
     row_dual: np.ndarray = None   # one marginal per row, in row order
-    col_dual: np.ndarray = None   # one marginal per column
-    basis: object = None          # getBasis()'s HighsBasis, a copy that later runs leave alone
 
 
 def _csc(a):
@@ -126,6 +122,4 @@ def linprog(c, a, row_lo, row_hi, lo, hi, options=None):
         x=np.array(solution.col_value),
         fun=highs.getObjectiveValue(),       # info.objective_function_value
         row_dual=np.array(solution.row_dual),
-        col_dual=np.array(solution.col_dual),
-        basis=highs.getBasis(),
     )

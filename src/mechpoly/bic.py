@@ -80,13 +80,12 @@ class BicPolytope:
 
     @cached_property
     def lp_block(self) -> tuple:
-        """The polytope's rows as HiGHS takes them: (rows, row_lo, row_hi),
-        the ic rows negated into '<= -0.0' rows before the eq rows '= 1',
-        as ``solver.solve_lp`` stacks 'eq = 1, ic >= 0'.  Read-only."""
-        m = self.ic.shape[0]
+        """The polytope's rows in ``solver.LPProblem``'s form: (a, b), the
+        ic rows negated into '<= -0.0' rows, then the eq rows '= 1'.
+        Read-only."""
         return (_frozen(np.vstack([-self.ic, self.eq])),
-                _frozen(np.concatenate([np.full(m, -np.inf), np.ones(self.n_profiles)])),
-                _frozen(np.concatenate([np.full(m, -0.0), np.ones(self.n_profiles)])))
+                _frozen(np.concatenate([np.full(self.ic.shape[0], -0.0),
+                                        np.ones(self.n_profiles)])))
 
     @cached_property
     def vertex_tables(self) -> np.ndarray:
@@ -371,8 +370,6 @@ def _vertex_tables(poly: BicPolytope) -> np.ndarray:
             np.hstack([new <= SNAP_TOL, np.abs(new @ inserted.T) <= SNAP_TOL]),
         ])
         verts = np.vstack([verts[keep], new])
-        if verts.shape[0] == 0:
-            break
     z = _clean_point(poly, verts)
     if poly.ic.shape[0]:
         z = z[(z @ poly.ic.T).min(axis=1) >= -MEMBERSHIP_TOL]

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._highs import _AT_LOWER, _AT_UPPER, TIGHT, linprog
+from ._highs import TIGHT, linprog
 from .bic import (
     DEFAULT_DIM_CAP,
     MEMBERSHIP_TOL,
@@ -69,10 +69,6 @@ EXACT_KINDS = ("exact-lp", "vertex-product-exact")
 GRID_KIND = "grid-certified-lower-bound"
 
 
-_ROW_SIGN = {"<=": 1.0, ">=": -1.0, "=": 0.0}
-_NO_BOUND = np.array([-np.inf, np.inf])
-
-
 class NumericalFailure(RuntimeError):
     """LP residual or duality gap out of tolerance after refinement."""
 
@@ -83,18 +79,27 @@ class ModeUnsupported(ValueError):
 
 @dataclass
 class LPProblem:
-    """One linear program: optimize c @ x subject to rows 'a[i] rel b[i]'.
+    """One linear program in the form ``solve_lp`` hands HiGHS: optimize
+    c @ x subject to rows a @ x <= b, of which the last n_eq are a @ x = b.
 
-    relations entries are '<=', '>=' or '='; bounds is one (lo, hi) pair per
-    variable with None for unbounded; sense is 'max' or 'min'.
+    Every variable is nonnegative, or free where the boolean mask ``free``
+    is set (None: none is); sense is 'max' or 'min'.  ``accept``, if set, is
+    called as accept(value, row duals) on each optimal attempt and returns
+    a failure message, or None to accept it.
     """
 
     c: np.ndarray
     a: np.ndarray
-    relations: list
     b: np.ndarray
-    bounds: list
+    n_eq: int = 0
+    free: np.ndarray = None
     sense: str = "max"
+    accept: object = None
+
+    @property
+    def relations(self) -> list:
+        """Each row's relation: '<=', then '=' for the last n_eq rows."""
+        return ["<="] * (len(self.b) - self.n_eq) + ["="] * self.n_eq
 
 
 @dataclass
@@ -102,55 +107,40 @@ class LPResult:
     status: str          # 'optimal' | 'infeasible' | 'unbounded'
     value: float = None
     x: np.ndarray = None
-    row_dual: np.ndarray = None     # HiGHS's row multipliers, in its row order
-
-
-@dataclass
-class _Assembled(LPProblem):
-    """An LPProblem its builder has put in the form solve_lp hands HiGHS:
-    a holds '<=' rows, then '=' rows, b their right-hand sides, and every
-    bound is (0, None) or (None, None).  highs is that form, ``(sign * c,
-    a, row_lo, b, lo, hi)``, which solve_lp takes unconverted.  Made by
-    ``_assembled``."""
-
-    highs: tuple = None
-    accept: object = None       # (value, row duals) -> failure message, or None to accept
-
-
-def _assembled(sense: str, c, rows, row_lo, row_hi, n_eq: int, columns,
-               accept=None) -> _Assembled:
-    """The LP 'sense c @ x' subject to row_lo <= rows @ x <= row_hi: rows
-    end in their n_eq '=' rows (row_lo equal to row_hi), the rest are '<='
-    rows (row_lo -inf).  columns holds (count, free) runs of variables in
-    order; free ones are unbounded, the others nonnegative."""
-    sign = -1.0 if sense == "max" else 1.0
-    bounds = [(None if free else 0.0, None) for count, free in columns for _ in range(count)]
-    lo = np.concatenate([np.full(count, -np.inf if free else 0.0) for count, free in columns])
-    return _Assembled(
-        c=c, a=rows, relations=["<="] * (len(row_hi) - n_eq) + ["="] * n_eq, b=row_hi,
-        bounds=bounds, sense=sense, accept=accept,
-        highs=(sign * c, rows, row_lo, row_hi, lo, np.full(lo.size, np.inf)))
+    row_dual: np.ndarray = None     # HiGHS's row multipliers, in row order
 
 
 def solve_lp(prob: LPProblem) -> LPResult:
     """Solve an LP deterministically; checks residuals on optimal solves.
 
-    Infeasible and unbounded are distinct outcomes, not errors.  Solves that
-    fail the primal residual (1e-9) or duality gap (1e-7) check, or an
-    assembled problem's accept, are refined once with tighter solver
-    tolerances; NumericalFailure only after that.
+    HiGHS gets the rows as row_lo <= a @ x <= b, row_lo -inf on the '<='
+    rows and b on the '=' rows, and the columns as lo <= x <= inf, lo 0 or
+    -inf where ``free`` is set.  Infeasible and unbounded are distinct
+    outcomes, not errors.  Solves that fail the primal residual (1e-9) or
+    duality gap (1e-7) check, or the problem's accept, are refined once with
+    tighter solver tolerances; NumericalFailure only after that.  ValueError
+    on shapes that do not match, an n_eq outside the rows, a free mask that
+    is not one bool per variable, and data that is not finite.
     """
-    sign = -1.0 if prob.sense == "max" else 1.0
-    if isinstance(prob, _Assembled):
-        lp, bounds0, accept = prob.highs, None, prob.accept
-    else:
-        (lp, bounds0), accept = _highs_form(prob, sign), None
-    cost, rows, row_lo, row_hi, lo, hi = lp
-    if not (np.isfinite(cost).all() and np.isfinite(rows).all()):
+    c = np.asarray(prob.c, dtype=float)
+    a = np.asarray(prob.a, dtype=float) if len(prob.a) else np.zeros((0, c.size))
+    b = np.asarray(prob.b, dtype=float)
+    if not (c.ndim == b.ndim == 1 and a.shape == (b.size, c.size)):
+        raise ValueError(f"LP shapes do not match: c {c.shape}, a {a.shape}, b {b.shape}")
+    if not (isinstance(prob.n_eq, (int, np.integer)) and 0 <= prob.n_eq <= b.size):
+        raise ValueError(f"n_eq {prob.n_eq!r} is not a row count between 0 and {b.size}")
+    n_ub = b.size - prob.n_eq
+    free = np.zeros(c.size, dtype=bool) if prob.free is None else np.asarray(prob.free)
+    if free.dtype != bool or free.shape != c.shape:
+        raise ValueError(f"free must be a boolean mask of the {c.size} variables")
+    if not (np.isfinite(c).all() and np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("LP data must be finite")
+    sign = -1.0 if prob.sense == "max" else 1.0
+    row_lo = np.concatenate([np.full(n_ub, -np.inf), b[n_ub:]])
+    lo = np.where(free, -np.inf, 0.0)
     failure = "LP did not run"
     for options in (None, TIGHT):
-        res = linprog(*lp, options=options)
+        res = linprog(sign * c, a, row_lo, b, lo, np.full(c.size, np.inf), options=options)
         if res.status == 2:
             return LPResult(status="infeasible")
         if res.status == 3:
@@ -158,65 +148,24 @@ def solve_lp(prob: LPProblem) -> LPResult:
         if res.status != 0:
             failure = f"LP solver status {res.status}: {res.message}"
             continue
-        x = np.asarray(res.x)
+        x = res.x
         # primal feasibility residual over rows and bounds; a nan fails it
-        ax = rows @ x
-        resid = float(np.max(np.concatenate([ax - row_hi, row_lo - ax, lo - x, x - hi]),
-                             initial=0.0))
+        ax = a @ x
+        resid = float(np.max(np.concatenate([ax - b, row_lo - ax, lo - x]), initial=0.0))
         if not resid <= PRIMAL_RESIDUAL_TOL:
             failure = f"primal residual {resid:.3e} exceeds {PRIMAL_RESIDUAL_TOL}"
             continue
-        # duality gap; bounds0 None is all 0, else column duals split by basis as scipy does
-        dual_obj = res.row_dual @ row_hi
-        if bounds0 is not None:
-            at = np.array(list(map(int, res.basis.col_status)), dtype=int)
-            dual_obj = (dual_obj + np.where(at == _AT_LOWER, res.col_dual, 0.0) @ bounds0[:, 0]
-                        + np.where(at == _AT_UPPER, res.col_dual, 0.0) @ bounds0[:, 1])
-        gap = abs(float(res.fun) - float(dual_obj))
+        # duality gap; every bound is 0 or none, so the column duals add nothing
+        gap = abs(float(res.fun) - float(res.row_dual @ b))
         if gap > DUALITY_GAP_TOL * max(1.0, abs(float(res.fun))):
             failure = f"duality gap {gap:.3e} exceeds {DUALITY_GAP_TOL}"
             continue
-        value = float(sign * res.fun)
-        failure = accept and accept(value, res.row_dual)
+        value = float(sign * res.fun) + 0.0     # + 0.0: an optimum of 0 is 0.0, never -0.0
+        failure = prob.accept and prob.accept(value, res.row_dual)
         if failure:
             continue
         return LPResult(status="optimal", value=value, x=x, row_dual=res.row_dual)
     raise NumericalFailure(failure)
-
-
-def _highs_form(prob: LPProblem, sign: float):
-    """(lp, bounds0) of an LPProblem: lp is (sign * c, rows, row_lo, row_hi,
-    lo, hi) as ``linprog`` takes it, '>=' rows negated into '<=' rows before
-    the '=' rows; bounds0 holds the (lo, hi) pairs with None as 0, as the
-    duality gap reads them.  ValueError on malformed shapes, relations or
-    bounds, and on a right-hand side that is not finite."""
-    c = np.asarray(prob.c, dtype=float)
-    a = np.asarray(prob.a, dtype=float) if len(prob.a) else np.zeros((0, c.size))
-    b = np.asarray(prob.b, dtype=float) if len(prob.b) else np.zeros(0)
-    n_rows = len(prob.relations)
-    if c.ndim != 1 or a.shape != (n_rows, c.size) or b.shape != (n_rows,):
-        raise ValueError(f"LP shapes do not match: c {c.shape}, a {a.shape}, b {b.shape} "
-                         f"for {n_rows} relations")
-    if not np.isfinite(b).all():
-        raise ValueError("LP data must be finite")
-    try:
-        row_sign = np.array([_ROW_SIGN[rel] for rel in prob.relations], dtype=float)
-    except KeyError as exc:
-        raise ValueError(f"unknown relation {exc.args[0]!r}") from None
-    # '>=' rows are negated into '<=' rows, which come before the '=' rows
-    is_eq = row_sign == 0.0
-    order = np.argsort(is_eq, kind="stable")
-    flip = np.where(is_eq, 1.0, row_sign)[order]
-    rows = a[order] * flip[:, None]
-    row_hi = b[order] * flip
-    row_lo = np.where(is_eq[order], row_hi, -np.inf)
-    bounds = np.array(prob.bounds, dtype=float)   # None -> nan
-    if bounds.shape != (c.size, 2):
-        raise ValueError(f"LP bounds must be one (lo, hi) pair per variable: "
-                         f"shape {bounds.shape} for {c.size} variables")
-    free = np.isnan(bounds)
-    lo, hi = np.where(free, _NO_BOUND, bounds).T
-    return (sign * c, rows, row_lo, row_hi, lo, hi), np.where(free, 0.0, bounds)
 
 
 @dataclass
@@ -255,33 +204,21 @@ def _optimize_over(poly: BicPolytope, sense: str, what: str, c=None, cuts=None):
     cuts . p - t >= 0 for 'max' (t is the worst piece), <= 0 for 'min' (the
     best).  The witness is cleaned to exact row sums.
     """
-    rows, row_lo, row_hi = poly.lp_block
-    n = poly.n_vars
+    rows, b = poly.lp_block
     if cuts is None:
-        prob = _assembled(sense, np.asarray(c, dtype=float), rows, row_lo, row_hi,
-                          poly.n_profiles, [(n, False)])
+        prob = LPProblem(np.asarray(c, dtype=float), rows, b, poly.n_profiles, sense=sense)
     else:
         # the cut rows, negated for 'max', go between the IC and simplex rows
         sign = -1.0 if sense == "max" else 1.0
         cuts = np.asarray(cuts, dtype=float)
         m, k = poly.ic.shape[0], cuts.shape[0]
-        prob = _assembled(
-            sense, np.append(np.zeros(n), 1.0),
-            np.insert(_widened(poly, 1), m, sign * np.hstack([cuts, np.full((k, 1), -1.0)]),
-                      axis=0),
-            np.insert(row_lo, m, np.full(k, -np.inf)),
-            np.insert(row_hi, m, np.full(k, 0.0 * sign)),
-            poly.n_profiles, [(n, False), (1, True)])
+        prob = LPProblem(
+            np.append(np.zeros(poly.n_vars), 1.0),
+            np.insert(np.hstack([rows, np.zeros((rows.shape[0], 1))]), m,
+                      sign * np.hstack([cuts, np.full((k, 1), -1.0)]), axis=0),
+            np.insert(b, m, np.full(k, 0.0 * sign)), poly.n_profiles,
+            free=np.append(np.zeros(poly.n_vars, dtype=bool), True), sense=sense)
     return _solve_for_table(poly, prob, what)
-
-
-def _widened(poly: BicPolytope, k: int) -> np.ndarray:
-    """``poly.lp_block``'s rows with k zero columns appended: -0.0 in the
-    negated IC rows, as solve_lp's negation writes them."""
-    rows = poly.lp_block[0]
-    pad = np.zeros((rows.shape[0], k))
-    pad[:poly.ic.shape[0]] = -0.0
-    return np.hstack([rows, pad])
 
 
 def _solve_for_table(poly: BicPolytope, prob: LPProblem, what: str):
@@ -469,13 +406,14 @@ def _saddle_lp(g: FiniteGame, principal: int):
         punisher[0] = DirectMechanism(owner=inner[0], p=q.reshape(n_x, r))
 
     # the dual rows, negated into '<= 0' rows, over j's polytope's rows
-    rows = np.vstack([np.hstack([-q_in, eq_in.T, ic_in.T]), _widened(poly_out, n_x + m_in)])
-    _, out_lo, out_hi = poly_out.lp_block
-    obj = np.concatenate([np.zeros(n_out), np.ones(n_x), np.zeros(m_in)])
-    prob = _assembled("max", obj, rows, np.concatenate([np.full(n_x * r, -np.inf), out_lo]),
-                      np.concatenate([np.full(n_x * r, -0.0), out_hi]), poly_out.n_profiles,
-                      [(n_out, False), (n_x, True), (m_in, False)],
-                      accept if len(inner) == 1 else None)
+    rows_out, b_out = poly_out.lp_block
+    prob = LPProblem(
+        np.concatenate([np.zeros(n_out), np.ones(n_x), np.zeros(m_in)]),
+        np.vstack([np.hstack([-q_in, eq_in.T, ic_in.T]),
+                   np.hstack([rows_out, np.zeros((rows_out.shape[0], n_x + m_in))])]),
+        np.concatenate([np.full(n_x * r, -0.0), b_out]), poly_out.n_profiles,
+        free=np.repeat([False, True, False], [n_out, n_x, m_in]),
+        accept=accept if len(inner) == 1 else None)
     return _solve_for_table(poly_out, prob, "saddle") + (punisher[0],)
 
 

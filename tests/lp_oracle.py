@@ -2,14 +2,17 @@
 
 ``solve_lp`` is the LP layer as it was built on ``scipy.optimize.linprog``:
 ``mechpoly.solver.solve_lp``, which calls HiGHS directly, must match it in
-status, value bits and solution bytes.  ``fresh_linprog`` is one attempt on
-a ``_Highs`` instance built for it alone, its model passed as a ``HighsLp``:
-``mechpoly._highs.linprog``, which reuses one instance per thread and
-options and passes arrays, must match it bit for bit whatever attempts came
-before.  ``optimize_over_problem`` is the ``LPProblem`` that
-``solver._optimize_over`` once built: the arrays that ``_optimize_over``
-now assembles itself must be the ones ``solve_lp`` makes of it, byte for
-byte."""
+status, value bits and solution bytes.  ``solve_relations`` solves the same
+way an LP stated with relations ('<=', '>=', '=') and (lo, hi) bounds, the
+form in which ``optimize_over_problem`` and ``saddle_oracle`` write the LPs
+the value solvers once built: the ``LPProblem``s that the solvers now build
+must solve to the same value bits and solution bytes.  ``fresh_linprog`` is
+one attempt on a ``_Highs`` instance built for it alone, its model passed
+as a ``HighsLp``: ``mechpoly._highs.linprog``, which reuses one instance per
+thread and options and passes arrays, must match it bit for bit whatever
+attempts came before."""
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -24,17 +27,43 @@ from mechpoly.solver import (
 )
 
 
+@dataclass
+class RelationsLP:
+    """optimize c @ x subject to rows 'a[i] relations[i] b[i]', relations
+    '<=', '>=' or '='; bounds is one (lo, hi) pair per variable with None
+    for unbounded; sense is 'max' or 'min'."""
+
+    c: np.ndarray
+    a: np.ndarray
+    relations: list
+    b: np.ndarray
+    bounds: list
+    sense: str = "max"
+
+
 def solve_lp(prob: LPProblem) -> LPResult:
     """Solve an LP deterministically; checks residuals on optimal solves.
 
     Infeasible and unbounded are distinct outcomes, not errors.  Solves that
     fail the primal residual (1e-9) or duality gap (1e-7) check are refined
     once with tighter solver tolerances; NumericalFailure only after that.
+    The '<=' rows go to linprog as A_ub, the last n_eq rows as A_eq.
     """
     c = np.asarray(prob.c, dtype=float)
     a = np.asarray(prob.a, dtype=float) if len(prob.a) else np.zeros((0, c.size))
-    b = np.asarray(prob.b, dtype=float) if len(prob.b) else np.zeros(0)
-    sign = -1.0 if prob.sense == "max" else 1.0
+    b = np.asarray(prob.b, dtype=float)
+    n_ub = b.size - prob.n_eq
+    free = np.zeros(c.size, dtype=bool) if prob.free is None else prob.free
+    bounds = [(None, None) if f else (0.0, None) for f in free]
+    return _solve(c, a[:n_ub], b[:n_ub], a[n_ub:], b[n_ub:], bounds, prob.sense)
+
+
+def solve_relations(prob: RelationsLP) -> LPResult:
+    """``solve_lp`` of an LP stated with relations: '>=' rows are negated
+    into A_ub in row order, '=' rows go to A_eq."""
+    c = np.asarray(prob.c, dtype=float)
+    a = np.asarray(prob.a, dtype=float) if len(prob.a) else np.zeros((0, c.size))
+    b = np.asarray(prob.b, dtype=float)
     rows_ub, rhs_ub, rows_eq, rhs_eq = [], [], [], []
     for row, rel, rhs in zip(a, prob.relations, b):
         if rel == "<=":
@@ -48,16 +77,24 @@ def solve_lp(prob: LPProblem) -> LPResult:
             rhs_eq.append(rhs)
         else:
             raise ValueError(f"unknown relation {rel!r}")
-    a_ub = np.array(rows_ub) if rows_ub else None
-    b_ub = np.array(rhs_ub) if rows_ub else None
-    a_eq = np.array(rows_eq) if rows_eq else None
-    b_eq = np.array(rhs_eq) if rows_eq else None
+    return _solve(c, np.array(rows_ub).reshape(-1, c.size), np.array(rhs_ub),
+                  np.array(rows_eq).reshape(-1, c.size), np.array(rhs_eq), prob.bounds,
+                  prob.sense)
+
+
+def _solve(c, a_ub, b_ub, a_eq, b_eq, bounds, sense) -> LPResult:
+    """linprog(method="highs") on min sign * c @ x, a_ub @ x <= b_ub,
+    a_eq @ x = b_eq and the (lo, hi) bounds, once and then with 1e-10
+    feasibility tolerances, with the residual and duality-gap checks."""
+    sign = -1.0 if sense == "max" else 1.0
+    a_ub, b_ub = (a_ub, b_ub) if len(b_ub) else (None, None)
+    a_eq, b_eq = (a_eq, b_eq) if len(b_eq) else (None, None)
     tight = {"primal_feasibility_tolerance": 1e-10,
              "dual_feasibility_tolerance": 1e-10}
     failure = "LP did not run"
     for options in (None, tight):
         res = linprog(sign * c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                      bounds=prob.bounds, method="highs", options=options)
+                      bounds=bounds, method="highs", options=options)
         if res.status == 2:
             return LPResult(status="infeasible")
         if res.status == 3:
@@ -72,7 +109,7 @@ def solve_lp(prob: LPProblem) -> LPResult:
             resid = max(resid, float(np.max(a_ub @ x - b_ub, initial=0.0)))
         if a_eq is not None:
             resid = max(resid, float(np.max(np.abs(a_eq @ x - b_eq), initial=0.0)))
-        for xi, (lo, hi) in zip(x, prob.bounds):
+        for xi, (lo, hi) in zip(x, bounds):
             if lo is not None:
                 resid = max(resid, lo - xi)
             if hi is not None:
@@ -87,16 +124,17 @@ def solve_lp(prob: LPProblem) -> LPResult:
         if a_eq is not None and res.eqlin is not None:
             dual_obj += float(np.dot(res.eqlin.marginals, b_eq))
         if res.lower is not None:
-            lo = np.array([v if v is not None else 0.0 for v, _ in prob.bounds])
+            lo = np.array([v if v is not None else 0.0 for v, _ in bounds])
             dual_obj += float(np.dot(res.lower.marginals, lo))
         if res.upper is not None:
-            hi = np.array([v if v is not None else 0.0 for _, v in prob.bounds])
+            hi = np.array([v if v is not None else 0.0 for _, v in bounds])
             dual_obj += float(np.dot(res.upper.marginals, hi))
         gap = abs(float(res.fun) - dual_obj)
         if gap > DUALITY_GAP_TOL * max(1.0, abs(float(res.fun))):
             failure = f"duality gap {gap:.3e} exceeds {DUALITY_GAP_TOL}"
             continue
-        return LPResult(status="optimal", value=float(sign * res.fun), x=x)
+        # + 0.0: an optimum of 0 is 0.0, never -0.0
+        return LPResult(status="optimal", value=float(sign * res.fun) + 0.0, x=x)
     raise NumericalFailure(failure)
 
 
@@ -124,7 +162,7 @@ def optimize_over_problem(poly, sense, c=None, cuts=None):
         c = np.zeros(n + 1)
         c[-1] = 1.0
         bounds = bounds + [(None, None)]
-    return LPProblem(c=c, a=a, relations=rel, b=b, bounds=bounds, sense=sense)
+    return RelationsLP(c=c, a=a, relations=rel, b=b, bounds=bounds, sense=sense)
 
 
 def _model(c, a, row_lo, row_hi, lo, hi):
@@ -169,17 +207,12 @@ def fresh_linprog(c, a, row_lo, row_hi, lo, hi, options=None):
         x=np.array(solution.col_value),
         fun=highs.getObjectiveValue(),       # info.objective_function_value
         row_dual=np.array(solution.row_dual),
-        col_dual=np.array(solution.col_dual),
-        basis=highs.getBasis(),
     )
 
 
 def attempt_bits(res):
-    """An attempt's status, message, value bits, solution bytes and basis
-    (validity and every column and row status)."""
+    """An attempt's status, message, value bits and solution bytes."""
     if res.status != 0:
         return (res.status, res.message)
-    basis = res.basis
-    return (res.status, res.message, float(res.fun).hex(),
-            *(a.tobytes() for a in (res.x, res.row_dual, res.col_dual)),
-            basis.valid, tuple(map(int, basis.col_status)), tuple(map(int, basis.row_status)))
+    return (res.status, res.message, float(res.fun).hex(), res.x.tobytes(),
+            res.row_dual.tobytes())

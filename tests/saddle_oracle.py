@@ -9,15 +9,27 @@ joint-table code with the library.
 
 import numpy as np
 
-from lp_oracle import lp_system
+from lp_oracle import RelationsLP, lp_system, solve_relations
 from mechpoly.bic import _clean_point, build_bic_polytope
 from mechpoly.game import DirectMechanism, FiniteGame
-from mechpoly.solver import LPProblem, NumericalFailure, solve_lp
+from mechpoly.solver import NumericalFailure
 
 
 def _saddle_lp(g: FiniteGame, principal: int, sense: str):
     """Two-principal saddle point of E[v_j] as one LP (sequence-form LP of
-    Koller, Megiddo & von Stengel); returns (value, outer DirectMechanism).
+    Koller, Megiddo & von Stengel), ``saddle_problem``, solved by scipy's
+    linprog; returns (value, outer DirectMechanism)."""
+    poly_out = build_bic_polytope(g, 1 - principal if sense == "min" else principal)
+    res = solve_relations(saddle_problem(g, principal, sense))
+    if res.status != "optimal":
+        raise NumericalFailure(f"saddle LP {res.status}")
+    z = _clean_point(poly_out, res.x[:poly_out.n_vars])
+    return float(res.value), DirectMechanism(
+        owner=poly_out.owner, p=z.reshape(poly_out.n_profiles, poly_out.n_actions))
+
+
+def saddle_problem(g: FiniteGame, principal: int, sense: str) -> RelationsLP:
+    """The two-principal saddle LP of E[v_j] over [outer table, y, z].
 
     sense='min' is j's minmax: the outer table is the opponent's q and the
     inner program j's max over p.  sense='max' is j's maxmin: the outer
@@ -46,9 +58,4 @@ def _saddle_lp(g: FiniteGame, principal: int, sense: str):
     b = np.concatenate([np.zeros(poly_in.n_vars), b_out])
     obj = np.concatenate([np.zeros(n_out), np.ones(n_x), np.zeros(m_in)])
     bounds = [(0.0, None)] * n_out + [(None, None)] * n_x + [(0.0, None)] * m_in
-    res = solve_lp(LPProblem(c=obj, a=a, relations=rel, b=b, bounds=bounds, sense=sense))
-    if res.status != "optimal":
-        raise NumericalFailure(f"saddle LP {res.status}")
-    z = _clean_point(poly_out, res.x[:n_out])
-    return float(res.value), DirectMechanism(
-        owner=poly_out.owner, p=z.reshape(poly_out.n_profiles, poly_out.n_actions))
+    return RelationsLP(c=obj, a=a, relations=rel, b=b, bounds=bounds, sense=sense)

@@ -330,6 +330,19 @@ def test_default_report_path(tmp_path, mp_files, monkeypatch, capsys):
     written = list((tmp_path / "reports").glob("validate-*.json"))
     assert len(written) == 1
     assert str(written[0].name) in capsys.readouterr().out
+    # two reports in one timestamp: the second gets a suffix and leaves the
+    # first as it was
+    frozen = mechpoly.cli.datetime(2026, 1, 2, 3, 4, 5, 6, tzinfo=mechpoly.cli.timezone.utc)
+    monkeypatch.setattr(mechpoly.cli, "datetime",
+                        type("Frozen", (), {"now": staticmethod(lambda tz: frozen)}))
+    for tol in ("1e-6", "2e-6"):
+        assert main(["validate", "--game", game, "--membership-tol", tol]) == 0
+    reports = tmp_path / "reports"
+    tols = {name: _read_json(reports / name)["config"]["membership_tol"]
+            for name in ("validate-20260102-030405-000006.json",
+                         "validate-20260102-030405-000006-1.json")}
+    assert list(tols.values()) == [1e-6, 2e-6]
+    assert len(list(reports.glob("validate-*.json"))) == 3
 
 
 def _vertex_menu_file(g, j, path):

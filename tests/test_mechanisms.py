@@ -657,7 +657,7 @@ def test_notion_rejects_dominated_profile(mp2):
     verdict = check_equilibrium_notion(
         mp2, mechs, strat, {0: [_vertex_menu(mp2, 0)]}, notion="robust")
     assert verdict.on_path.ok
-    assert not verdict.ok
+    assert not verdict.ok and not verdict
     assert len(verdict.checks) == 1
     check = verdict.checks[0]
     assert check["principal"] == "P1"

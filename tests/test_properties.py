@@ -1,25 +1,25 @@
 """Property tests: independent value computations bound each other the right
 way, membership verdicts follow the bounds they use, vertex enumeration
 returns the SVD oracle's tables, also when they are served from a polytope
-shared with a game that differs only in principal payoffs and when 4
-threads share an evicting polytope cache (and saddle memo), the array grid sweep returns the loop
-oracle's certificates bit for bit, the batched continuation-equilibrium
-kernel returns the per-candidate loops' blocks, combos and records,
-joint truthfulness read from the principals' IC rows is the brute force
-over report vectors, the polytope build's rows are the loop oracle's bit
-for bit, the direct HiGHS call returns linprog's LP results bit for bit,
-the reused HiGHS instances return a fresh instance's results bit for bit
-in any solve order, the arrays that ``_optimize_over`` and the saddle LP
-hand HiGHS are, byte for byte, what ``solve_lp`` makes of their oracles'
-``LPProblem``s and of the ``LPProblem``s they pass to ``solve_lp``, the saddle LP's bilinear blocks are ``block_diag``'s, its
-two-principal solution is the two-principal oracle's bit for bit, the batched maxmin cut
-rows are the per-product loop's, the two-principal saddle-LP maxmin is
-the vertex-product maxmin and the oracle's minmax LP, the exact2 punishment
-read from its duals is an IC table that holds j to that minmax, with more principals the
-correlated-opponent saddle LP is a lower bound on the vertex-product
-maxmin (equal with one type profile), ``simulate`` makes the per-round
-oracle's draws, and the closed-form separable fit is the per-profile
-least-squares fit."""
+shared with a game that differs only in principal payoffs and when 4 threads
+share an evicting polytope cache (and saddle memo), the array grid sweep
+returns the loop oracle's certificates bit for bit, the batched
+continuation-equilibrium kernel returns the per-candidate loops' blocks,
+combos and records, joint truthfulness read from the principals' IC rows is
+the brute force over report vectors, the polytope build's rows are the loop
+oracle's bit for bit, the direct HiGHS call returns linprog's LP results bit
+for bit, the reused HiGHS instances return a fresh instance's results bit
+for bit in any solve order, the LPs that ``_optimize_over`` and the saddle
+LP build solve to the value bits and solution bytes that linprog gives for
+their oracles' relations-form LPs, the saddle LP's bilinear blocks are
+``block_diag``'s, its two-principal solution is the two-principal oracle's
+bit for bit, the batched maxmin cut rows are the per-product loop's, the
+two-principal saddle-LP maxmin is the vertex-product maxmin and the oracle's
+minmax LP, the exact2 punishment read from its duals is an IC table that
+holds j to that minmax, with more principals the correlated-opponent saddle
+LP is a lower bound on the vertex-product maxmin (equal with one type
+profile), ``simulate`` makes the per-round oracle's draws, and the
+closed-form separable fit is the per-profile least-squares fit."""
 
 import dataclasses
 import itertools
@@ -576,33 +576,25 @@ def test_polytope_build_matches_loop_oracle(g):
         assert got.warnings == want.warnings
 
 
-_BOUND_KINDS = ("nonneg", "free", "box", "upper")
+def _rhs_through(a, n_eq, x0, rng):
+    """Right-hand sides that x0 satisfies: slack on the '<=' rows, none on
+    the last n_eq rows."""
+    slack = rng.uniform(0.0, 1.0, size=a.shape[0])
+    slack[a.shape[0] - n_eq:] = 0.0
+    return a @ x0 + slack
 
 
-def _bounds_and_point(rng, kinds):
-    """Per-variable bounds of the drawn kinds and a point inside them."""
-    bounds, x0 = [], []
-    for kind in kinds:
-        lo = float(np.round(rng.normal(), 2))
-        width = float(rng.uniform(0.5, 3.0))
-        bounds.append({"nonneg": (0.0, None), "free": (None, None),
-                       "box": (lo, lo + width), "upper": (None, lo)}[kind])
-        x0.append({"nonneg": width, "free": lo, "box": lo + width / 2, "upper": lo - width}[kind])
-    return bounds, np.array(x0)
-
-
-def _rhs_through(a, relations, x0, rng):
-    """Right-hand sides that x0 satisfies: slack on inequality rows."""
-    slack = rng.uniform(0.0, 1.0, size=len(relations))
-    sign = np.array([{"<=": 1.0, ">=": -1.0, "=": 0.0}[r] for r in relations])
-    return a @ x0 + sign * slack
+def _free_and_point(rng, free):
+    """A point inside the bounds: nonnegative, or of either sign where free."""
+    return np.where(free, np.round(rng.normal(size=free.size), 2),
+                    rng.uniform(0.5, 3.0, size=free.size))
 
 
 @st.composite
 def dense_lps(draw):
-    """Random dense LPs mixing '<=', '>=' and '=' rows over free, bounded and
-    upper-bounded variables, for either sense.  The data is sometimes small
-    integers (degenerate vertices, tied optima) and has explicit zeros; the
+    """Random dense LPs of '<=' and '=' rows over nonnegative and free
+    variables, for either sense.  The data is sometimes small integers
+    (degenerate vertices, tied optima) and has explicit zeros; the
     right-hand side goes through a point inside the bounds, or is random
     (often infeasible)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -612,38 +604,37 @@ def dense_lps(draw):
     c = rng.normal(size=n)
     if integer:
         a, c = np.round(2 * a), np.round(2 * c)
-    relations = [draw(st.sampled_from(["<=", ">=", "="])) for _ in range(m)]
-    bounds, x0 = _bounds_and_point(rng, [draw(st.sampled_from(_BOUND_KINDS)) for _ in range(n)])
-    b = _rhs_through(a, relations, x0, rng) if draw(st.booleans()) else rng.normal(size=m)
-    return LPProblem(c=c, a=a, relations=relations, b=b, bounds=bounds,
+    n_eq = draw(st.integers(0, m))
+    free = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    x0 = _free_and_point(rng, free)
+    b = _rhs_through(a, n_eq, x0, rng) if draw(st.booleans()) else rng.normal(size=m)
+    return LPProblem(c=c, a=a, b=b, n_eq=n_eq, free=free,
                      sense=draw(st.sampled_from(["max", "min"])))
 
 
 @st.composite
 def infeasible_or_unbounded_lps(draw):
-    """A feasible dense LP made infeasible (one row also required to exceed
-    its own bound by 1) or unbounded (a nonnegative variable absent from
-    every row, pushed up by the objective)."""
+    """A feasible dense LP made infeasible (one more '<=' row requiring some
+    row to exceed its own right-hand side by 1) or unbounded (a nonnegative
+    variable absent from every row, pushed up by the objective)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m, n = draw(st.integers(1, 5)), draw(st.integers(2, 6))
     a = np.round(2 * rng.normal(size=(m, n)))
-    relations = [draw(st.sampled_from(["<=", ">=", "="])) for _ in range(m)]
-    kinds = ["nonneg"] + [draw(st.sampled_from(_BOUND_KINDS)) for _ in range(n - 1)]
-    bounds, x0 = _bounds_and_point(rng, kinds)
+    n_eq = draw(st.integers(0, m))
+    free = np.array([False] + draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1)))
+    x0 = _free_and_point(rng, free)
     sense = draw(st.sampled_from(["max", "min"]))
     c = np.round(2 * rng.normal(size=n))
     if draw(st.booleans()):
         a[:, 0] = 0.0
         c[0] = 1.0 if sense == "max" else -1.0
-        b = _rhs_through(a, relations, x0, rng)
+        b = _rhs_through(a, n_eq, x0, rng)
     else:
-        b = _rhs_through(a, relations, x0, rng)
+        b = _rhs_through(a, n_eq, x0, rng)
         r = draw(st.integers(0, m - 1))
-        a = np.vstack([a, a[r]])
-        b = np.append(b, b[r] + 1.0)
-        relations = relations + [">="]
-        relations[r] = "<="
-    return LPProblem(c=c, a=a, relations=relations, b=b, bounds=bounds, sense=sense)
+        a = np.insert(a, m - n_eq, -a[r], axis=0)
+        b = np.insert(b, m - n_eq, -(b[r] + 1.0))
+    return LPProblem(c=c, a=a, b=b, n_eq=n_eq, free=free, sense=sense)
 
 
 @st.composite
@@ -670,11 +661,43 @@ def optimize_over_cases(draw):
     return poly, sense, None, cuts
 
 
+class _Stop(Exception):
+    """Carries the arguments of a call that a test stopped."""
+
+
+def _stop(*args, **kwargs):
+    raise _Stop(*args)
+
+
+def _stopped_args(name, solve, *args):
+    """The arguments that ``solve(*args)`` passes to ``solver.<name>`` first."""
+    with mock.patch.object(solver, name, _stop):
+        try:
+            solve(*args)
+        except _Stop as stop:
+            return stop.args
+    raise AssertionError(f"{solve.__name__} did not call {name}")
+
+
+def _linprog_args(solve, *args):
+    """The (c, a, row_lo, row_hi, lo, hi) that ``solve(*args)`` passes to
+    linprog first."""
+    return _stopped_args("linprog", solve, *args)
+
+
+def _solve_lp_arg(solve, *args):
+    """The LPProblem that ``solve(*args)`` passes to solve_lp first; its
+    relations (which perfbench counts) state its rows and c its columns."""
+    prob = _stopped_args("solve_lp", solve, *args)[0]
+    assert len(prob.relations) == prob.a.shape[0] and len(prob.c) == prob.a.shape[1]
+    return prob
+
+
 @st.composite
 def game_lps(draw):
     """IC-polytope LPs from random games, as ``_optimize_over`` solves them."""
     poly, sense, c, cuts = draw(optimize_over_cases())
-    return lp_oracle.optimize_over_problem(poly, sense, c=c, cuts=cuts)
+    return _solve_lp_arg(solver._optimize_over, poly, sense, "test", c, cuts)
 
 
 def _lp_outcome(solve, prob):
@@ -694,38 +717,16 @@ def test_solve_lp_matches_linprog_oracle(prob):
     assert _lp_outcome(solve_lp, prob) == _lp_outcome(lp_oracle.solve_lp, prob)
 
 
-class _Stop(Exception):
-    """Carries the arguments of a call that a test stopped."""
-
-
-def _stop(*args, **kwargs):
-    raise _Stop(*args)
-
-
-def _linprog_args(solve, *args):
-    """The (c, a, row_lo, row_hi, lo, hi) that ``solve(*args)`` passes to
-    linprog first."""
-    with mock.patch.object(solver, "linprog", _stop):
-        try:
-            solve(*args)
-        except _Stop as stop:
-            return stop.args
-    raise AssertionError(f"{solve.__name__} did not call linprog")
-
-
-def _args_bits(args):
-    return [(arr.dtype, arr.shape, arr.tobytes()) for arr in args]
-
-
 @settings(max_examples=150)
 @given(case=optimize_over_cases())
-def test_optimize_over_hands_linprog_what_solve_lp_makes_of_its_problem(case):
-    # the arrays _optimize_over assembles itself are, byte for byte, what
-    # solve_lp makes of the LPProblem that _optimize_over once built
+def test_optimize_over_lp_solves_as_its_relations_form(case):
+    # the LPProblem _optimize_over builds gives, through solve_lp, the status,
+    # value bits and solution bytes that linprog gives for the LP it once
+    # built with '=' simplex rows, '>=' IC rows and (lo, hi) bounds
     poly, sense, c, cuts = case
-    got = _linprog_args(solver._optimize_over, poly, sense, "test", c, cuts)
-    want = _linprog_args(solve_lp, lp_oracle.optimize_over_problem(poly, sense, c=c, cuts=cuts))
-    assert _args_bits(got) == _args_bits(want)
+    prob = _solve_lp_arg(solver._optimize_over, poly, sense, "test", c, cuts)
+    assert _lp_outcome(solve_lp, prob) == _lp_outcome(
+        lp_oracle.solve_relations, lp_oracle.optimize_over_problem(poly, sense, c=c, cuts=cuts))
 
 
 # passModel rejects a matrix entry above HiGHS's large_matrix_value (1e15)
@@ -741,7 +742,7 @@ def test_reused_highs_instances_match_fresh_ones(probs, data):
     # every attempt through this thread's reused instances, in a drawn order
     # of options and LPs with one rejected model among them, is bit for bit
     # the attempt on a fresh instance, also when compared only after every
-    # attempt has run: later runs leave a result and its basis as they were
+    # attempt has run: later runs leave a result as it was
     assert _highs.linprog(*_REJECTED).message == "(HiGHS Status 2: Model error)"
     attempts = [(args, options) for args in [_linprog_args(solve_lp, p) for p in probs]
                 + [_REJECTED]
@@ -805,34 +806,6 @@ def test_saddle_lp_blocks_match_block_diag(case):
     assert got.dtype == q_in.dtype and got.tobytes() == (-q_in).tobytes()
 
 
-def _solve_lp_arg(solve, *args):
-    """The LPProblem that ``solve(*args)`` passes to solve_lp first."""
-    with mock.patch.object(solver, "solve_lp", _stop):
-        try:
-            solve(*args)
-        except _Stop as stop:
-            return stop.args[0]
-    raise AssertionError(f"{solve.__name__} did not call solve_lp")
-
-
-@settings(max_examples=80)
-@given(call=st.one_of(
-    optimize_over_cases().map(lambda case: (solver._optimize_over, case[:2] + ("test",)
-                                            + case[2:])),
-    saddle_cases().map(lambda case: (solver._saddle_lp, case))))
-def test_assembled_problems_state_the_lp_they_hand_highs(call):
-    # the value solvers' LPs go through solve_lp as LPProblems whose fields,
-    # converted as any LPProblem is, give the arrays they assembled
-    solve, args = call
-    prob = _solve_lp_arg(solve, *args)
-    plain = LPProblem(c=prob.c, a=prob.a, relations=prob.relations, b=prob.b,
-                      bounds=prob.bounds, sense=prob.sense)
-    assert type(plain) is not type(prob)
-    assert len(prob.relations) == prob.a.shape[0] and len(prob.c) == prob.a.shape[1]
-    assert (_args_bits(_linprog_args(solve_lp, plain))
-            == _args_bits(_linprog_args(solve_lp, prob)))
-
-
 def _saddle_outcome(solve):
     try:
         value, witness = solve()[:2]
@@ -844,11 +817,13 @@ def _saddle_outcome(solve):
 @settings(max_examples=100)
 @given(g=saddle_games(), j=st.integers(0, 1))
 def test_saddle_lp_matches_two_principal_oracle(g, j):
-    # with one inner principal the joint table is its table: HiGHS gets the
-    # bytes that solve_lp makes of the oracle's maxmin LPProblem, and the
-    # value bits and witness bytes are the oracle's
-    assert (_args_bits(_linprog_args(solver._saddle_lp, g, j))
-            == _args_bits(_linprog_args(saddle_oracle._saddle_lp, g, j, "max")))
+    # with one inner principal the joint table is its table: the saddle LP
+    # solves to the status, value bits and solution bytes that linprog gives
+    # for the oracle's maxmin LP, and the value bits and witness bytes are
+    # the oracle's
+    prob = dataclasses.replace(_solve_lp_arg(solver._saddle_lp, g, j), accept=None)
+    assert _lp_outcome(solve_lp, prob) == _lp_outcome(
+        lp_oracle.solve_relations, saddle_oracle.saddle_problem(g, j, "max"))
     assert (_saddle_outcome(lambda: solver._saddle_lp(g, j))
             == _saddle_outcome(lambda: saddle_oracle._saddle_lp(g, j, "max")))
 

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import itertools
 import json
+import math
 import sys
 import threading
 import weakref
@@ -40,6 +41,7 @@ from mechpoly import (
     report_to_json,
     robust_pbe_membership,
     sample_bic,
+    screening_game,
     search_minmax_maxmin_gap,
     solve_lp,
     solve_report,
@@ -51,46 +53,59 @@ DEG_H = DirectMechanism(owner=1, p=np.array([[1.0, 0.0]]))
 
 
 def test_solve_lp_basics():
-    res = solve_lp(LPProblem(c=[1.0], a=[[1.0]], relations=["<="], b=[3.0],
-                             bounds=[(0.0, None)], sense="max"))
+    res = solve_lp(LPProblem(c=[1.0], a=[[1.0]], b=[3.0], sense="max"))
     assert res.status == "optimal"
     assert res.value == pytest.approx(3.0)
 
-    res = solve_lp(LPProblem(c=[1.0, 2.0], a=[[1.0, 1.0]], relations=["="],
-                             b=[1.0], bounds=[(0.0, None)] * 2, sense="min"))
+    res = solve_lp(LPProblem(c=[1.0, 2.0], a=[[1.0, 1.0]], b=[1.0], n_eq=1, sense="min"))
     assert res.value == pytest.approx(1.0)
     np.testing.assert_allclose(res.x, [1.0, 0.0], atol=1e-9)
 
-    res = solve_lp(LPProblem(c=[1.0], a=[[1.0]], relations=["<="], b=[-1.0],
-                             bounds=[(0.0, None)], sense="max"))
+    # a free variable goes below 0; with every variable nonnegative it cannot
+    res = solve_lp(LPProblem(c=[1.0], a=[[-1.0]], b=[2.0], free=[True], sense="min"))
+    assert res.value == pytest.approx(-2.0)
+    assert solve_lp(LPProblem(c=[1.0], a=[[-1.0]], b=[2.0], sense="min")).value == 0.0
+
+    res = solve_lp(LPProblem(c=[1.0], a=[[1.0]], b=[-1.0], sense="max"))
     assert res.status == "infeasible"
 
-    res = solve_lp(LPProblem(c=[1.0], a=[], relations=[], b=[],
-                             bounds=[(0.0, None)], sense="max"))
+    res = solve_lp(LPProblem(c=[1.0], a=[], b=[], sense="max"))
     assert res.status == "unbounded"
 
-    with pytest.raises(ValueError, match="unknown relation"):
-        solve_lp(LPProblem(c=[1.0], a=[[1.0]], relations=["!"], b=[0.0],
-                           bounds=[(0.0, None)]))
     for c, a, b in [([np.nan], [[1.0]], [0.0]), ([1.0], [[np.inf]], [0.0]),
                     ([1.0], [[1.0]], [-np.inf])]:
         with pytest.raises(ValueError, match="LP data must be finite"):
-            solve_lp(LPProblem(c=c, a=a, relations=[">="], b=b, bounds=[(0.0, None)]))
+            solve_lp(LPProblem(c=c, a=a, b=b))
     # shapes are checked, as linprog's input cleaning checked them
-    for a, rel, b in [([[1.0, 1.0]], ["<="], [1.0]),      # a has a column too many
-                      ([[1.0]], ["<="], [1.0, 2.0]),       # b has an entry too many
-                      ([[1.0], [2.0]], ["<="], [1.0]),     # a row without a relation
-                      ([[1.0]], ["<=", "<="], [1.0, 2.0])]:
+    for a, b in [([[1.0, 1.0]], [1.0]),      # a has a column too many
+                 ([[1.0]], [1.0, 2.0]),       # b has an entry too many
+                 ([[1.0], [2.0]], [1.0]),     # a row without a right-hand side
+                 ([[1.0]], [[1.0]])]:         # b is not a vector
         with pytest.raises(ValueError, match="shapes do not match"):
-            solve_lp(LPProblem(c=[1.0], a=a, relations=rel, b=b, bounds=[(0.0, None)]))
-    for bounds in [(0.0, None), [(0.0, None)], [(0.0, None)] * 3]:
-        with pytest.raises(ValueError, match="one \\(lo, hi\\) pair per variable"):
-            solve_lp(LPProblem(c=[1.0, 1.0], a=[[1.0, 1.0]], relations=["<="], b=[1.0],
-                               bounds=bounds))
+            solve_lp(LPProblem(c=[1.0], a=a, b=b))
+    for n_eq in (-1, 2, 0.5, None):
+        with pytest.raises(ValueError, match="is not a row count between 0 and 1"):
+            solve_lp(LPProblem(c=[1.0], a=[[1.0]], b=[1.0], n_eq=n_eq))
+    for free in ([True], [1, 0], [True, False, True], np.array([[True, False]])):
+        with pytest.raises(ValueError, match="boolean mask of the 2 variables"):
+            solve_lp(LPProblem(c=[1.0, 1.0], a=[[1.0, 1.0]], b=[1.0], free=free))
+
+
+def test_solve_lp_states_its_rows_and_gives_no_negative_zero():
+    # relations, which perfbench counts, are '<=' then the n_eq '=' rows;
+    # the 'max' LPs with optimum 0 (both principals of the screening game)
+    # report 0.0, not -0.0
+    assert LPProblem(c=[1.0], a=np.ones((3, 1)), b=np.ones(3), n_eq=1).relations == [
+        "<=", "<=", "="]
+    assert solve_lp(LPProblem(c=[1.0], a=[[1.0]], b=[0.0], sense="max")).value == 0.0
+    g = screening_game()
+    for j in (0, 1):
+        for v in (maxmin(g, j).value, minmax(g, j, mode="exact2").value):
+            assert v == 0.0 and math.copysign(1.0, v) == 1.0
 
 
 def test_assembled_lps_are_checked_for_finite_data(mp2):
-    # the solvers' assembled LPs skip the conversion, but not the finiteness check
+    # the LPs the solvers build get the finiteness check of every LPProblem
     poly = build_bic_polytope(mp2, 0)
     with pytest.raises(ValueError, match="LP data must be finite"):
         solver._optimize_over(poly, "max", "test", c=np.full(poly.n_vars, np.nan))
@@ -99,9 +114,8 @@ def test_assembled_lps_are_checked_for_finite_data(mp2):
 
 
 def test_solve_lp_rejects_a_duality_gap_after_refinement(monkeypatch):
-    # a reported objective 1e-3 off its marginals fails the gap check on both
-    # attempts; the LP has a binding upper bound, so the gap reads the upper
-    # bound marginals split from the column duals
+    # a reported objective 1e-3 off its row marginals fails the gap check on
+    # both attempts
     real = solver.linprog
     calls = []
 
@@ -110,7 +124,7 @@ def test_solve_lp_rejects_a_duality_gap_after_refinement(monkeypatch):
         res = real(*args, options=options)
         return dataclasses.replace(res, fun=res.fun + 1e-3)
 
-    prob = LPProblem(c=[1.0], a=[[1.0]], relations=[">="], b=[0.5], bounds=[(0.0, 2.0)])
+    prob = LPProblem(c=[1.0], a=[[1.0]], b=[2.0])
     assert solve_lp(prob).value == 2.0
     monkeypatch.setattr(solver, "linprog", off_objective)
     with pytest.raises(NumericalFailure, match="duality gap 1.000e-03 exceeds"):
@@ -150,7 +164,7 @@ def test_solve_lp_outcome_per_solver_status(monkeypatch, code, outcome):
         return _highs.HighsResult(status=code, message="stub")
 
     monkeypatch.setattr(solver, "linprog", fixed_status)
-    prob = LPProblem(c=[1.0], a=[[1.0]], relations=["<="], b=[3.0], bounds=[(0.0, None)])
+    prob = LPProblem(c=[1.0], a=[[1.0]], b=[3.0])
     if outcome is not None:
         assert solve_lp(prob).status == outcome
         assert calls == [None]
@@ -191,6 +205,24 @@ def test_linprog_accepts_only_base_and_tight():
     assert _highs._instance(True).getOptions().primal_feasibility_tolerance == 1e-10
     assert _highs._instance(False).getOptions().primal_feasibility_tolerance == 1e-7
     assert _highs._instance(True) is _highs._instance(True)
+
+
+def test_instance_raises_when_highs_rejects_its_options(monkeypatch):
+    # a tolerance below HiGHS's range fails passOptions; a new thread has no
+    # instance yet, so it builds one from the patched options
+    monkeypatch.setattr(_highs, "BASE", _highs._options(primal_feasibility_tolerance=-1.0))
+    errors = []
+
+    def build():
+        try:
+            _highs._instance(False)
+        except RuntimeError as exc:
+            errors.append(str(exc))
+
+    worker = threading.Thread(target=build)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive() and errors == ["HiGHS rejected linprog's options"]
 
 
 def test_linprog_threads_match_serial_run():
@@ -344,17 +376,15 @@ def _bisection_minmax(g, j, tol=1e-9):
         return c.reshape(-1)
 
     coeffs = [payoff_coeffs(p) for p in own_vertices]
-    a_k = np.vstack([poly_k.eq, poly_k.ic]) if poly_k.ic.shape[0] else poly_k.eq
-    rel_k = ["="] * poly_k.eq.shape[0] + [">="] * poly_k.ic.shape[0]
-    b_k = np.concatenate([np.ones(poly_k.eq.shape[0]), np.zeros(poly_k.ic.shape[0])])
+    a_k, rel_k, b_k = lp_oracle.lp_system(poly_k)
 
     def feasible(v):
         a = np.vstack([a_k] + [c[None, :] for c in coeffs])
         rel = rel_k + ["<="] * len(coeffs)
         b = np.concatenate([b_k, np.full(len(coeffs), v)])
-        res = solve_lp(LPProblem(c=np.zeros(poly_k.n_vars), a=a, relations=rel,
-                                 b=b, bounds=[(0.0, None)] * poly_k.n_vars,
-                                 sense="min"))
+        res = lp_oracle.solve_relations(lp_oracle.RelationsLP(
+            c=np.zeros(poly_k.n_vars), a=a, relations=rel, b=b,
+            bounds=[(0.0, None)] * poly_k.n_vars, sense="min"))
         return res.status == "optimal"
 
     lo = float(np.min([c.sum() for c in coeffs])) - 1.0
