@@ -416,15 +416,26 @@ def sample_bic(g: FiniteGame, principal: int, seed: int,
                poly: BicPolytope = None) -> DirectMechanism:
     """A feasible mechanism: maximize a seeded random objective over the polytope.
 
-    Deterministic in (game, principal, seed).  The result is a vertex of the
-    polytope (an LP optimum), cleaned to exact row sums.
+    Deterministic in (game, principal, seed).  Up to DEFAULT_DIM_CAP
+    variables the result is the first vertex table maximizing it, which pays
+    off when the polytope is sampled again or enumerated anyway (one sample
+    on a fresh 12-variable polytope pays for the enumeration); past the cap
+    it is an LP optimum, cleaned to exact row sums.  A ``poly`` that is not
+    principal's, with the game's profile and action counts, raises ValueError.
     """
     from .solver import _optimize_over  # local import to avoid a cycle
 
     if poly is None:
         poly = build_bic_polytope(g, principal)
+    elif (poly.owner, poly.n_profiles, poly.n_actions) != (
+            principal, g.num_profiles, len(g.action_spaces[principal])):
+        raise ValueError(f"poly is not principal {principal}'s polytope for this game")
     c = np.random.default_rng(seed).standard_normal(poly.n_vars)
-    return _optimize_over(poly, "max", "sampling", c=c)[1]
+    if poly.n_vars > DEFAULT_DIM_CAP:
+        return _optimize_over(poly, "max", "sampling", c=c)[1]
+    tables = poly.vertex_tables
+    best = np.argmax(tables.reshape(len(tables), -1) @ c)
+    return DirectMechanism(owner=poly.owner, p=tables[best])
 
 
 def export_h_representation(poly: BicPolytope) -> str:

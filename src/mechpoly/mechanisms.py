@@ -536,7 +536,8 @@ def _agent_optimal_blocks(g: FiniteGame, mech: GeneralMechanism, tol: float):
     messages are interim optimal, m_0-major then in ``itertools.product``
     order of the maps, with each one's table under every principal message.
     Agent i's values do not depend on its own map, so they are computed once
-    per (m_0, other agents' maps) and tested for all of its maps at once."""
+    per (m_0, other agents' maps), gathered from i's payoff in every message
+    cell at every profile, and tested for all of its maps at once."""
     sizes = [len(m) for m in mech.agent_messages]
     types = [len(ts) for ts in g.type_spaces]
     n_m0 = len(mech.principal_messages)
@@ -545,21 +546,33 @@ def _agent_optimal_blocks(g: FiniteGame, mech: GeneralMechanism, tol: float):
         raise ContinuationSpaceTooLarge(
             f"mechanism of principal index {mech.owner} has {count} pure "
             f"candidates, more than {COMBO_CAP}")
+    out = mech.outcome.reshape(-1, mech.n_actions)
+    stride = [math.prod(mech.outcome.shape[1 + a:-1]) for a in range(1 + g.num_agents)]
     maps = [np.indices((s,) * n).reshape(n, -1).T for s, n in zip(sizes, types)]
+    # each map's outcome-row offset at every profile, (|maps_k|, n_profiles)
+    offs = [m[:, g.profiles[:, k]] * stride[1 + k] for k, m in enumerate(maps)]
     ok = np.ones((n_m0,) + tuple(len(m) for m in maps), dtype=bool)
     for i in range(g.num_agents):
         grid = ok.shape[:1 + i] + ok.shape[2 + i:]      # (m_0, other agents' maps)
         cand = np.indices(grid).reshape(len(grid), -1)
         others = [k for k in range(g.num_agents) if k != i]
-        agent_w = [np.eye(sizes[k])[maps[k][c]] for k, c in zip(others, cand[1:])]
-        agent_w.insert(i, None)
-        values = _interim_values(g, mech, np.eye(n_m0)[cand[0]], agent_w, i)
+        row = sum((offs[k][c] for k, c in zip(others, cand[1:])), cand[0][:, None] * stride[0])
+        pay = out @ g.agent_utils[i][mech.owner].T      # (outcome rows, n_profiles)
+        # (C, n_profiles, |M_i|), broadcast over profiles when i is alone
+        kv = pay[row[:, :, None] + np.arange(sizes[i]) * stride[1 + i],
+                 np.arange(g.num_profiles)[:, None]]
+        weights = np.zeros((types[i], g.num_profiles))  # each type's conditional prior
+        for t in range(types[i]):
+            idxs, w = conditional_weights(g, i, t)
+            weights[t, idxs] = 0.0 if w is None else w
+        values = weights @ kv                           # (C, |X_i|, |M_i|)
         chosen = values[:, np.arange(types[i]), maps[i]]      # (C, |maps_i|, |X_i|)
         fine = ~(chosen < values.max(axis=2)[:, None, :] - tol)
         ok &= np.moveaxis(fine.all(axis=2).reshape(grid + (len(maps[i]),)), -1, 1 + i)
     rows = np.argwhere(ok)
     chosen_maps = [maps[i][rows[:, 1 + i]] for i in range(g.num_agents)]
-    tables = _contract_outcome(g, mech, None, [np.eye(s)[m] for s, m in zip(sizes, chosen_maps)])
+    tables = out[sum((offs[i][rows[:, 1 + i]][:, None] for i in range(g.num_agents)),
+                     np.arange(n_m0)[:, None] * stride[0])]
     return rows[:, 0], chosen_maps, tables
 
 

@@ -120,7 +120,8 @@ def solve_lp(prob: LPProblem) -> LPResult:
     duality gap (1e-7) check, or the problem's accept, are refined once with
     tighter solver tolerances; NumericalFailure only after that.  ValueError
     on shapes that do not match, an n_eq outside the rows, a free mask that
-    is not one bool per variable, and data that is not finite.
+    is not one bool per variable, data that is not finite, and a sense other
+    than 'max' or 'min'.
     """
     c = np.asarray(prob.c, dtype=float)
     a = np.asarray(prob.a, dtype=float) if len(prob.a) else np.zeros((0, c.size))
@@ -135,6 +136,8 @@ def solve_lp(prob: LPProblem) -> LPResult:
         raise ValueError(f"free must be a boolean mask of the {c.size} variables")
     if not (np.isfinite(c).all() and np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("LP data must be finite")
+    if prob.sense not in ("max", "min"):
+        raise ValueError(f"sense {prob.sense!r} is not 'max' or 'min'")
     sign = -1.0 if prob.sense == "max" else 1.0
     row_lo = np.concatenate([np.full(n_ub, -np.inf), b[n_ub:]])
     lo = np.where(free, -np.inf, 0.0)

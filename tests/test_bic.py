@@ -183,7 +183,7 @@ def test_mixtures_of_bic_tables_stay_bic(rng):
             assert is_individually_bic(g, mix, tol=1e-12).ok
 
 
-def test_sample_bic_is_deterministic_and_feasible(screen1, rng):
+def test_sample_bic_is_deterministic_and_feasible(screen1, rng, monkeypatch):
     a = sample_bic(screen1, 0, seed=7)
     b = sample_bic(screen1, 0, seed=7)
     np.testing.assert_array_equal(a.p, b.p)
@@ -193,10 +193,41 @@ def test_sample_bic_is_deterministic_and_feasible(screen1, rng):
         m = sample_bic(screen1, 0, seed=seed)
         assert m.validate(atol=1e-9)
         assert is_individually_bic(screen1, m).ok
-        hits = [i for i, v in enumerate(verts) if np.allclose(v.p, m.p, atol=1e-8)]
-        assert len(hits) == 1  # LP optima of the sampler are polytope vertices
+        hits = [i for i, v in enumerate(verts) if v.p.tobytes() == m.p.tobytes()]
+        assert len(hits) == 1  # under the cap a sample is a vertex table
         seen.add(hits[0])
     assert len(seen) > 1
+
+    # past the cap (three agents with two types, two actions: 16 variables)
+    # nothing is enumerated and an LP finds the vertex
+    lps = []
+    real = mechpoly.solver._optimize_over
+    monkeypatch.setattr(mechpoly.solver, "_optimize_over",
+                        lambda *args, **kw: lps.append(args[2]) or real(*args, **kw))
+    g = random_game(rng, num_agents=3, type_sizes=[2, 2, 2], action_sizes=[2, 2])
+    poly = build_bic_polytope(g, 0)
+    assert poly.n_vars == 16 > mechpoly.bic.DEFAULT_DIM_CAP
+    m = sample_bic(g, 0, seed=7)
+    assert lps == ["sampling"] and "vertex_tables" not in vars(poly)
+    assert m.owner == 0 and m.validate(atol=1e-9) and is_individually_bic(g, m).ok
+    np.testing.assert_array_equal(m.p, sample_bic(g, 0, seed=7).p)
+    # under the cap no LP is solved
+    np.testing.assert_array_equal(sample_bic(screen1, 0, seed=7).p, a.p)
+    assert lps == ["sampling"] * 2
+
+
+def test_sample_bic_rejects_a_foreign_polytope():
+    # P2's polytope handed in for P1 would give a table with P2's three actions
+    g = random_game(np.random.default_rng(3), num_principals=2, num_agents=1,
+                    type_sizes=[2], action_sizes=[2, 3])
+    with pytest.raises(ValueError, match="poly is not principal 0's polytope for this game"):
+        sample_bic(g, 0, seed=1, poly=build_bic_polytope(g, 1))
+    other = random_game(np.random.default_rng(3), num_principals=2, num_agents=1,
+                        type_sizes=[3], action_sizes=[2, 3])
+    with pytest.raises(ValueError, match="poly is not principal 0's polytope"):
+        sample_bic(g, 0, seed=1, poly=build_bic_polytope(other, 0))
+    np.testing.assert_array_equal(sample_bic(g, 0, seed=1, poly=build_bic_polytope(g, 0)).p,
+                                  sample_bic(g, 0, seed=1).p)
 
 
 def test_vertices_have_full_rank_active_sets(rng):

@@ -127,6 +127,32 @@ def test_alternating_upper_bound_is_above_exact_value(g, j, seed):
     assert upper.value >= minmax(g, j, mode="exact2").value - TOL
 
 
+@st.composite
+def sampled_games(draw):
+    """Two-principal games whose polytopes have up to 12 variables (four
+    profiles, three actions), the sizes at which sample_bic reads the vertex
+    table."""
+    n_agents = draw(st.integers(1, 2))
+    type_sizes = [draw(st.integers(1, 2)) for _ in range(n_agents)]
+    action_sizes = [draw(st.integers(2, 3)), draw(st.integers(2, 3))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_game(rng, num_principals=2, num_agents=n_agents, type_sizes=type_sizes,
+                       action_sizes=action_sizes, zero_agent_payoffs=draw(st.booleans()))
+
+
+@settings(max_examples=60)
+@given(g=sampled_games(), j=st.integers(0, 1), seed=st.integers(0, 2**32 - 1))
+def test_sample_bic_is_a_vertex_optimal_for_its_objective(g, j, seed):
+    # under the cap the sample is, bit for bit, an enumerated vertex, and its
+    # objective is the LP optimum over the polytope
+    poly = build_bic_polytope(g, j)
+    m = sample_bic(g, j, seed)
+    assert any(v.p.tobytes() == m.p.tobytes() for v in enumerate_vertices(g, j))
+    c = np.random.default_rng(seed).standard_normal(poly.n_vars)
+    value, _ = solver._optimize_over(poly, "max", "sampling", c=c)
+    assert abs(float(m.p.reshape(-1) @ c) - value) <= 1e-9
+
+
 def _shifted(cert, d):
     """The certificate with its value and bracket lowered by d: the same test
     as raising the payoff it is compared with by d."""

@@ -91,6 +91,14 @@ def test_solve_lp_basics():
             solve_lp(LPProblem(c=[1.0, 1.0], a=[[1.0, 1.0]], b=[1.0], free=free))
 
 
+def test_solve_lp_rejects_an_unknown_sense():
+    # a misspelt sense is an error, not a minimisation
+    assert solve_lp(LPProblem(c=[1.0], a=[[1.0]], b=[3.0], sense="max")).value == 3.0
+    for sense in ("maximize", "MAX", None):
+        with pytest.raises(ValueError, match="is not 'max' or 'min'"):
+            solve_lp(LPProblem(c=[1.0], a=[[1.0]], b=[3.0], sense=sense))
+
+
 def test_solve_lp_states_its_rows_and_gives_no_negative_zero():
     # relations, which perfbench counts, are '<=' then the n_eq '=' rows;
     # the 'max' LPs with optimum 0 (both principals of the screening game)
