@@ -11,6 +11,7 @@ Everything in this module is plain data plus pure functions: dense numpy
 tables indexed by a flat type-profile axis, in declaration order.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -53,13 +54,35 @@ class NotSeparable(ValueError):
         )
 
 
+# the state's low byte after one step, indexed by (low byte ^ data byte)
+_FNV_LOW = bytes(x * FNV64_PRIME & 0xFF for x in range(256))
+
+
+@functools.cache
+def _fnv_powers(bits: int) -> np.ndarray:
+    """FNV64_PRIME ** m mod 2**64 for m = 0 .. 2**bits - 1, read-only."""
+    powers = np.ones(1 << bits, dtype=np.uint64)
+    np.cumprod(np.full(len(powers) - 1, FNV64_PRIME, dtype=np.uint64), out=powers[1:])
+    powers.flags.writeable = False
+    return powers
+
+
 def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a hash of a byte string."""
-    h = FNV64_OFFSET
-    for b in data:
-        h ^= b
-        h = (h * FNV64_PRIME) & 0xFFFFFFFFFFFFFFFF
-    return h
+    """64-bit FNV-1a hash of a byte string.
+
+    A step xors data byte b_k into the state and multiplies by the prime P.
+    The xor changes only the low byte, which steps on its own through
+    ``_FNV_LOW``; with d_k = (s_k ^ b_k) - s_k for s_k the low byte before
+    step k, the hash is offset * P^n + sum_k d_k * P^(n - k), mod 2^64, one
+    wrapping uint64 dot product."""
+    s = FNV64_OFFSET & 0xFF
+    low = np.frombuffer(bytes([s]) + bytes([s := _FNV_LOW[s ^ b] for b in data]),
+                        dtype=np.uint8).astype(np.int64)
+    b = np.frombuffer(data, dtype=np.uint8)
+    pre = low[:-1]
+    powers = _fnv_powers(len(b).bit_length())
+    total = ((pre ^ b) - pre).view(np.uint64) @ powers[len(b):0:-1]
+    return (FNV64_OFFSET * int(powers[len(b)]) + int(total)) & 0xFFFFFFFFFFFFFFFF
 
 
 def _frozen(a):

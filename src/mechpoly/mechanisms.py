@@ -530,14 +530,18 @@ def check_continuation_equilibrium(g: FiniteGame, mechanisms,
 # -- pure continuation-equilibrium enumeration ----------------------------------
 
 
-def _agent_optimal_blocks(g: FiniteGame, mech: GeneralMechanism, tol: float):
-    """(m0 (S,), maps[i] (S, |X_i|), tables (S, |M_0|, n_profiles, |A|)):
-    the candidates (m_0, pure type->message maps) of one mechanism whose agent
-    messages are interim optimal, m_0-major then in ``itertools.product``
-    order of the maps, with each one's table under every principal message.
-    Agent i's values do not depend on its own map, so they are computed once
-    per (m_0, other agents' maps), gathered from i's payoff in every message
-    cell at every profile, and tested for all of its maps at once."""
+def _agent_optimal_blocks(g: FiniteGame, mechs, tol: float) -> list:
+    """One (m0 (S,), maps[i] (S, |X_i|), tables (S, |M_0|, n_profiles, |A|))
+    per mechanism of ``mechs``, which share one owner and one outcome shape:
+    the candidates (m_0, pure type->message maps) of that mechanism whose
+    agent messages are interim optimal, m_0-major then in
+    ``itertools.product`` order of the maps, with each one's table under
+    every principal message.  The mechanisms are stacked on a leading axis,
+    so a menu of same-shaped deviations costs one pass.  Agent i's values do
+    not depend on its own map, so they are computed once per (mechanism,
+    m_0, other agents' maps), gathered from i's payoff in every message cell
+    at every profile, and tested for all of its maps at once."""
+    mech = mechs[0]
     sizes = [len(m) for m in mech.agent_messages]
     types = [len(ts) for ts in g.type_spaces]
     n_m0 = len(mech.principal_messages)
@@ -546,34 +550,36 @@ def _agent_optimal_blocks(g: FiniteGame, mech: GeneralMechanism, tol: float):
         raise ContinuationSpaceTooLarge(
             f"mechanism of principal index {mech.owner} has {count} pure "
             f"candidates, more than {COMBO_CAP}")
-    out = mech.outcome.reshape(-1, mech.n_actions)
+    out = np.stack([m.outcome.reshape(-1, mech.n_actions) for m in mechs])  # (D, rows, |A|)
     stride = [math.prod(mech.outcome.shape[1 + a:-1]) for a in range(1 + g.num_agents)]
     maps = [np.indices((s,) * n).reshape(n, -1).T for s, n in zip(sizes, types)]
     # each map's outcome-row offset at every profile, (|maps_k|, n_profiles)
     offs = [m[:, g.profiles[:, k]] * stride[1 + k] for k, m in enumerate(maps)]
-    ok = np.ones((n_m0,) + tuple(len(m) for m in maps), dtype=bool)
+    ok = np.ones((len(mechs), n_m0) + tuple(len(m) for m in maps), dtype=bool)
     for i in range(g.num_agents):
-        grid = ok.shape[:1 + i] + ok.shape[2 + i:]      # (m_0, other agents' maps)
-        cand = np.indices(grid).reshape(len(grid), -1)
+        grid = ok.shape[:2 + i] + ok.shape[3 + i:]  # (mechanism, m_0, other agents' maps)
+        cand = np.indices(grid[1:]).reshape(len(grid) - 1, -1)
         others = [k for k in range(g.num_agents) if k != i]
         row = sum((offs[k][c] for k, c in zip(others, cand[1:])), cand[0][:, None] * stride[0])
-        pay = out @ g.agent_utils[i][mech.owner].T      # (outcome rows, n_profiles)
-        # (C, n_profiles, |M_i|), broadcast over profiles when i is alone
-        kv = pay[row[:, :, None] + np.arange(sizes[i]) * stride[1 + i],
+        pay = out @ g.agent_utils[i][mech.owner].T      # (D, outcome rows, n_profiles)
+        # (D, C, n_profiles, |M_i|), broadcast over profiles when i is alone
+        kv = pay[:, row[:, :, None] + np.arange(sizes[i]) * stride[1 + i],
                  np.arange(g.num_profiles)[:, None]]
         weights = np.zeros((types[i], g.num_profiles))  # each type's conditional prior
         for t in range(types[i]):
             idxs, w = conditional_weights(g, i, t)
             weights[t, idxs] = 0.0 if w is None else w
-        values = weights @ kv                           # (C, |X_i|, |M_i|)
-        chosen = values[:, np.arange(types[i]), maps[i]]      # (C, |maps_i|, |X_i|)
-        fine = ~(chosen < values.max(axis=2)[:, None, :] - tol)
-        ok &= np.moveaxis(fine.all(axis=2).reshape(grid + (len(maps[i]),)), -1, 1 + i)
+        values = weights @ kv                           # (D, C, |X_i|, |M_i|)
+        chosen = values[..., np.arange(types[i]), maps[i]]    # (D, C, |maps_i|, |X_i|)
+        fine = ~(chosen < values.max(axis=-1)[..., None, :] - tol)
+        ok &= np.moveaxis(fine.all(axis=-1).reshape(grid + (len(maps[i]),)), -1, 2 + i)
     rows = np.argwhere(ok)
-    chosen_maps = [maps[i][rows[:, 1 + i]] for i in range(g.num_agents)]
-    tables = out[sum((offs[i][rows[:, 1 + i]][:, None] for i in range(g.num_agents)),
-                     np.arange(n_m0)[:, None] * stride[0])]
-    return rows[:, 0], chosen_maps, tables
+    tables = out.reshape(-1, mech.n_actions)[sum(
+        (offs[i][rows[:, 2 + i]][:, None] for i in range(g.num_agents)),
+        rows[:, :1, None] * out.shape[1] + np.arange(n_m0)[:, None] * stride[0])]
+    cuts = np.cumsum(ok.reshape(len(mechs), -1).sum(axis=1))[:-1]
+    return [(r[:, 1], [maps[i][r[:, 2 + i]] for i in range(g.num_agents)], t)
+            for r, t in zip(np.split(rows, cuts), np.split(tables, cuts))]
 
 
 def _payoffs(g: FiniteGame, j: int, tables) -> np.ndarray:
@@ -619,7 +625,7 @@ def enumerate_pure_continuation_equilibria(g: FiniteGame, mechanisms,
                                            tol: float = EQ_TOL):
     """Every pure strategy profile passing the continuation check."""
     _require_profile(g, mechanisms)
-    blocks = [_agent_optimal_blocks(g, mech, tol) for mech in mechanisms]
+    blocks = [_agent_optimal_blocks(g, [mech], tol)[0] for mech in mechanisms]
     ok, _ = _continuation_combos(g, mechanisms, blocks, tol)
     return [_pure_profile(g, mechanisms, [b[0][c] for b, c in zip(blocks, combo)],
                           [[m[c] for m in b[1]] for b, c in zip(blocks, combo)])
@@ -673,9 +679,13 @@ def check_equilibrium_notion(g: FiniteGame, mechanisms,
 
     Agent payoffs are separable across principals, so whether an agent's
     messages to one mechanism are interim optimal depends on that mechanism
-    alone: ``_agent_optimal_blocks(g, mech, tol)`` reads only ``mech``.  Each
-    on-path mechanism's blocks are therefore computed once, in the first
-    subgame that needs them, and reused in every later one.
+    alone: ``_agent_optimal_blocks`` reads only the mechanisms it is given.
+    Each on-path mechanism's blocks are therefore computed once, in the first
+    subgame that needs them, and reused in every later one.  A principal's
+    remaining deviations are grouped by outcome shape, in order of first
+    appearance, and each group's blocks come from one kernel call, made in
+    the subgame of its first member.  Continuation combos and the notion's
+    value are still computed deviation by deviation, in menu order.
     """
     if notion not in NOTIONS:
         raise ValueError(f"unknown notion {notion!r}")
@@ -693,15 +703,21 @@ def check_equilibrium_notion(g: FiniteGame, mechanisms,
     checks = []
     infeasible = []
     ok = on_path.ok
-    on_path_blocks = functools.cache(lambda k: _agent_optimal_blocks(g, mechanisms[k], tol))
+    on_path_blocks = functools.cache(lambda k: _agent_optimal_blocks(g, [mechanisms[k]], tol)[0])
     for j, devs in sorted(deviations.items()):
-        for d_idx, dev in enumerate(devs):
-            if _same_mechanism(dev, mechanisms[j]):
-                continue
+        kept = [d for d, dev in enumerate(devs) if not _same_mechanism(dev, mechanisms[j])]
+        groups = {}
+        for d in kept:
+            groups.setdefault(devs[d].outcome.shape, []).append(d)
+        group_blocks = functools.cache(lambda shape: dict(zip(
+            groups[shape], _agent_optimal_blocks(g, [devs[d] for d in groups[shape]], tol))))
+        for d_idx in kept:
+            dev = devs[d_idx]
             subgame = list(mechanisms)
             subgame[j] = dev
-            # in principal order, so the first mechanism past COMBO_CAP raises
-            blocks = [_agent_optimal_blocks(g, dev, tol) if k == j else on_path_blocks(k)
+            # in principal order, and a group's blocks where its first member
+            # needs them, so the first mechanism past COMBO_CAP raises
+            blocks = [group_blocks(dev.outcome.shape)[d_idx] if k == j else on_path_blocks(k)
                       for k in range(len(subgame))]
             eq, payoff = _continuation_combos(g, subgame, blocks, tol, valued=j)
             if not eq.any():
@@ -742,10 +758,13 @@ def _sample_cdf(rng: np.random.Generator, cdf: np.ndarray, row: np.ndarray) -> n
     cumulative table ``cdf``, via inverse transform: the number of cumulative
     totals below a uniform draw, counted column by column.  Validated rows
     may hold entries down to -DIST_ATOL, so totals need not be monotone, and
-    may sum to 1 - 1e-9, so a draw past the last total is clamped."""
+    may sum to 1 - 1e-9, so a draw past the last total is clamped.  A draw
+    lies in [0, 1), so a column whose every total is at least 1 counts for
+    no row and one whose every total is negative counts for all."""
     u = rng.random(len(row))
-    count = np.zeros(len(row), dtype=np.intp)
-    for col in cdf.T:
+    low, high = cdf.min(axis=0), cdf.max(axis=0)
+    count = np.full(len(row), np.count_nonzero(high < 0.0), dtype=np.intp)
+    for col in cdf.T[(low < 1.0) & (high >= 0.0)]:
         count += u > col[row]
     return np.minimum(count, cdf.shape[1] - 1)
 
@@ -775,13 +794,16 @@ def simulate(g: FiniteGame, mechanisms, strategies: StrategyProfile,
         cell = _sample_cdf(rng, np.cumsum(c0[None], axis=1), np.zeros(rounds, dtype=np.intp))
         for i, labels in enumerate(mech.agent_messages):
             rows = np.asarray(strategies.agent_messages[(i, j)], dtype=float)
-            cell = cell * len(labels) + _sample_cdf(rng, np.cumsum(rows, axis=1),
-                                                    g.profiles[x_idx, i])
+            # agent i's rows by type profile, so the draws index them by x_idx
+            cdf = np.cumsum(rows, axis=1)[g.profiles[:, i]]
+            cell = cell * len(labels) + _sample_cdf(rng, cdf, x_idx)
         outcome = np.cumsum(mech.outcome.reshape(-1, mech.n_actions), axis=1)
         actions.append(_sample_cdf(rng, outcome, cell))
+    shape = tuple(len(a) for a in g.action_spaces)
+    flat = np.ravel_multi_index((x_idx, *actions), (g.num_profiles, *shape))
     principals = []
     for j in range(g.num_principals):
-        vals = g.principal_utils[j][(x_idx,) + tuple(actions)]
+        vals = g.principal_utils[j].take(flat)
         principals.append({
             "id": g.principal_ids[j],
             "mean": float(vals.mean()),
@@ -789,16 +811,18 @@ def simulate(g: FiniteGame, mechanisms, strategies: StrategyProfile,
         })
     agents = []
     for i in range(g.num_agents):
-        vals = np.zeros(rounds)
+        joint = 0.0        # i's payoff per (profile, action profile), summed as per round
         for k in range(g.num_principals):
-            vals += g.agent_utils[i][k][x_idx, actions[k]]
+            joint = joint + np.expand_dims(
+                g.agent_utils[i][k], tuple(1 + m for m in range(len(shape)) if m != k))
+        vals = joint.take(flat)
         agents.append({
             "id": g.agent_ids[i],
             "mean": float(vals.mean()),
             "stderr": float(vals.std(ddof=1) / np.sqrt(rounds)) if rounds > 1 else 0.0,
         })
-    shape = tuple(len(a) for a in g.action_spaces)
-    counts = np.bincount(np.ravel_multi_index(tuple(actions), shape))
+    counts = np.bincount(flat, minlength=g.num_profiles * math.prod(shape)).reshape(
+        g.num_profiles, -1).sum(axis=0)
     cells = np.nonzero(counts)[0]
     freq = {}
     for combo, count in zip(zip(*np.unravel_index(cells, shape)), counts[cells]):

@@ -25,6 +25,7 @@ from mechpoly import (
     save_game,
     validate_game,
 )
+from mechpoly.game import fnv1a64
 
 
 def _two_agent_game(prior):
@@ -464,3 +465,10 @@ def test_game_hash_sensitivity(rng):
     # structural copy hashes identically
     g3 = game_from_dict(game_to_dict(g))
     assert game_hash(g3) == h
+
+
+def test_fnv1a64_known_answers():
+    # the published FNV-1a 64-bit test vectors
+    assert fnv1a64(b"") == 0xCBF29CE484222325
+    assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
+    assert fnv1a64(b"foobar") == 0x85944171F73967E8

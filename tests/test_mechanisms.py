@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import continuation_oracle
 import mechpoly.mechanisms
 from mechpoly import (
     ContinuationSpaceTooLarge,
@@ -27,6 +28,7 @@ from mechpoly import (
     deviator_message_label,
     deviator_truthful_strategies,
     enumerate_pure_continuation_equilibria,
+    expected_principal_payoff,
     general_mechanism_from_dict,
     general_mechanism_to_dict,
     induce_direct_mechanism,
@@ -514,27 +516,30 @@ def test_notion_skips_identical_deviation(screen1):
 
 def test_notion_computes_each_on_path_blocks_once(mp2, monkeypatch):
     # one call per on-path mechanism some subgame needs, in the first subgame
-    # that needs it, plus one per deviation that is not skipped
+    # that needs it, plus one per group of same-shaped deviations that are not
+    # skipped, in the subgame of the group's first member
     mechs = [_mp_std(mp2, 0, [0.5, 0.5]), _mp_std(mp2, 1, [0.5, 0.5])]
     strat = truthful_strategies(mp2, mechs)
     menus = [_vertex_menu(mp2, j) for j in range(2)]
     pure = _mp_std(mp2, 0, [1.0, 0.0])
+    other = _mp_std(mp2, 0, [0.0, 1.0])
     seen = []
     blocks = mechpoly.mechanisms._agent_optimal_blocks
 
-    def recording(g, mech, tol):
-        seen.append(mech)
-        return blocks(g, mech, tol)
+    def recording(g, batch, tol):
+        seen.append([id(m) for m in batch])
+        return blocks(g, batch, tol)
 
     monkeypatch.setattr(mechpoly.mechanisms, "_agent_optimal_blocks", recording)
     for devs, want in [
             ({0: [menus[0], mechs[0], pure], 1: [menus[1]]},
-             [menus[0], mechs[1], pure, mechs[0], menus[1]]),
-            ({0: [menus[0], pure], 1: [mechs[1]]}, [menus[0], mechs[1], pure]),
+             [[menus[0]], [mechs[1]], [pure], [mechs[0]], [menus[1]]]),
+            ({0: [menus[0], pure], 1: [mechs[1]]}, [[menus[0]], [mechs[1]], [pure]]),
+            ({0: [pure, menus[0], mechs[0], other]}, [[pure, other], [mechs[1]], [menus[0]]]),
             ({0: [mechs[0]], 1: [mechs[1]]}, [])]:
         seen.clear()
         check_equilibrium_notion(mp2, mechs, strat, devs, notion="robust")
-        assert [id(m) for m in seen] == [id(m) for m in want]
+        assert seen == [[id(m) for m in batch] for batch in want]
 
 
 def test_notion_rejects_empty_deviation_sets(screen1):
@@ -639,6 +644,91 @@ def test_continuation_space_over_cap_raises(mp2, monkeypatch):
     monkeypatch.setattr(mechpoly.mechanisms, "COMBO_CAP", 15)
     with pytest.raises(ContinuationSpaceTooLarge, match="16 pure candidates"):
         enumerate_pure_continuation_equilibria(mp2, mechs)
+
+
+def _constant_mechanism(j, n_m0, n_msgs, row):
+    """A three-agent message mechanism that plays ``row`` whatever is sent."""
+    return GeneralMechanism(
+        owner=j, principal_messages=tuple(f"d{m}" for m in range(n_m0)),
+        agent_messages=(tuple(f"s{m}" for m in range(n_msgs)),) * 3,
+        outcome=np.broadcast_to(row, (n_m0,) + (n_msgs,) * 3 + (len(row),)))
+
+
+def _first_messages(g, mechs):
+    """Every sender sends its first message."""
+    return StrategyProfile(
+        principal_messages={j: np.eye(len(m.principal_messages))[0] for j, m in enumerate(mechs)},
+        agent_messages={(i, j): np.eye(len(m.agent_messages[i]))[[0] * len(g.type_spaces[i])]
+                        for j, m in enumerate(mechs) for i in range(g.num_agents)})
+
+
+def test_group_over_cap_after_a_smaller_deviation_raises_in_menu_order(mp2, monkeypatch):
+    # a deviation's blocks come from its group's kernel call, made where the
+    # group's first member is reached, so what raises is what the loop over
+    # deviations raised first: the smaller deviation's 16 x 16 combos when
+    # they exceed the cap, else the group's 4 * 3**3 candidates (agents are
+    # indifferent, so every candidate is a block)
+    group = [_constant_mechanism(0, 4, 3, row) for row in ([0.25, 0.75], [0.75, 0.25])]
+    monkeypatch.setattr(mechpoly.mechanisms, "COMBO_CAP", 100)
+    mechs = [_constant_mechanism(j, 2, 2, [0.5, 0.5]) for j in range(2)]
+    smaller = _constant_mechanism(0, 2, 2, [1.0, 0.0])
+    with pytest.raises(ContinuationSpaceTooLarge,
+                       match=r"^continuation blocks \(16, 16\) make more than 100 combos$"):
+        check_equilibrium_notion(mp2, mechs, _first_messages(mp2, mechs),
+                                 {0: [smaller, *group]}, notion="robust")
+    mechs[0] = _mp_std(mp2, 0, [0.5, 0.5])
+    with pytest.raises(ContinuationSpaceTooLarge,
+                       match="^mechanism of principal index 0 has 108 pure candidates, "
+                             "more than 100$"):
+        check_equilibrium_notion(mp2, mechs, _first_messages(mp2, mechs),
+                                 {0: [_mp_std(mp2, 0, [1.0, 0.0]), *group]}, notion="robust")
+
+
+def test_batched_menu_matches_loop_oracle(rng):
+    # one principal's menu: an on-path duplicate, three deviations of one
+    # shape (two non-standard, one standard) and a vertex menu of another
+    # shape; the other principal's menu mixes the same kinds
+    g = random_game(rng, num_principals=2, num_agents=2, type_sizes=[2, 1],
+                    action_sizes=[2, 3])
+
+    def message(j, standard):
+        n_a = len(g.action_spaces[j])
+        outcome = rng.dirichlet(np.ones(n_a), size=(2, 2, 2))
+        if standard:
+            outcome[1] = outcome[0]
+        return GeneralMechanism(owner=j, principal_messages=("d0", "d1"),
+                                agent_messages=(("s0", "s1"), ("s0", "s1")), outcome=outcome)
+
+    mechs = [standard_from_direct(g, sample_bic(g, j, seed=j)) for j in range(2)]
+    strat = truthful_strategies(g, mechs)
+    devs = {j: [message(j, False), mechs[j], _vertex_menu(g, j), message(j, True),
+                message(j, False)] for j in range(2)}
+    induced = continuation_oracle.induce_profile(g, mechs, strat)
+    eq_payoffs = [expected_principal_payoff(g, j, induced) for j in range(2)]
+    batches = []
+    blocks = mechpoly.mechanisms._agent_optimal_blocks
+
+    def recording(g, batch, tol):
+        batches.append(len(batch))
+        return blocks(g, batch, tol)
+
+    for notion in ("pbe", "robust", "strongly-robust"):
+        batches.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mechpoly.mechanisms, "_agent_optimal_blocks", recording)
+            verdict = check_equilibrium_notion(g, mechs, strat, devs, notion)
+        # P1's three message deviations, P2's on-path mechanism, P1's vertex
+        # menu; then P1's on-path mechanism and P2's menu in the same order
+        assert batches == [3, 1, 1, 1, 3, 1]
+        checks, infeasible = continuation_oracle.notion_checks(g, mechs, eq_payoffs, devs,
+                                                               notion)
+        assert _hex_records(verdict.checks) == _hex_records(checks)
+        assert verdict.infeasible == infeasible
+        assert len(checks) + len(infeasible) == 8
+
+
+def _hex_records(records):
+    return [{k: v.hex() if isinstance(v, float) else v for k, v in r.items()} for r in records]
 
 
 def _vertex_menu(g, j):

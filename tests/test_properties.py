@@ -18,8 +18,9 @@ two-principal saddle-LP maxmin is the vertex-product maxmin and the oracle's
 minmax LP, the exact2 punishment read from its duals is an IC table that
 holds j to that minmax, with more principals the correlated-opponent saddle
 LP is a lower bound on the vertex-product maxmin (equal with one type
-profile), ``simulate`` makes the per-round oracle's draws, and the
-closed-form separable fit is the per-profile least-squares fit."""
+profile), ``simulate`` makes the per-round oracle's draws, the
+closed-form separable fit is the per-profile least-squares fit, and
+``fnv1a64`` is the byte-at-a-time FNV-1a loop."""
 
 import dataclasses
 import itertools
@@ -36,6 +37,7 @@ from scipy.linalg import block_diag
 
 import bic_oracle
 import continuation_oracle as oracle
+import fnv_oracle
 import grid_oracle
 import lp_oracle
 import saddle_oracle
@@ -69,7 +71,7 @@ from mechpoly import (
     standard_from_direct,
 )
 from mechpoly import _highs, bic
-from mechpoly.game import DIST_ATOL, SEPARABLE_ATOL, NotSeparable, _contract_except
+from mechpoly.game import DIST_ATOL, SEPARABLE_ATOL, NotSeparable, _contract_except, fnv1a64
 from mechpoly.mechanisms import NOTIONS, _agent_optimal_blocks, _continuation_combos
 from vertex_oracle import svd_enumerate_vertices
 
@@ -453,8 +455,16 @@ def _bits(records):
 @given(case=mechanism_profiles())
 def test_continuation_kernel_matches_loop_oracle(case):
     g, mechs, devs, rng = case
-    blocks = [_agent_optimal_blocks(g, mech, 1e-9) for mech in mechs]
+    blocks = [_agent_optimal_blocks(g, [mech], 1e-9)[0] for mech in mechs]
     ok, _ = _continuation_combos(g, mechs, blocks, 1e-9)
+    for j, mech in enumerate(mechs):
+        # each principal's mechanisms of one shape in one batched call
+        batch = [m for m in [mech] + devs[j] if m.outcome.shape == mech.outcome.shape]
+        for m, got in zip(batch, _agent_optimal_blocks(g, batch, 1e-9)):
+            want = _agent_optimal_blocks(g, [m], 1e-9)[0]
+            for a, b in zip([got[0], *got[1], got[2]], [want[0], *want[1], want[2]]):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
     want_blocks, want_combos = oracle.continuation_combos(g, mechs)
     for (m0, maps, tables), want in zip(blocks, want_blocks):
         assert len(m0) == len(want)
@@ -989,3 +999,11 @@ def test_decompose_separable_matches_lstsq_oracle(case):
         assert abs(exc.residual - o_exc.residual) <= 1e-12
         if len(top) == 1 or top[0] - top[1] > 1e-12:
             assert (exc.profile, exc.action_profile) == (o_exc.profile, o_exc.action_profile)
+
+
+@settings(max_examples=200)
+@given(data=st.one_of(st.binary(max_size=49),
+                      st.sampled_from([300, 1801, 4425]).flatmap(
+                          lambda n: st.binary(min_size=n, max_size=n))))
+def test_fnv1a64_matches_byte_loop_oracle(data):
+    assert fnv1a64(data) == fnv_oracle.fnv1a64(data)
