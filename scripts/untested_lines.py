@@ -13,14 +13,17 @@ module's code objects names) that never ran, as ranges::
 
     src/mechpoly/game.py: 210-212, 247
 
-It stands in for a coverage tool where none is installed.  Lines that run
-only in a subprocess (CLI tests that start ``python -m mechpoly``, the demo
-scripts, perfbench workers) are not seen, because the tracer lives in this
-process alone; they are listed as never run.  Each module's source is read
-before pytest starts, so the line numbers are those of the code the tests
-ran; if a file of the package changes during the run, the script prints an
-error naming it instead of the lists and exits with status 1.  Otherwise
-the exit status is pytest's.
+It stands in for a coverage tool where none is installed.  The demo scripts
+and the CLI tests run in this process (the demos through ``runpy``), so
+their lines are seen.  Lines that run only in a subprocess are not, because
+the tracer lives in this process alone; they are listed as never run.  Only
+two kinds of subprocess run the package: the CLI test that starts ``python
+-m mechpoly`` (another test runs ``mechpoly.__main__`` in process) and
+perfbench's workers.  Each module's source is read before pytest starts,
+so the line numbers are those of the code the tests ran; if a file of the
+package changes during the run, the script prints an error naming it
+instead of the lists and exits with status 1.  Otherwise the exit status is
+pytest's.
 """
 
 import sys

@@ -1,5 +1,8 @@
 """One LP attempt through the HiGHS binding that ``scipy.optimize.linprog``
-uses, with the settings ``linprog(method="highs")`` passes it.
+uses: dual simplex, logging off and presolve off.  The LPs of this package
+have a few rows (7 on average in a two-principal value item, 5 in a
+three-principal gap item), and on LPs that small presolve costs more than
+it saves.
 
 Each thread reuses two ``_Highs`` instances, one per options object, and an
 attempt passes its model into one; that clears the previous model, basis and
@@ -47,10 +50,11 @@ def _csc(a):
 
 
 def _options(**extra):
-    """linprog's HiGHS options, with ``extra`` set on top."""
+    """The HiGHS options of an attempt (presolve off, dual simplex, logging
+    off), with ``extra`` set on top."""
     opts = _h.HighsOptions()
     settings = {
-        "presolve": "on",
+        "presolve": "off",
         "highs_debug_level": _h.HighsDebugLevel.kHighsDebugLevelNone,
         "log_to_console": False,
         "output_flag": False,
@@ -82,7 +86,7 @@ def _instance(tight):
     if highs is None:
         highs = _h._Highs()
         if highs.passOptions(TIGHT if tight else BASE) == _h.HighsStatus.kError:
-            raise RuntimeError("HiGHS rejected linprog's options")
+            raise RuntimeError("HiGHS rejected the LP options")
         setattr(_local, key, highs)
     return highs
 
@@ -91,8 +95,9 @@ def linprog(c, a, row_lo, row_hi, lo, hi, options=None):
     """Minimize c @ x s.t. row_lo <= a @ x <= row_hi, lo <= x <= hi.
 
     ``a`` is a dense (rows, columns) array; infinite entries of the bound
-    arrays mean no bound.  ``options`` is ``BASE`` (linprog's settings, also
-    when None) or ``TIGHT`` (the same with 1e-10 feasibility tolerances);
+    arrays mean no bound.  ``options`` is ``BASE`` (presolve off, dual
+    simplex, logging off; also when None) or ``TIGHT`` (the same with 1e-10
+    feasibility tolerances);
     anything else is a ValueError, and so are arrays whose sizes do not
     match ``a``, since HiGHS reads as many entries as ``a`` has columns or
     rows from each.

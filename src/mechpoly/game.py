@@ -524,9 +524,9 @@ def _indices(spaces, value, path, what) -> tuple:
     try:    # the per-label paths are built only when a label is unknown
         return tuple(labels.index(v) for labels, v in zip(spaces, value))
     except ValueError:
-        for n, (labels, v) in enumerate(zip(spaces, value)):
-            _index(labels, v, f"{path}[{n}]", what)     # raises at the unknown label
-        raise
+        n, v = next((n, v) for n, (labels, v) in enumerate(zip(spaces, value))
+                    if v not in labels)
+        raise GameFormatError(f"{path}[{n}]", f"unknown {what} {v!r}") from None
 
 
 def _dist(doc, labels, path, what) -> list:

@@ -1,16 +1,20 @@
 """Oracles for the LP layer.
 
-``solve_lp`` is the LP layer as it was built on ``scipy.optimize.linprog``:
+``solve_lp`` is the LP layer as it was built on ``scipy.optimize.linprog``,
+with presolve off as ``mechpoly._highs`` runs HiGHS:
 ``mechpoly.solver.solve_lp``, which calls HiGHS directly, must match it in
-status, value bits and solution bytes.  ``solve_relations`` solves the same
-way an LP stated with relations ('<=', '>=', '=') and (lo, hi) bounds, the
-form in which ``optimize_over_problem`` and ``saddle_oracle`` write the LPs
-the value solvers once built: the ``LPProblem``s that the solvers now build
-must solve to the same value bits and solution bytes.  ``fresh_linprog`` is
-one attempt on a ``_Highs`` instance built for it alone, its model passed
-as a ``HighsLp``: ``mechpoly._highs.linprog``, which reuses one instance per
-thread and options and passes arrays, must match it bit for bit whatever
-attempts came before."""
+status, value bits and solution bytes.  With ``presolve=True`` it runs
+linprog's default setting, which may return another optimal vertex: there
+``solve_lp`` must match its status and its value to 1e-9.
+``solve_relations`` solves the same way an LP stated with relations ('<=',
+'>=', '=') and (lo, hi) bounds, the form in which ``optimize_over_problem``
+and ``saddle_oracle`` write the LPs the value solvers once built: the
+``LPProblem``s that the solvers now build must solve to the same value bits
+and solution bytes.  ``fresh_linprog`` is one attempt on a ``_Highs``
+instance built for it alone, its model passed as a ``HighsLp``:
+``mechpoly._highs.linprog``, which reuses one instance per thread and
+options and passes arrays, must match it bit for bit whatever attempts came
+before."""
 
 from dataclasses import dataclass
 
@@ -41,13 +45,15 @@ class RelationsLP:
     sense: str = "max"
 
 
-def solve_lp(prob: LPProblem) -> LPResult:
+def solve_lp(prob: LPProblem, presolve=False) -> LPResult:
     """Solve an LP deterministically; checks residuals on optimal solves.
 
     Infeasible and unbounded are distinct outcomes, not errors.  Solves that
     fail the primal residual (1e-9) or duality gap (1e-7) check are refined
     once with tighter solver tolerances; NumericalFailure only after that.
     The '<=' rows go to linprog as A_ub, the last n_eq rows as A_eq.
+    HiGHS runs without presolve, as in ``mechpoly._highs``, unless
+    ``presolve`` is set.
     """
     c = np.asarray(prob.c, dtype=float)
     a = np.asarray(prob.a, dtype=float) if len(prob.a) else np.zeros((0, c.size))
@@ -55,7 +61,7 @@ def solve_lp(prob: LPProblem) -> LPResult:
     n_ub = b.size - prob.n_eq
     free = np.zeros(c.size, dtype=bool) if prob.free is None else prob.free
     bounds = [(None, None) if f else (0.0, None) for f in free]
-    return _solve(c, a[:n_ub], b[:n_ub], a[n_ub:], b[n_ub:], bounds, prob.sense)
+    return _solve(c, a[:n_ub], b[:n_ub], a[n_ub:], b[n_ub:], bounds, prob.sense, presolve)
 
 
 def solve_relations(prob: RelationsLP) -> LPResult:
@@ -82,17 +88,19 @@ def solve_relations(prob: RelationsLP) -> LPResult:
                   prob.sense)
 
 
-def _solve(c, a_ub, b_ub, a_eq, b_eq, bounds, sense) -> LPResult:
+def _solve(c, a_ub, b_ub, a_eq, b_eq, bounds, sense, presolve=False) -> LPResult:
     """linprog(method="highs") on min sign * c @ x, a_ub @ x <= b_ub,
     a_eq @ x = b_eq and the (lo, hi) bounds, once and then with 1e-10
-    feasibility tolerances, with the residual and duality-gap checks."""
+    feasibility tolerances, with the residual and duality-gap checks;
+    presolve off unless ``presolve`` is set."""
     sign = -1.0 if sense == "max" else 1.0
     a_ub, b_ub = (a_ub, b_ub) if len(b_ub) else (None, None)
     a_eq, b_eq = (a_eq, b_eq) if len(b_eq) else (None, None)
-    tight = {"primal_feasibility_tolerance": 1e-10,
+    base = {"presolve": presolve}
+    tight = {**base, "primal_feasibility_tolerance": 1e-10,
              "dual_feasibility_tolerance": 1e-10}
     failure = "LP did not run"
-    for options in (None, tight):
+    for options in (base, tight):
         res = linprog(sign * c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                       bounds=bounds, method="highs", options=options)
         if res.status == 2:

@@ -2,6 +2,9 @@ import json
 import math
 import os
 import re
+import runpy
+import subprocess
+import sys
 from collections import OrderedDict
 
 import numpy as np
@@ -94,6 +97,39 @@ def inputs(f, path):
         "--default": (f["default"], _build_drm(f, default=path)),
         "--punish": (f["default"], _build_drm(f, punish=path)),
     }
+
+
+def test_python_m_mechpoly_runs_the_cli(tmp_path, mp_files):
+    # a fresh process with the package importable as it is here
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        os.path.dirname(os.path.dirname(mechpoly.cli.__file__)),
+        os.environ.get("PYTHONPATH")]))}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "mechpoly", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    out = tmp_path / "validate.json"
+    done = run("validate", "--game", mp_files[1], "--out", str(out))
+    assert done.returncode == 0 and done.stdout.startswith("validate: ok"), done.stderr
+    assert _read_json(out)["config"]["subcommand"] == "validate"
+    done = run("--help")
+    assert done.returncode == 0 and done.stdout.startswith("usage: mechpoly")
+    for name in ("validate", "bic-check", "vertices", "best-response", "minmax", "maxmin",
+                 "punish", "membership", "build-drm", "check-eq", "simulate", "search-gap"):
+        assert f"\n    {name} " in done.stdout, name
+
+
+def test_mechpoly_main_module_exits_with_the_cli_code(tmp_path, mp_files, monkeypatch, capsys):
+    # in process, as ``python -m mechpoly`` runs it
+    bad = _write_json(tmp_path / "bad.json", {})
+    for argv, code in ((["validate", "--game", mp_files[1], "--out", str(tmp_path / "v.json")], 0),
+                       (["validate", "--game", bad], 2)):
+        monkeypatch.setattr(sys, "argv", ["mechpoly", *argv])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("mechpoly", run_name="__main__")
+        assert exc.value.code == code
+    assert "error: " in capsys.readouterr().err
 
 
 def test_validate_ok(tmp_path, mp_files, capsys):

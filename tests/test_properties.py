@@ -8,19 +8,20 @@ continuation-equilibrium kernel returns the per-candidate loops' blocks,
 combos and records, joint truthfulness read from the principals' IC rows is
 the brute force over report vectors, the polytope build's rows are the loop
 oracle's bit for bit, the direct HiGHS call returns linprog's LP results bit
-for bit, the reused HiGHS instances return a fresh instance's results bit
-for bit in any solve order, the LPs that ``_optimize_over`` and the saddle
-LP build solve to the value bits and solution bytes that linprog gives for
-their oracles' relations-form LPs, the saddle LP's bilinear blocks are
-``block_diag``'s, its two-principal solution is the two-principal oracle's
-bit for bit, the batched maxmin cut rows are the per-product loop's, the
-two-principal saddle-LP maxmin is the vertex-product maxmin and the oracle's
-minmax LP, the exact2 punishment read from its duals is an IC table that
-holds j to that minmax, with more principals the correlated-opponent saddle
-LP is a lower bound on the vertex-product maxmin (equal with one type
-profile), ``simulate`` makes the per-round oracle's draws, the
-closed-form separable fit is the per-profile least-squares fit, and
-``fnv1a64`` is the byte-at-a-time FNV-1a loop."""
+for bit without presolve and linprog's statuses and optima with it, the
+reused HiGHS instances return a fresh instance's results bit for bit in any
+solve order, the LPs that ``_optimize_over`` and the saddle LP build solve
+to the value bits and solution bytes that linprog gives for their oracles'
+relations-form LPs, the saddle LP's bilinear blocks are ``block_diag``'s,
+its two-principal solution is the two-principal oracle's bit for bit, the
+batched maxmin cut rows are the per-product loop's, the two-principal
+saddle-LP maxmin is the vertex-product maxmin and the oracle's minmax LP,
+the exact2 punishment read from its duals is an IC table that holds j to
+that minmax, with more principals the correlated-opponent saddle LP is a
+lower bound on the vertex-product maxmin (equal with one type profile),
+``simulate`` makes the per-round oracle's draws, the closed-form separable
+fit is the per-profile least-squares fit, and ``fnv1a64`` is the
+byte-at-a-time FNV-1a loop."""
 
 import dataclasses
 import itertools
@@ -751,6 +752,26 @@ def _lp_outcome(solve, prob):
 def test_solve_lp_matches_linprog_oracle(prob):
     # the direct HiGHS call gives linprog's status, value bits and solution bytes
     assert _lp_outcome(solve_lp, prob) == _lp_outcome(lp_oracle.solve_lp, prob)
+
+
+def _status_value(solve, prob):
+    try:
+        res = solve(prob)
+    except NumericalFailure:
+        return ("numerical failure", None)
+    return (res.status, res.value)
+
+
+@settings(max_examples=300)
+@given(prob=st.one_of(dense_lps(), infeasible_or_unbounded_lps(), game_lps()))
+def test_solve_lp_values_match_linprog_with_presolve(prob):
+    # HiGHS runs without presolve; linprog's default runs with it and may
+    # return another optimal vertex, but the status and the optimum agree
+    status, value = _status_value(solve_lp, prob)
+    ref_status, ref = _status_value(lambda p: lp_oracle.solve_lp(p, presolve=True), prob)
+    assert status == ref_status
+    if status == "optimal":
+        assert abs(value - ref) <= 1e-9 * max(1.0, abs(ref))
 
 
 @settings(max_examples=150)

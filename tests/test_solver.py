@@ -230,7 +230,7 @@ def test_instance_raises_when_highs_rejects_its_options(monkeypatch):
     worker = threading.Thread(target=build)
     worker.start()
     worker.join(timeout=30)
-    assert not worker.is_alive() and errors == ["HiGHS rejected linprog's options"]
+    assert not worker.is_alive() and errors == ["HiGHS rejected the LP options"]
 
 
 def test_linprog_threads_match_serial_run():
@@ -643,6 +643,40 @@ def test_saddle_duals_that_fail_their_check_refine_then_raise(rng, monkeypatch, 
         minmax(g, 0, mode="exact2")
     assert calls == [None, _highs.TIGHT]
     assert not solver._SADDLES
+
+
+def test_seeded_value_lps_need_no_refinement(monkeypatch):
+    # every LP of a04's games (both principals: exact2 minmax, exact maxmin
+    # and the best response to the punishment) and of 20 gap-search
+    # candidates (exact maxmin, grid minmax) passes its checks on the first
+    # attempt: none is retried with TIGHT
+    monkeypatch.setattr(mechpoly_bic, "_POLYTOPES", OrderedDict())
+    monkeypatch.setattr(solver, "_SADDLES", OrderedDict())
+    real, calls = solver.linprog, []
+
+    def counted(*args, options=None):
+        calls.append(options)
+        return real(*args, options=options)
+
+    monkeypatch.setattr(solver, "linprog", counted)
+    rng = np.random.default_rng(104)
+    for _ in range(100):
+        n_i = int(rng.integers(1, 3))
+        g = random_game(rng, num_principals=2, num_agents=n_i,
+                        type_sizes=[int(rng.integers(1, 3)) for _ in range(n_i)],
+                        action_sizes=[int(rng.integers(2, 4)), int(rng.integers(2, 4))])
+        for j in range(2):
+            cert = minmax(g, j, mode="exact2")
+            maxmin(g, j, mode="exact")
+            best_response(g, j, cert.witness)
+    family, rng = GapFamily(), np.random.default_rng(42)
+    for idx in range(20):
+        g = family.candidate(idx, rng)
+        maxmin(g, 0, mode="exact")
+        minmax(g, 0, mode="grid", step=0.05)
+    # one saddle LP and one best response per (game, principal), one
+    # correlated saddle LP per candidate
+    assert len(calls) == 420 and calls.count(_highs.TIGHT) == 0
 
 
 def test_sion_equivalence_small_loop(rng):
