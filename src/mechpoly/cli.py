@@ -56,7 +56,6 @@ from .mechanisms import (
     truthful_strategies,
 )
 from .solver import (
-    DEFAULT_GRID_DIM_CAP,
     DEFAULT_RESTARTS,
     VALUE_TOL,
     GapFamily,
@@ -88,7 +87,6 @@ CONFIG_DEFAULTS = {
     "step": 0.01,
     "restarts": DEFAULT_RESTARTS,
     "dim_cap": DEFAULT_DIM_CAP,
-    "grid_dim_cap": DEFAULT_GRID_DIM_CAP,
 }
 
 
@@ -211,8 +209,7 @@ def _cmd_bic_check(args):
 
 
 def _minmax(g, j, args):
-    return minmax(g, j, mode=args.mode, step=args.step, grid_dim_cap=args.grid_dim_cap,
-                  dim_cap=args.dim_cap, restarts=args.restarts, seed=args.seed)
+    return minmax(g, j, mode=args.mode, step=args.step, restarts=args.restarts, seed=args.seed)
 
 
 def _cmd_vertices(args):
@@ -458,13 +455,11 @@ def _add_common(sp, game=True, principal=False, seeded=True):
 
 def _add_solver_flags(sp, modes):
     sp.add_argument("--mode", choices=modes)
-    sp.add_argument("--dim-cap", type=int, dest="dim_cap")
     # maxmin has no grid and no alternating mode, so it takes no flag it never reads
     if "alternating" in modes:
         sp.add_argument("--restarts", "-R", type=int)
     if "grid" in modes:
         sp.add_argument("--step", type=float, help="grid step delta")
-        sp.add_argument("--grid-dim-cap", type=int, dest="grid_dim_cap")
 
 
 @functools.cache
@@ -507,6 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("maxmin", help="maxmin value with certificate")
     _add_common(sp, principal=True)
     _add_solver_flags(sp, ["auto", "exact"])
+    sp.add_argument("--dim-cap", type=int, dest="dim_cap")
     sp.set_defaults(handler=_cmd_value)
 
     sp = sub.add_parser("punish", help="punishment profile and its best-response value")

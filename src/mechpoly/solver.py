@@ -10,9 +10,9 @@ per-principal polytopes:
   the vertex products of the opponents' polytopes, since the functional is
   multilinear, or past their caps a certified lower bound from the same
   saddle LP with the opponents allowed to correlate.
-* ``minmax``: the lowest payoff the opponents can force on j.  Exact for two
-  principals (saddle-point LP); for more principals a certified grid lower
-  bound or an alternating-descent upper bound.
+* ``minmax``: the lowest payoff the opponents can force on j: exact for two
+  principals (saddle-point LP), else a certified grid lower bound (at most
+  GRID_POINT_CAP points and values) or an alternating-descent upper bound.
 * ``punishment_profile``: the opponents' side of a minmax computation.
 * ``robust_pbe_membership``: payoff-floor test for a candidate profile.
 * ``search_minmax_maxmin_gap``: seeded search for instances where the two
@@ -59,7 +59,6 @@ PRIMAL_RESIDUAL_TOL = 1e-9
 DUALITY_GAP_TOL = 1e-7
 VALUE_TOL = 1e-6
 
-DEFAULT_GRID_DIM_CAP = 4
 DEFAULT_RESTARTS = 32
 GRID_POINT_CAP = 2_000_000
 GRID_CHUNK = 4096        # grid points per batch of the minmax sweep
@@ -318,10 +317,8 @@ def _maxmin_vertex_products(g: FiniteGame, principal: int, dim_cap: int) -> Valu
 # -- minmax ------------------------------------------------------------------
 
 
-def minmax(g: FiniteGame, principal: int, mode: str = "auto",
-           step: float = 0.01, grid_dim_cap: int = DEFAULT_GRID_DIM_CAP,
-           dim_cap: int = DEFAULT_DIM_CAP, restarts: int = DEFAULT_RESTARTS,
-           seed: int = 0) -> ValueCertificate:
+def minmax(g: FiniteGame, principal: int, mode: str = "auto", step: float = 0.01,
+           restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> ValueCertificate:
     """Lowest payoff the opponents can force on principal j.
 
     Modes:
@@ -331,7 +328,10 @@ def minmax(g: FiniteGame, principal: int, mode: str = "auto",
         grid: certified lower bound.  Evaluates the best-response value on a
             step-delta grid over the free coordinates of the opponents'
             tables and subtracts a Lipschitz slack; the witness is the best
-            feasible grid point (an upper bound when re-evaluated).
+            feasible grid point (an upper bound when re-evaluated).  Past
+            GRID_POINT_CAP points or grid values, counted before any grid is
+            built, raises DimensionTooLarge.  A point's value is read from j's vertex
+            tables up to DEFAULT_DIM_CAP variables, else from one LP.
         alternating: seeded descent on the opponents' side; the value is the
             exact best-response value at the final profile, hence an upper
             bound.  gap_bound -1 (unknown).
@@ -347,7 +347,7 @@ def minmax(g: FiniteGame, principal: int, mode: str = "auto",
         return ValueCertificate(kind="exact-lp", value=value, witness={punisher.owner: punisher},
                                 gap_bound=0.0, lower=value, upper=value)
     if mode == "grid":
-        return _minmax_grid(g, j, step, grid_dim_cap, dim_cap)
+        return _minmax_grid(g, j, step)
     if mode == "alternating":
         return _minmax_alternating(g, j, restarts, seed)
     raise ModeUnsupported(f"minmax mode {mode!r}")
@@ -426,42 +426,46 @@ def _free_rows(g: FiniteGame, principal: int):
             for x in range(g.num_profiles)]
 
 
+def _grid_ticks(step: float) -> int:
+    """T = floor(1/step + 1e-12), held at GRID_POINT_CAP + 1 (a row of two or
+    more actions is then past the cap) so that a step of 1e-320 still counts."""
+    return int(min(np.floor(1.0 / step + 1e-12), GRID_POINT_CAP + 1))
+
+
 @functools.lru_cache(maxsize=32)
 def _simplex_grid(n_actions: int, step: float) -> np.ndarray:
     """Grid over a simplex: free coords are multiples of step, sum <= 1.
-    Rows run in lexicographic order of the free coordinates.  Memoised per
+    Rows run in lexicographic order of the free coordinates; there are
+    C(T + n_actions - 1, n_actions - 1), T = _grid_ticks(step).  Memoised per
     (n_actions, step); the result is read-only."""
-    ticks = int(np.floor(1.0 / step + 1e-12))
-    vals = np.arange(ticks + 1) * step
-    free = [c.reshape(-1) for c in np.meshgrid(*[vals] * (n_actions - 1), indexing="ij")]
-    s = np.zeros(free[0].size if free else 1)
-    for c in free:       # the filter and 1 - s depend on how s rounds: add in row order
-        s = s + c
-    keep = s <= 1.0 + 1e-12
-    return _frozen(np.column_stack([c[keep] for c in free] + [np.maximum(1.0 - s[keep], 0.0)]))
+    ticks = _grid_ticks(step)
+    pts = np.zeros((1, 0), dtype=np.intp)     # tick vectors, one coordinate added per pass
+    for _ in range(n_actions - 1):
+        counts = ticks + 1 - pts.sum(axis=1)    # the next tick runs 0..T - the sum so far
+        tick = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        pts = np.column_stack([np.repeat(pts, counts, axis=0), tick])
+    free = list(pts.T * step)
+    s = sum(free, np.zeros(len(pts)))     # in coordinate order: 1 - s depends on how s rounds
+    # tick sums <= T keep s below 1 + 1e-12, so the clip at 0 removes only rounding
+    return _frozen(np.column_stack(free + [np.maximum(1.0 - s, 0.0)]))
 
 
-def _minmax_grid(g: FiniteGame, principal: int, step: float,
-                 grid_dim_cap: int, dim_cap: int) -> ValueCertificate:
+def _minmax_grid(g: FiniteGame, principal: int, step: float) -> ValueCertificate:
     j = principal
     if not (0.0 < step <= 0.5):
         raise ValueError("grid step must lie in (0, 0.5]")
     rows = _free_rows(g, j)
-    free_dim = sum(len(g.action_spaces[k]) - 1 for k, _ in rows)
-    if free_dim > grid_dim_cap:
-        raise DimensionTooLarge(
-            f"opponent free dimension {free_dim} exceeds grid cap {grid_dim_cap}"
-        )
-    # one (A_k, points) grid per free row, so a batch's tables are gathered
-    # with the batch axis last
-    grids = [np.ascontiguousarray(_simplex_grid(len(g.action_spaces[k]), step).T)
-             for k, _ in rows]
-    sizes = [gr.shape[1] for gr in grids]
+    actions = [len(g.action_spaces[k]) for k, _ in rows]
+    free_dim = sum(a - 1 for a in actions)
+    ticks = _grid_ticks(step)
+    sizes = [math.comb(ticks + a - 1, a - 1) for a in actions]
     n_points = math.prod(sizes)
-    if n_points > GRID_POINT_CAP:
-        raise DimensionTooLarge(
-            f"{n_points} grid points exceed the cap {GRID_POINT_CAP}; use a coarser step"
-        )
+    n_values = sum(n * a for n, a in zip(sizes, actions))     # what the row grids hold
+    if max(n_points, n_values) > GRID_POINT_CAP:
+        raise DimensionTooLarge(f"grid points ({n_points}) or values ({n_values}) exceed the "
+                                f"cap {GRID_POINT_CAP}; use a coarser step")
+    # (A_k, points) grids, so that a batch's tables gather with the batch axis last
+    grids = [np.ascontiguousarray(_simplex_grid(a, step).T) for a in actions]
     opp = sorted({k for k, _ in rows})
     n_x = g.num_profiles
 
@@ -471,23 +475,21 @@ def _minmax_grid(g: FiniteGame, principal: int, step: float,
     # bound and keep whichever is larger.
     vmax_x = np.max(np.abs(g.principal_utils[j].reshape(n_x, -1)), axis=1)
     vbar = float(np.dot(g.prior, vmax_x))
-    n_blocks = len(opp)
-    slack_coarse = vbar * n_blocks * step * free_dim
+    slack_coarse = vbar * len(opp) * step * free_dim     # blocks x free dimension
     slack_per_coord = 2.0 * step * vbar * sum(len(g.action_spaces[k]) - 1 for k in opp)
     slack = max(slack_coarse, slack_per_coord)
 
-    use_vertices = build_bic_polytope(g, j).n_vars <= dim_cap
+    poly = build_bic_polytope(g, j)
+    use_vertices = poly.n_vars <= DEFAULT_DIM_CAP
     if use_vertices:
-        vmat = np.array([m.p for m in enumerate_vertices(g, j, dim_cap=dim_cap)])
+        vmat = poly.vertex_tables
         # W[m, x, c]: payoff of vertex m at profile x against opponent cell c
         vf = g.principal_utils[j] * g.prior.reshape((-1,) + (1,) * g.num_principals)
         w = np.stack([vmat[:, x, :] @ np.moveaxis(vf[x], j, 0).reshape(vmat.shape[2], -1)
                       for x in range(n_x)], axis=1)
     ics = {k: build_bic_polytope(g, k).ic for k in opp}
 
-    best_overall = np.inf
-    best_feasible = np.inf
-    best_feasible_profile = None
+    best_overall, best_feasible, best_feasible_profile = np.inf, np.inf, None
     for start in range(0, n_points, GRID_CHUNK):
         idx = np.unravel_index(np.arange(start, min(start + GRID_CHUNK, n_points)), sizes)
         bsz = idx[0].size
@@ -518,22 +520,17 @@ def _minmax_grid(g: FiniteGame, principal: int, step: float,
         bi = int(np.argmin(masked))
         if masked[bi] < best_feasible:
             best_feasible = float(masked[bi])
-            best_feasible_profile = {
-                k: DirectMechanism(owner=k, p=tables[k][..., bi]) for k in opp
-            }
+            best_feasible_profile = {k: DirectMechanism(owner=k, p=tables[k][..., bi])
+                                     for k in opp}
     value = best_overall - slack
     return ValueCertificate(
         kind=GRID_KIND,
         value=value,
         witness=best_feasible_profile,
         gap_bound=slack,
-        info={
-            "grid_min": best_overall,
-            "witness_value": best_feasible if best_feasible_profile else None,
-            "step": step,
-            "n_points": n_points,
-            "free_dim": free_dim,
-        },
+        info={"grid_min": best_overall,
+              "witness_value": best_feasible if best_feasible_profile else None,
+              "step": step, "n_points": n_points, "free_dim": free_dim},
         # the witness is feasible, so its value (inf when there is none) bounds the floor
         lower=value, upper=best_feasible,
     )
@@ -580,19 +577,16 @@ def _minmax_alternating(g: FiniteGame, principal: int, restarts: int,
 
 
 def punishment_profile(g: FiniteGame, principal: int, mode: str = "auto",
-                       step: float = 0.01, grid_dim_cap: int = DEFAULT_GRID_DIM_CAP,
-                       dim_cap: int = DEFAULT_DIM_CAP, restarts: int = DEFAULT_RESTARTS,
-                       seed: int = 0):
+                       step: float = 0.01, restarts: int = DEFAULT_RESTARTS, seed: int = 0):
     """Opponent profile from a minmax run, plus its exact best-response value.
 
-    Returns (dict opponent -> DirectMechanism, value).  The value is the
-    payoff the target secures against the witness, so it upper-bounds the
-    true minmax for grid and alternating modes and matches it (within LP
-    tolerance) for exact2.  Every component is individually incentive
-    compatible at 1e-9.
+    Takes minmax's arguments, under its caps.  Returns (dict opponent ->
+    DirectMechanism, value).  The value is the payoff the target secures
+    against the witness, so it upper-bounds the true minmax for grid and
+    alternating modes and matches it (within LP tolerance) for exact2.  Every
+    component is individually incentive compatible at 1e-9.
     """
-    cert = minmax(g, principal, mode=mode, step=step, grid_dim_cap=grid_dim_cap,
-                  dim_cap=dim_cap, restarts=restarts, seed=seed)
+    cert = minmax(g, principal, mode=mode, step=step, restarts=restarts, seed=seed)
     return cert.witness, _punished(g, principal, cert)
 
 
@@ -666,11 +660,16 @@ class GapFamily:
     agent payoffs, uniform principal tables; the first candidate is a
     structural seed when the family has three or more principals and binary
     actions (coordination reward for principals 2 and 3, a matching clash
-    between principals 1 and 2 otherwise)."""
+    between principals 1 and 2 otherwise).  ValueError unless it has at
+    least two principals, one agent and one action."""
 
     num_principals: int = 3
     num_agents: int = 3
     num_actions: int = 2
+
+    def __post_init__(self):
+        if self.num_principals < 2 or self.num_agents < 1 or self.num_actions < 1:
+            raise ValueError("a gap family needs at least 2 principals, 1 agent and 1 action")
 
     def candidate(self, index: int, rng: np.random.Generator) -> FiniteGame:
         shape = (1,) + (self.num_actions,) * self.num_principals
@@ -728,11 +727,14 @@ def search_minmax_maxmin_gap(family: GapFamily = None, budget: int = 500,
     grid-certified minmax lower bound are computed for ``principal``; the
     result is the candidate maximizing (certified lower bound - maxmin).  A
     best gap <= 0 is reported as found=False; nothing is asserted a priori.
+    ValueError on a budget below 1 or a principal outside the family.
     """
     if family is None:
         family = GapFamily()
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    if not 0 <= principal < family.num_principals:
+        raise ValueError(f"principal {principal} (0-based) not in 0..{family.num_principals - 1}")
     rng = np.random.default_rng(seed)
     best = None
     for idx in range(budget):

@@ -269,8 +269,9 @@ def test_maxmin_value(tmp_path, mp_files):
 
 
 def test_maxmin_rejects_grid_flags(tmp_path, mp_files, capsys):
-    # maxmin never reads --step, --grid-dim-cap or --restarts, so argparse
-    # refuses them, and it has no alternating mode
+    # maxmin never reads --step or --restarts, so argparse refuses them, as
+    # it refuses --grid-dim-cap, which no subcommand takes; and it has no
+    # alternating mode
     _, game, _ = mp_files
     for flag, value in (("--step", "0.7"), ("--grid-dim-cap", "3"), ("--restarts", "2")):
         with pytest.raises(SystemExit) as exc:
@@ -664,6 +665,44 @@ def test_search_gap_cli(tmp_path, capsys):
     assert doc["game_hash"] == game_hash(g)
 
 
+@pytest.mark.parametrize("bad, says", [
+    (["-j", "4"], "principal 3 (0-based) not in 0..2"), (["-j", "0"], "principal -1 (0-based)"),
+    (["-j", "-1"], "principal -2 (0-based)"), (["--principals", "0"], "at least 2 principals"),
+    (["--principals", "1"], "at least 2 principals"), (["--actions", "0"], "1 action"),
+    (["--agents", "0"], "1 agent"), (["--agents", "-1"], "1 agent")])
+def test_search_gap_rejects_what_validate_rejects(tmp_path, capsys, bad, says):
+    # three principals by default; each of these would name a principal the
+    # family lacks or draw a game that ``validate`` refuses
+    report, game_out = tmp_path / "gap.json", tmp_path / "gap-game.json"
+    assert main(["search-gap", "--budget", "1", "--step", "0.5", *bad, "--out", str(report),
+                 "--out-game", str(game_out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and says in err, err
+    assert not report.exists() and not game_out.exists()
+
+
+def test_only_maxmin_and_vertices_take_a_dim_cap(tmp_path, mp_inputs, capsys):
+    # the grid counts its points against one fixed cap and picks vertex
+    # tables or LPs from the polytope's size, so no minmax caller sets either
+    f = mp_inputs
+    out = str(tmp_path / "r.json")
+    for argv in (["minmax", "--game", f["game"], "-j", "P1"],
+                 ["punish", "--game", f["game"], "-j", "P1"],
+                 ["membership", "--game", f["game"], "--profile", f["profile"]],
+                 _build_drm(f)):
+        for flag in ("--grid-dim-cap", "--dim-cap"):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, flag, "12", "--out", out])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not os.path.exists(out)
+    for argv in (["maxmin", "--game", f["game"], "-j", "P1"],
+                 ["vertices", "--game", f["game"], "-j", "P1"]):
+        assert main([*argv, "--dim-cap", "3", "--out", out]) == 0
+        config = _read_json(out)["config"]
+        assert config["dim_cap"] == 3 and "grid_dim_cap" not in config
+
+
 def test_bad_flags_exit_with_input_error(tmp_path, mp_files, capsys, rng):
     _, game, _ = mp_files
     out = str(tmp_path / "r.json")
@@ -672,6 +711,15 @@ def test_bad_flags_exit_with_input_error(tmp_path, mp_files, capsys, rng):
     assert "--step" in capsys.readouterr().err
     assert main(["minmax", "--game", game, "-j", "1", "--restarts", "0",
                  "--out", out]) == 2
+    # a step that passes the range check but makes 10**9 points is refused
+    # from the count, before a grid is built
+    assert main(["minmax", "--game", game, "-j", "1", "--mode", "grid", "--step", "1e-9",
+                 "--out", out]) == 2
+    assert "grid points (2000002) or values (4000004) exceed the cap" in capsys.readouterr().err
+    # 1/step overflows to inf: still counted, still refused
+    assert main(["minmax", "--game", game, "-j", "1", "--mode", "grid", "--step", "1e-320",
+                 "--out", out]) == 2
+    assert "exceed the cap" in capsys.readouterr().err
     assert main(["minmax", "--game", game, "-j", "5", "--out", out]) == 2
     assert main(["minmax", "--game", game, "-j", "Q9", "--out", out]) == 2
     g3 = random_game(rng, num_principals=3, num_agents=1, type_sizes=[1],

@@ -239,18 +239,30 @@ def test_grid_sweep_matches_loop_oracle(case):
     g, j, step, chunk = case
     with mock.patch.object(solver, "GRID_CHUNK", chunk):
         got = minmax(g, j, mode="grid", step=step)
-    want = grid_oracle._minmax_grid(g, j, step, solver.DEFAULT_GRID_DIM_CAP,
-                                    solver.DEFAULT_DIM_CAP, chunk=chunk)
+    want = grid_oracle._minmax_grid(g, j, step, math.inf, solver.DEFAULT_DIM_CAP, chunk=chunk)
     assert grid_oracle.certificate_bits(got) == grid_oracle.certificate_bits(want)
 
 
-def test_grid_lp_fallback_matches_loop_oracle(mp2, screen1):
-    # dim_cap=1 sends every grid point through best_response
-    for g, step in ((mp2, 0.1), (screen1, 0.25)):
-        for j in range(2):
-            got = minmax(g, j, mode="grid", step=step, dim_cap=1)
-            want = grid_oracle._minmax_grid(g, j, step, solver.DEFAULT_GRID_DIM_CAP, 1)
-            assert grid_oracle.certificate_bits(got) == grid_oracle.certificate_bits(want)
+def test_grid_lp_fallback_matches_loop_oracle():
+    # P1's polytope has 14 variables, over DEFAULT_DIM_CAP, so every one of
+    # the 121 grid points goes through best_response
+    g = random_game(np.random.default_rng(3), num_principals=2, num_agents=1,
+                    type_sizes=[2], action_sizes=[7, 2])
+    assert build_bic_polytope(g, 0).n_vars == 14
+    got = minmax(g, 0, mode="grid", step=0.1)
+    want = grid_oracle._minmax_grid(g, 0, 0.1, math.inf, 12)
+    assert got.info["n_points"] == 121
+    assert grid_oracle.certificate_bits(got) == grid_oracle.certificate_bits(want)
+
+
+def test_grid_sweep_runs_any_free_dimension_under_the_point_cap():
+    # one opponent with six actions: free dimension 5, and 21 points at step 0.5
+    g = random_game(np.random.default_rng(5), num_principals=2, num_agents=1,
+                    type_sizes=[1], action_sizes=[2, 6])
+    got = minmax(g, 0, mode="grid", step=0.5)
+    assert (got.info["free_dim"], got.info["n_points"]) == (5, 21)
+    want = grid_oracle._minmax_grid(g, 0, 0.5, math.inf, solver.DEFAULT_DIM_CAP)
+    assert grid_oracle.certificate_bits(got) == grid_oracle.certificate_bits(want)
 
 
 @st.composite

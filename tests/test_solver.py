@@ -5,6 +5,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 import weakref
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
@@ -432,25 +433,56 @@ def test_minmax_grid_matching_pennies(mp2):
     assert cert.value <= 0.5 + 1e-12
 
 
-def test_minmax_grid_lp_fallback_matches_vertex_path(mp2):
-    fast = minmax(mp2, 0, mode="grid", step=0.05)
-    slow = minmax(mp2, 0, mode="grid", step=0.05, dim_cap=1)
+def test_minmax_grid_lp_fallback_matches_vertex_path():
+    # P1's 14-variable polytope is over DEFAULT_DIM_CAP, so the library
+    # solves one LP per point; the oracle reads its vertex tables instead
+    g = random_game(np.random.default_rng(3), num_principals=2, num_agents=1,
+                    type_sizes=[2], action_sizes=[7, 2])
+    slow = minmax(g, 0, mode="grid", step=0.1)
+    fast = grid_oracle._minmax_grid(g, 0, 0.1, math.inf, 16)
     assert fast.value == pytest.approx(slow.value, abs=1e-9)
     assert fast.info["grid_min"] == pytest.approx(slow.info["grid_min"], abs=1e-9)
 
 
-def test_minmax_grid_caps(rng):
+def test_minmax_grid_caps(rng, mp2, monkeypatch):
+    def build(*args):
+        raise AssertionError("a grid was built past the point cap")
+
+    # every refusal comes from the count, before any grid exists
+    monkeypatch.setattr(solver, "_simplex_grid", build)
     g = random_game(rng, num_principals=3, num_agents=1, type_sizes=[1],
                     action_sizes=[2, 2, 2], zero_agent_payoffs=True)
     with pytest.raises(DimensionTooLarge, match="grid points"):
         minmax(g, 0, mode="grid", step=5e-4)
-    g2 = random_game(rng, num_principals=3, num_agents=1, type_sizes=[2],
-                     action_sizes=[2, 2, 2], zero_agent_payoffs=True)
-    # two opponents x two profiles x one free coordinate each = 4 > cap of 3
-    with pytest.raises(DimensionTooLarge, match="free dimension"):
-        minmax(g2, 0, mode="grid", step=0.1, grid_dim_cap=3)
+    # 10**9 + 1 points, counted with T held at GRID_POINT_CAP + 1
+    with pytest.raises(DimensionTooLarge, match=r"grid points \(2000002\)"):
+        minmax(mp2, 0, mode="grid", step=1e-9)
+    with pytest.raises(DimensionTooLarge, match="grid points"):
+        minmax(mp2, 0, mode="grid", step=1e-320)
+    # C(1001, 2) = 500,500 points, under the cap, but 1000 values per point
+    g1000 = random_game(rng, num_principals=2, num_agents=1, type_sizes=[1],
+                        action_sizes=[2, 1000], zero_agent_payoffs=True)
+    with pytest.raises(DimensionTooLarge, match=r"\(500500\) or values \(500500000\)"):
+        minmax(g1000, 0, mode="grid", step=0.5)
+    # a five-action opponent at the default step: C(104, 4) points per row
+    g5 = random_game(rng, num_principals=3, num_agents=1, type_sizes=[1],
+                     action_sizes=[2, 5, 2], zero_agent_payoffs=True)
+    with pytest.raises(DimensionTooLarge, match="grid points"):
+        minmax(g5, 0, mode="grid")
     with pytest.raises(ValueError, match="step"):
         minmax(g, 0, mode="grid", step=0.0)
+
+
+def test_simplex_grid_builds_only_the_points_it_keeps():
+    # 316,251 rows of five columns; the full tick product would be 51**4 rows
+    tracemalloc.start()
+    try:
+        grid = solver._simplex_grid.__wrapped__(5, 0.02)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.shape == (math.comb(54, 4), 5)
+    assert peak < 64 * 2**20
 
 
 def _pennies_against_p2():
@@ -491,11 +523,19 @@ def test_grid_certificate_does_not_depend_on_chunk_size(monkeypatch, rng):
     np.testing.assert_array_equal(cert.witness[2].p, [[0.0, 1.0]])
 
 
-@pytest.mark.parametrize("n_actions", [1, 2, 3, 4])
-@pytest.mark.parametrize("step", [0.5, 0.3, 0.07, 0.01])
+@pytest.mark.parametrize("n_actions", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("step", [0.5, 1 / 3, 0.3, 0.25, 0.2, 0.15, 0.1, 0.07, 0.05, 0.02,
+                                  0.01])
 def test_simplex_grid_matches_product_order(n_actions, step):
-    # 0.3 and 0.07 do not divide 1, so the last coordinate is not a tick
+    # 0.3 and 0.07 do not divide 1, so the last coordinate is not a tick; the
+    # oracle filters the whole tick product, the library keeps the
+    # C(T + A - 1, A - 1) rows it returns and builds no others
+    ticks = int(np.floor(1.0 / step + 1e-12))
+    n_rows = math.comb(ticks + n_actions - 1, n_actions - 1)
+    if n_rows > solver.GRID_POINT_CAP:      # (5, 0.01): the sweep refuses it unbuilt
+        return
     got = solver._simplex_grid(n_actions, step)
+    assert got.shape == (n_rows, n_actions)
     want = grid_oracle._simplex_grid(n_actions, step)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
