@@ -10,10 +10,11 @@ solution, so nothing is warm-started.  A property test pins every result, in
 drawn solve orders, to a fresh instance's.  The model goes in through
 ``passModel``'s array form, column-wise, rows in the order given
 (``solver.solve_lp`` gives its '<=' rows, then its '=' rows); statuses go
-through scipy's own table.  A result holds the primal solution, the
-objective and the row duals; every column bound that ``solver`` sets is 0
-or none, so it reads no column dual.  HiGHS is the dual simplex solver of
-Huangfu & Hall (Math. Prog. Comp. 2018).
+through scipy's own table, but a model HiGHS refuses is a failed attempt,
+not infeasible.  A result holds the primal solution, the objective and the
+row duals; every column bound that ``solver`` sets is 0 or none, so it
+reads no column dual.  HiGHS is the dual simplex solver of Huangfu & Hall
+(Math. Prog. Comp. 2018).
 """
 
 import threading
@@ -73,9 +74,12 @@ _local = threading.local()      # each thread's instances, by ``_instance``
 
 
 def _failed(highs, model_status):
-    """A failed attempt, its status mapped by scipy's table."""
+    """A failed attempt, its status mapped by scipy's table, except that a
+    model HiGHS refused (kModelError, scipy's 2: infeasible) is 4."""
     status, message = _highs_to_scipy_status_message(
         model_status, highs.modelStatusToString(model_status))
+    if model_status == _h.HighsModelStatus.kModelError:
+        status = 4
     return HighsResult(status=status, message=message)
 
 

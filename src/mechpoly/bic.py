@@ -21,8 +21,8 @@ from .game import (
     DirectMechanism,
     FiniteGame,
     _frozen,
+    _interim_weights,
     _require_profile,
-    conditional_weights,
 )
 
 MEMBERSHIP_TOL = 1e-9
@@ -139,34 +139,29 @@ def _build_polytope(g: FiniteGame, j: int) -> BicPolytope:
     """Principal j's polytope, built anew."""
     n_x = g.num_profiles
     n_a = len(g.action_spaces[j])
-    n_vars = n_x * n_a
-    eq = np.zeros((n_x, n_vars))
-    for x in range(n_x):
-        eq[x, x * n_a:(x + 1) * n_a] = 1.0
+    eq = np.repeat(np.eye(n_x), n_a, axis=1)
     rows = []
     labels = []
     warnings = []
     u = g.agent_utils  # u[i][j][x, a]
-    for i in range(g.num_agents):
-        # the last agent's type varies fastest, so agent i's type moves x by stride
-        stride = math.prod(len(ts) for ts in g.type_spaces[i + 1:])
-        for t, t_lab in enumerate(g.type_spaces[i]):
-            idxs, w = conditional_weights(g, i, t)
-            if w is None:
+    for i, types in enumerate(g.type_spaces):
+        # profiles as (earlier agents, i's type, later agents): the last agent varies fastest
+        shape = (-1, len(types), math.prod(len(ts) for ts in g.type_spaces[i + 1:]), n_a)
+        weights = _interim_weights(g, i)
+        for t, t_lab in enumerate(types):
+            if not weights[t].any():
                 warnings.append(f"agent {i} type {t_lab!r} has zero prior mass; no IC rows")
                 continue
-            for r, r_lab in enumerate(g.type_spaces[i]):
+            coeff = (weights[t, :, None] * u[i][j]).reshape(shape)[:, t]  # at the true profile
+            for r, r_lab in enumerate(types):
                 if r == t:
                     continue
-                row = np.zeros(n_vars)
-                for x, wt in zip(idxs.tolist(), w):
-                    x_rep = x + (r - t) * stride
-                    coeff = wt * u[i][j][x]  # utility at the true profile
-                    row[x * n_a:(x + 1) * n_a] += coeff
-                    row[x_rep * n_a:(x_rep + 1) * n_a] -= coeff
+                row = np.zeros(n_x * n_a)
+                row.reshape(shape)[:, t] += coeff   # on zeros: 0.0, never -0.0, for 0 coeff
+                row.reshape(shape)[:, r] -= coeff
                 rows.append(row)
                 labels.append((i, t_lab, r_lab))
-    ic = np.array(rows) if rows else np.zeros((0, n_vars))
+    ic = np.array(rows) if rows else np.zeros((0, n_x * n_a))
     return BicPolytope(
         owner=j,
         n_profiles=n_x,

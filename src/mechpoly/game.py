@@ -280,27 +280,31 @@ def conditional_prior(g: FiniteGame, agent: int, t) -> np.ndarray:
 
     ``t`` may be a type label or index.  The returned flat array runs over the
     product of the other agents' type spaces in declaration order.  Raises
-    ZeroDivisionError-free ValueError when the conditioning type has zero
-    prior mass.
+    ValueError when the conditioning type has zero prior mass.
     """
     if isinstance(t, str):
         t = g.type_spaces[agent].index(t)
-    _, weights = conditional_weights(g, agent, t)
-    if weights is None:
+    weights = _interim_weights(g, agent)[t]
+    if not weights.any():
         raise ValueError(
             f"conditional_prior: type {g.type_spaces[agent][t]!r} of agent {agent} "
             "has zero prior mass"
         )
-    return weights
+    return weights[g.profiles[:, agent] == t]
 
 
-def conditional_weights(g: FiniteGame, agent: int, t: int):
-    """(profile indices with x_i = t, conditional weights) for positive-mass t."""
-    idxs = g.profiles_with_type(agent, t)
-    mass = float(g.prior[idxs].sum())
-    if mass <= 0.0:
-        return idxs, None
-    return idxs, g.prior[idxs] / mass
+def _interim_weights(g: FiniteGame, agent: int) -> np.ndarray:
+    """(|X_i|, n_profiles): row t is the prior conditional on ``agent`` having
+    type t, all zero for a zero-mass type; every interim expectation reads it."""
+    n_t = len(g.type_spaces[agent])
+    # profiles as (earlier agents, agent's type, later agents): the last agent varies fastest
+    prior = g.prior.reshape(-1, n_t, math.prod(len(ts) for ts in g.type_spaces[agent + 1:]))
+    weights = np.zeros((n_t,) + prior.shape)
+    for t in range(n_t):
+        mass = float(prior[:, t].ravel().sum())     # the type's profiles, summed in order
+        if mass > 0.0:
+            weights[t, :, t] = prior[:, t] / mass
+    return weights.reshape(n_t, -1)
 
 
 def _contract_except(g: FiniteGame, valued: int, free: int, mechanisms) -> np.ndarray:

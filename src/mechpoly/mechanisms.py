@@ -42,13 +42,13 @@ from .game import (
     _fields,
     _index,
     _indices,
+    _interim_weights,
     _labels,
     _read_json,
     _require,
     _require_table,
     _write_json,
     canonical_game_bytes,
-    conditional_weights,
     expected_principal_payoff,
     fnv1a64,
 )
@@ -205,9 +205,7 @@ def induce_direct_mechanism(g: FiniteGame, mech: GeneralMechanism,
     """Average the outcome table over message draws, type profile by type
     profile.  agent_strategies[i] has shape (|X_i|, |M_ij|); types with no
     strategy mass still produce valid rows because rows are mixtures."""
-    rows = _contract_outcome(
-        g, mech, np.asarray(principal_message, dtype=float)[None],
-        [np.asarray(s, dtype=float)[None] for s in agent_strategies])[0]
+    rows = _contract_outcome(g, mech, principal_message, agent_strategies)
     return DirectMechanism(owner=mech.owner, p=rows)
 
 
@@ -419,47 +417,29 @@ class CeVerdict:
 
 def _contract_outcome(g: FiniteGame, mech: GeneralMechanism, principal_w,
                       agent_w, open_agent=None) -> np.ndarray:
-    """(C, n_profiles, |A|): the tables induced in one mechanism by C
-    candidate weightings, principal_w (C, |M_0|) and agent_w[i]
-    (C, |X_i|, |M_i|), contracted profile by profile, principal message
-    first.  principal_w=None keeps an |M_0| axis after C; ``open_agent``'s
-    weights are unused and its |M_i| axis is kept before |A|.  One-hot
-    weights reproduce the gathered outcome entries exactly."""
+    """(n_profiles, |A|): the table induced in one mechanism by message
+    weights principal_w (|M_0|) and agent_w[i] (|X_i|, |M_i|), contracted
+    profile by profile, principal message first.  principal_w=None keeps an
+    |M_0| axis in front; ``open_agent``'s weights are unused and its |M_i|
+    axis is kept before |A|.  One-hot weights reproduce the gathered outcome
+    entries exactly."""
     out = mech.outcome
     if principal_w is None:
-        t = out[None, :, None]
+        t = out[:, None]
     else:
         w = np.asarray(principal_w, dtype=float)
-        t = (w[:, None, :] @ out.reshape(out.shape[0], -1)).reshape(
-            (len(w), 1, 1) + out.shape[1:])
-    # t axes: (candidate, principal message, profile, next agent's message, ...)
+        t = (w[None, :] @ out.reshape(out.shape[0], -1)).reshape((1, 1) + out.shape[1:])
+    # t axes: (principal message, profile, next agent's message, ...)
     for i in range(g.num_agents):
         if i == open_agent:
-            t = np.moveaxis(t, 3, -2)
+            t = np.moveaxis(t, 2, -2)
             continue
-        w = np.asarray(agent_w[i], dtype=float)[:, g.profiles[:, i]]
-        rest = t.shape[4:]
-        t = w[:, None, :, None, :] @ t.reshape(t.shape[:4] + (math.prod(rest),))
-        t = t.reshape(t.shape[:3] + rest)
-    t = np.broadcast_to(t, t.shape[:2] + (g.num_profiles,) + t.shape[3:])
-    return t if principal_w is None else t[:, 0]
-
-
-def _interim_values(g: FiniteGame, mech: GeneralMechanism, principal_w, agent_w,
-                    agent: int) -> np.ndarray:
-    """(C, |X_i|, |M_i|): the interim payoff of each message ``agent`` could
-    send to this mechanism's owner, per type, under C candidate weightings of
-    the other senders.  Types without prior mass get zero rows, so they never
-    bind."""
-    k = _contract_outcome(g, mech, principal_w, agent_w, open_agent=agent)
-    kv = (k @ g.agent_utils[agent][mech.owner][:, :, None])[..., 0]
-    values = np.zeros((kv.shape[0], len(g.type_spaces[agent]), kv.shape[2]))
-    for t in range(len(g.type_spaces[agent])):
-        idxs, weights = conditional_weights(g, agent, t)
-        if weights is not None:
-            for x, w in zip(idxs, weights):
-                values[:, t] += w * kv[:, x]
-    return values
+        w = np.asarray(agent_w[i], dtype=float)[g.profiles[:, i]]
+        rest = t.shape[3:]
+        t = w[None, :, None, :] @ t.reshape(t.shape[:3] + (math.prod(rest),))
+        t = t.reshape(t.shape[:2] + rest)
+    t = np.broadcast_to(t, t.shape[:1] + (g.num_profiles,) + t.shape[2:])
+    return t if principal_w is None else t[0]
 
 
 def _require_fit(g: FiniteGame, j: int, mech: GeneralMechanism, what: str) -> None:
@@ -477,7 +457,7 @@ def _require_fit(g: FiniteGame, j: int, mech: GeneralMechanism, what: str) -> No
                          f"agent message sets, the game needs {g.num_agents}")
 
 
-def _require_profile(g: FiniteGame, mechanisms) -> None:
+def _require_mechanisms(g: FiniteGame, mechanisms) -> None:
     """ValueError unless each principal has one mechanism, fitting it."""
     if len(mechanisms) != g.num_principals:
         raise ValueError(f"{len(mechanisms)} mechanisms for {g.num_principals} principals")
@@ -492,23 +472,29 @@ def check_continuation_equilibrium(g: FiniteGame, mechanisms,
 
     Agents: for every positive-mass type and every principal, no pure
     alternative message improves the interim payoff component by more than
-    tol (sufficient for all mixed alternatives by linearity).  Principals:
-    no alternative own message improves the ex-ante payoff by more than tol.
+    tol (sufficient for all mixed alternatives by linearity); the interim
+    payoffs weigh each profile by ``_interim_weights``, summed profile by
+    profile, so zero-mass types never bind.  Principals: no alternative own
+    message improves the ex-ante payoff by more than tol.
     Returns the most profitable deviation found.  A mechanism count other
     than the principals', or a mechanism that does not fit the principal at
     its position (owner, actions, agent message sets), raises ValueError.
     """
-    _require_profile(g, mechanisms)
-    weights = [[np.asarray(strategies.agent_messages[(i, j)], dtype=float)[None]
+    _require_mechanisms(g, mechanisms)
+    weights = [[np.asarray(strategies.agent_messages[(i, j)], dtype=float)
                 for i in range(g.num_agents)] for j in range(len(mechanisms))]
+    interim = [_interim_weights(g, i) for i in range(g.num_agents)]
     worst, witness = 0.0, None
     for j, (mech, agent_w) in enumerate(zip(mechanisms, weights)):
-        c0 = np.asarray(strategies.principal_messages[j], dtype=float)[None]
         for i in range(g.num_agents):
-            values = _interim_values(g, mech, c0, agent_w, i)[0]
+            k = _contract_outcome(g, mech, strategies.principal_messages[j], agent_w,
+                                  open_agent=i)      # (n_profiles, |M_i|, |A|)
+            kv = (k @ g.agent_utils[i][mech.owner][:, :, None])[..., 0]
+            # summed profile by profile: a matrix product rounds differently
+            values = (interim[i][:, :, None] * kv).sum(axis=1)     # (|X_i|, |M_i|)
             for t, row in enumerate(values):
                 m_best = int(np.argmax(row))
-                gain = float(row[m_best] - float(np.dot(agent_w[i][0, t], row)))
+                gain = float(row[m_best] - float(np.dot(agent_w[i][t], row)))
                 if gain > worst:
                     worst, witness = gain, ("agent", g.agent_ids[i], g.type_spaces[i][t],
                                             g.principal_ids[j], mech.agent_messages[i][m_best])
@@ -518,7 +504,7 @@ def check_continuation_equilibrium(g: FiniteGame, mechanisms,
             continue
         base = expected_principal_payoff(g, j, induced)
         tables = [dm.p[None] for dm in induced]
-        tables[j] = _contract_outcome(g, mech, None, weights[j])
+        tables[j] = _contract_outcome(g, mech, None, weights[j])[None]
         for m0, pay in enumerate(_payoffs(g, j, tables).reshape(-1)):
             gain = float(pay - base)
             if gain > worst:
@@ -565,11 +551,7 @@ def _agent_optimal_blocks(g: FiniteGame, mechs, tol: float) -> list:
         # (D, C, n_profiles, |M_i|), broadcast over profiles when i is alone
         kv = pay[:, row[:, :, None] + np.arange(sizes[i]) * stride[1 + i],
                  np.arange(g.num_profiles)[:, None]]
-        weights = np.zeros((types[i], g.num_profiles))  # each type's conditional prior
-        for t in range(types[i]):
-            idxs, w = conditional_weights(g, i, t)
-            weights[t, idxs] = 0.0 if w is None else w
-        values = weights @ kv                           # (D, C, |X_i|, |M_i|)
+        values = _interim_weights(g, i) @ kv            # (D, C, |X_i|, |M_i|)
         chosen = values[..., np.arange(types[i]), maps[i]]    # (D, C, |maps_i|, |X_i|)
         fine = ~(chosen < values.max(axis=-1)[..., None, :] - tol)
         ok &= np.moveaxis(fine.all(axis=-1).reshape(grid + (len(maps[i]),)), -1, 2 + i)
@@ -624,7 +606,7 @@ def _continuation_combos(g: FiniteGame, mechanisms, blocks, tol: float, valued=N
 def enumerate_pure_continuation_equilibria(g: FiniteGame, mechanisms,
                                            tol: float = EQ_TOL):
     """Every pure strategy profile passing the continuation check."""
-    _require_profile(g, mechanisms)
+    _require_mechanisms(g, mechanisms)
     blocks = [_agent_optimal_blocks(g, [mech], tol)[0] for mech in mechanisms]
     ok, _ = _continuation_combos(g, mechanisms, blocks, tol)
     return [_pure_profile(g, mechanisms, [b[0][c] for b, c in zip(blocks, combo)],
@@ -784,7 +766,7 @@ def simulate(g: FiniteGame, mechanisms, strategies: StrategyProfile,
     """
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
-    _require_profile(g, mechanisms)
+    _require_mechanisms(g, mechanisms)
     strategies.validate(g, mechanisms)
     rng = np.random.default_rng(seed)
     x_idx = rng.choice(g.num_profiles, p=g.prior, size=rounds)

@@ -13,7 +13,17 @@ import itertools
 import numpy as np
 
 from mechpoly.bic import BicPolytope, MembershipResult
-from mechpoly.game import FiniteGame, _frozen, conditional_weights
+from mechpoly.game import FiniteGame, _frozen
+
+
+def conditional_weights(g: FiniteGame, agent: int, t: int):
+    """(profile indices with x_i = t, conditional weights) for positive-mass t,
+    (those indices, None) for a type without prior mass."""
+    idxs = g.profiles_with_type(agent, t)
+    mass = float(g.prior[idxs].sum())
+    if mass <= 0.0:
+        return idxs, None
+    return idxs, g.prior[idxs] / mass
 
 
 def _replace_type(g: FiniteGame, x: int, agent: int, t: int) -> int:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -244,6 +245,22 @@ def test_numerical_failure_exits_with_code_3(tmp_path, mp_files, monkeypatch, ca
     # the first attempt and the refined one both came back out of tolerance
     assert len(options) == 2
     assert options[0] is None and options[1] is not None
+    assert not out.exists()
+
+
+def test_model_highs_refuses_exits_with_code_3(tmp_path, mp2, capsys):
+    # P1's payoffs times 1e16 pass validation, but the saddle LP then holds
+    # entries above HiGHS's large_matrix_value (1e15), and HiGHS refuses it
+    scaled = dataclasses.replace(
+        mp2, principal_utils=(mp2.principal_utils[0] * 1e16, mp2.principal_utils[1]))
+    game = tmp_path / "scaled.json"
+    save_game(scaled, game)
+    assert main(["validate", "--game", str(game)]) == 0
+    out = tmp_path / "r.json"
+    assert main(["minmax", "--game", str(game), "-j", "1", "--out", str(out)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "Model error" in err
+    assert "infeasible" not in err
     assert not out.exists()
 
 

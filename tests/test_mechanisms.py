@@ -428,6 +428,22 @@ def test_ce_check_accepts_truthful_screening(screen1):
     assert verdict.witness is None
 
 
+@pytest.mark.parametrize("seed, gain, witness", [
+    (14, "0x0.0p+0", None),
+    (9, "0x1.0000000000000p-54", ("agent", "A2", "t20", "P1", "t21")),
+    (13, "0x1.0000000000000p-53", ("agent", "A2", "t21", "P2", "t20")),
+])
+def test_ce_check_bits_on_truthful_standard_play(seed, gain, witness):
+    # the agent check sums its conditional-prior terms profile by profile;
+    # a matrix product over profiles rounds differently (seed 14 then reads
+    # 2^-56 with an agent witness)
+    g = random_game(np.random.default_rng(seed), num_principals=2, num_agents=2,
+                    type_sizes=[2, 2], action_sizes=[3, 2])
+    mechs = [standard_from_direct(g, sample_bic(g, j, seed=j)) for j in range(2)]
+    verdict = check_continuation_equilibrium(g, mechs, truthful_strategies(g, mechs))
+    assert (verdict.worst_gain.hex(), verdict.witness) == (gain, witness)
+
+
 def _value_screening_game():
     """Screening game where principal 1 is paid only for action b."""
     types = (("L", "H"),)

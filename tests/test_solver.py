@@ -152,15 +152,26 @@ def test_highs_model_statuses_map_as_scipy_table():
     statuses = _highs._h.HighsModelStatus
     highs = _highs._h._Highs()
     for status in statuses.__members__.values():
-        want = _highs_to_scipy_status_message(status, "m")[0]
-        assert _highs._failed(highs, status).status == want, status
-    # a model HiGHS rejects counts as infeasible; "unbounded or infeasible"
-    # and an empty model are failed attempts
+        if status != statuses.kModelError:
+            want = _highs_to_scipy_status_message(status, "m")[0]
+            assert _highs._failed(highs, status).status == want, status
+    # a model HiGHS refuses is a failed attempt, where scipy's table says
+    # infeasible; so are "unbounded or infeasible" and an empty model
     assert {s: _highs._failed(highs, s).status for s in (
         statuses.kInfeasible, statuses.kModelError, statuses.kUnbounded,
         statuses.kUnboundedOrInfeasible, statuses.kModelEmpty)} == {
-        statuses.kInfeasible: 2, statuses.kModelError: 2, statuses.kUnbounded: 3,
+        statuses.kInfeasible: 2, statuses.kModelError: 4, statuses.kUnbounded: 3,
         statuses.kUnboundedOrInfeasible: 4, statuses.kModelEmpty: 4}
+    assert _highs_to_scipy_status_message(statuses.kModelError, "m")[0] == 2
+
+
+def test_model_highs_refuses_raises_numerical_failure():
+    # feasible and bounded, but 1e20 is above HiGHS's large_matrix_value
+    # (1e15), so HiGHS refuses the model on both attempts
+    prob = LPProblem(np.ones(2), np.array([[1e20, 1.0]]), np.array([1.0]))
+    with pytest.raises(NumericalFailure, match="status 4: .*Model error") as info:
+        solve_lp(prob)
+    assert "infeasible" not in str(info.value)
 
 
 @pytest.mark.parametrize("code, outcome", [(2, "infeasible"), (3, "unbounded"),
